@@ -17,7 +17,7 @@ import sys as _sys
 import numpy as np
 
 from . import estimates, frames, lp, norms, symbols, tiles
-from .core import GridFunction, SpectralFunction
+from .core import SpectralFunction
 
 
 class PreconditionError(Exception):
@@ -240,8 +240,6 @@ def cmd_verify(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="hermband",
                                 description="Hermite-operator frames, norms and pseudo-multipliers")
-    p.add_argument("--threads", type=int, default=0,
-                   help="thread-pool size hint (0 = library default)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, dim=True, system=True):
@@ -296,7 +294,6 @@ def build_parser():
     sp = sub.add_parser("apply", help="apply a pseudo-multiplier, emit grid CSV")
     sp.add_argument("--symbol", required=True)
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--grid", default="default")
     common(sp)
     sp.set_defaults(func=cmd_apply)
 

@@ -8,9 +8,13 @@ stay finite instead of underflowing mid-recurrence.
 
 from __future__ import annotations
 
+import cmath
+import functools
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -86,25 +90,6 @@ def hermite_functions(k_max, t):
             e = np.where(big, e + 500, e)
         out[k + 1] = _ldexp_clipped(cur, e)
     return out[:, 0] if scalar else out
-
-
-def eval_hermite_1d(k_max, t):
-    """Vector [h_0(t), ..., h_{k_max}(t)] at a single point t."""
-    return hermite_functions(k_max, float(t))
-
-
-def eval_hermite_nd(xi, x):
-    """h_xi(x) = prod_d h_{xi_d}(x_d) for a multi-index xi and point x."""
-    xi = tuple(int(v) for v in xi)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(xi) != x.shape[-1]:
-        raise ValueError("multi-index and point dimensions differ")
-    if any(v < 0 for v in xi):
-        raise ValueError("multi-index entries must be non-negative")
-    val = 1.0
-    for v, td in zip(xi, x):
-        val *= hermite_functions(v, float(td))[v]
-    return val
 
 
 def hermite_polys_orthonormal(k_max, t):
@@ -237,84 +222,153 @@ def e_function(N, x, constants=Constants()):
 
 
 # ---------------------------------------------------------------------------
+# multi-indices, point grids and lifted quadrature
+# ---------------------------------------------------------------------------
+
+
+def multi_indices(dim, order_max):
+    """All xi in N^dim with |xi| <= order_max, in lexicographic order."""
+    return [xi for xi in itertools.product(range(order_max + 1), repeat=dim)
+            if sum(xi) <= order_max]
+
+
+def tensor_points(axes):
+    """All points of the tensor grid of per-axis arrays, shape (prod(lengths), dim), row-major."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def lifted_gauss_hermite(sample, q, dim, s=1.0, axis_factor=None):
+    """integral over R^dim of F(y) prod_d a_d(y_d) dy by a q-point tensor Gauss-Hermite rule.
+
+    sample(y) returns F on the tensor grid of the axis nodes y = sqrt(s) u,
+    shape (q,) * dim.  F must carry the Gaussian e^{-|y|^2/s} (s = 2 for one
+    Hermite function, s = 1 for a product of two); the lift e^{u^2} of the
+    weights cancels it, so the rule is exact when the rest is a polynomial of
+    degree <= 2q - 1 per axis.  axis_factor(d, y) gives a_d at the nodes, of
+    shape (q,) or (q, r); a (q, r) factor appends an output axis of length r.
+    """
+    u, w = gauss_hermite(q)
+    y = math.sqrt(s) * u
+    lift = w * np.exp(u * u)
+    T = sample(y)
+    for d in range(dim):
+        W = lift
+        if axis_factor is not None:
+            a = np.asarray(axis_factor(d, y))
+            W = a * lift.reshape((-1,) + (1,) * (a.ndim - 1))
+        T = np.tensordot(T, W, axes=([0], [0]))
+    return T * s ** (dim / 2.0)
+
+
+def axis_tables(k_max, pts):
+    """Per-axis tables [h_0..h_{k_max}] at the coordinates of an (m, dim) point array."""
+    return [hermite_functions(k_max, pts[:, d]) for d in range(pts.shape[1])]
+
+
+# ---------------------------------------------------------------------------
 # spectral functions (finite Hermite expansions)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@functools.lru_cache(maxsize=64)
+def _degree_table(dim, max_degree):
+    deg = sum(np.ix_(*[np.arange(max_degree + 1)] * dim))
+    deg.flags.writeable = False
+    return deg
+
+
+def degree_array(w, dim):
+    """w[|xi|] on the (K+1,)*dim coefficient grid, K = len(w) - 1, zero where |xi| > K."""
+    w = np.asarray(w)
+    K = w.size - 1
+    return np.append(w, np.zeros((dim - 1) * K, dtype=w.dtype))[_degree_table(dim, K)]
+
+
 class SpectralFunction:
-    """A finite Hermite expansion sum_{|xi| <= K} c_xi h_xi."""
+    """A finite Hermite expansion sum_{|xi| <= K} c_xi h_xi.
 
-    dim: int
-    max_degree: int
-    coeffs: dict = field(default_factory=dict)
+    The coefficients live in ``array``, a complex array of shape (K+1,)*dim
+    that is zero where |xi| > K.  ``coeffs`` may be given as such an array or
+    as a {xi: c} dict; the ``coeffs`` attribute is a read-only {xi: c} view of
+    the nonzero entries in lexicographic order.
+    """
 
-    def __post_init__(self):
-        for xi in self.coeffs:
+    def __init__(self, dim, max_degree, coeffs=None):
+        self.dim = int(dim)
+        self.max_degree = int(max_degree)
+        if self.dim < 1 or self.max_degree < 0:
+            raise ValueError("need dim >= 1 and max_degree >= 0")
+        shape = (self.max_degree + 1,) * self.dim
+        if isinstance(coeffs, np.ndarray):
+            if coeffs.shape != shape:
+                raise ValueError(f"coefficient array shape {coeffs.shape} != {shape}")
+            arr = np.where(self.degrees <= self.max_degree, coeffs, 0)
+            self.array = arr.astype(complex, copy=False)
+            return
+        self.array = np.zeros(shape, dtype=complex)
+        for xi, c in (coeffs or {}).items():
             if len(xi) != self.dim or any(v < 0 for v in xi):
                 raise ValueError(f"bad multi-index {xi}")
             if sum(xi) > self.max_degree:
                 raise ValueError(f"multi-index {xi} exceeds max_degree {self.max_degree}")
+            self.array[tuple(xi)] = c
 
-    def copy(self):
-        return SpectralFunction(self.dim, self.max_degree, dict(self.coeffs))
+    @property
+    def degrees(self):
+        """The |xi| table of the coefficient array (cached, read-only)."""
+        return _degree_table(self.dim, self.max_degree)
+
+    @property
+    def coeffs(self):
+        idx = np.argwhere(self.array)
+        vals = self.array[tuple(idx.T)].tolist()
+        return types.MappingProxyType(dict(zip(map(tuple, idx.tolist()), vals)))
 
     def prune(self, tol=0.0):
-        self.coeffs = {xi: c for xi, c in self.coeffs.items() if abs(c) > tol}
+        self.array[np.abs(self.array) <= tol] = 0.0
         return self
 
     def scaled(self, a):
-        return SpectralFunction(self.dim, self.max_degree,
-                                {xi: a * c for xi, c in self.coeffs.items()})
+        return SpectralFunction(self.dim, self.max_degree, a * self.array)
+
+    def _padded(self, K):
+        if K == self.max_degree:
+            return self.array
+        out = np.zeros((K + 1,) * self.dim, dtype=complex)
+        out[(slice(0, self.max_degree + 1),) * self.dim] = self.array
+        return out
 
     def add(self, other):
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for xi, c in other.coeffs.items():
-            out[xi] = out.get(xi, 0.0) + c
-        return SpectralFunction(self.dim, max(self.max_degree, other.max_degree), out)
+        K = max(self.max_degree, other.max_degree)
+        return SpectralFunction(self.dim, K, self._padded(K) + other._padded(K))
 
     def sub(self, other):
         return self.add(other.scaled(-1.0))
 
     def norm2(self):
-        """Exact L^2 norm via Parseval."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
+        """Exact L^2 norm via Parseval, summed in lexicographic order."""
+        return math.sqrt(sum(abs(c) ** 2 for c in self.array[np.nonzero(self.array)].tolist()))
 
     def inner(self, other):
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        small, big = (self.coeffs, other.coeffs) if len(self.coeffs) <= len(other.coeffs) else (other.coeffs, self.coeffs)
-        acc = 0.0
-        for xi, c in small.items():
-            if xi in big:
-                if small is self.coeffs:
-                    acc += c * np.conj(big[xi])
-                else:
-                    acc += big[xi] * np.conj(c)
-        return acc
+        K = max(self.max_degree, other.max_degree)
+        return complex(np.sum(self._padded(K) * np.conj(other._padded(K))))
 
     def is_real(self, tol=1e-12):
-        return all(abs(np.imag(c)) <= tol for c in self.coeffs.values())
+        return bool(np.all(np.abs(self.array.imag) <= tol))
 
-    def dense(self):
-        """Dense coefficient tensor of shape (K+1,)*dim."""
-        arr = np.zeros((self.max_degree + 1,) * self.dim, dtype=complex)
-        for xi, c in self.coeffs.items():
-            arr[xi] = c
-        return arr
+    def _present_degrees(self):
+        return np.unique(self.degrees[self.array != 0]).tolist()
 
     def degree_slices(self):
-        """Coefficients grouped by total degree: dict k -> {xi: c}."""
-        out = {}
-        for xi, c in self.coeffs.items():
-            out.setdefault(sum(xi), {})[xi] = c
-        return out
-
-    def degree_part(self, k):
-        return SpectralFunction(self.dim, self.max_degree,
-                                {xi: c for xi, c in self.coeffs.items() if sum(xi) == k})
+        """The nonzero degree parts P_k f: dict k -> SpectralFunction, increasing k."""
+        return {k: SpectralFunction(self.dim, self.max_degree,
+                                    np.where(self.degrees == k, self.array, 0))
+                for k in self._present_degrees()}
 
     # -- evaluation --------------------------------------------------------
 
@@ -322,51 +376,79 @@ class SpectralFunction:
         """Evaluate on a tensor grid (list of per-axis sorted 1D arrays)."""
         if len(axes) != self.dim:
             raise ValueError("grid dimension mismatch")
-        if not self.coeffs:
-            return np.zeros(tuple(len(a) for a in axes), dtype=complex)
-        T = self.dense()
+        T = self.array
         for ax in axes:
             H = hermite_functions(self.max_degree, np.asarray(ax, dtype=float))
             T = np.tensordot(T, H, axes=([0], [0]))
         return T
 
-    def eval_points(self, pts):
-        """Evaluate at scattered points, array of shape (m, dim)."""
+    def _points(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError("point dimension mismatch")
-        if not self.coeffs:
-            return np.zeros(pts.shape[0], dtype=complex)
-        Hs = [hermite_functions(self.max_degree, pts[:, d]) for d in range(self.dim)]
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for xi, c in self.coeffs.items():
-            term = np.full(pts.shape[0], c, dtype=complex)
-            for d, v in enumerate(xi):
-                term = term * Hs[d][v]
-            out += term
-        return out
+        return pts
+
+    def eval_points(self, pts, tables=None):
+        """Evaluate at scattered points, array of shape (m, dim).
+
+        tables: per-axis Hermite tables at the points (see axis_tables) of
+        degree >= max_degree, when the caller already has them.
+        """
+        pts = self._points(pts)
+        if tables is None:
+            tables = axis_tables(self.max_degree, pts)
+        K1 = self.max_degree + 1
+
+        def contract(a):
+            T = a @ tables[-1][:K1]
+            for H in tables[-2::-1]:
+                T = np.einsum("...am,am->...m", T, H[:K1])
+            return T
+
+        val = contract(self.array.real).astype(complex)
+        if self.array.imag.any():
+            val += 1j * contract(self.array.imag)
+        return val
+
+    def eval_degrees(self, pts):
+        """Yield (k, (P_k f)(pts)) over the degrees k of the nonzero coefficients, increasing.
+
+        Each value sums c_xi h_xi(pts) over |xi| = k in lexicographic order,
+        one point vector at a time, so memory stays at the Hermite tables.
+        """
+        pts = self._points(pts)
+        tables = axis_tables(self.max_degree, pts)
+        for k in self._present_degrees():
+            acc = np.zeros(pts.shape[0], dtype=complex)
+            for xi in np.argwhere((self.degrees == k) & (self.array != 0)).tolist():
+                term = np.full(pts.shape[0], self.array[tuple(xi)])
+                for H, v in zip(tables, xi):
+                    term = term * H[v]
+                acc += term
+            yield k, acc
 
     # -- ladder operators --------------------------------------------------
 
     def apply_creation_axis(self, i):
         """A_i = -d/dx_i + x_i: c_xi -> sqrt(2 xi_i + 2) shifted up."""
-        out = {}
-        for xi, c in self.coeffs.items():
-            up = list(xi)
-            up[i] += 1
-            out[tuple(up)] = out.get(tuple(up), 0.0) + math.sqrt(2.0 * xi[i] + 2.0) * c
-        return SpectralFunction(self.dim, self.max_degree + 1, out)
+        K = self.max_degree
+        out = np.zeros((K + 2,) * self.dim, dtype=complex)
+        dst = [slice(0, K + 1)] * self.dim
+        dst[i] = slice(1, K + 2)
+        out[tuple(dst)] = _axis_vector(np.sqrt(2.0 * np.arange(K + 1) + 2.0), i, self.dim) \
+            * self.array
+        return SpectralFunction(self.dim, K + 1, out)
 
     def apply_annihilation_axis(self, i):
         """B_i = d/dx_i + x_i: c_xi -> sqrt(2 xi_i) shifted down."""
-        out = {}
-        for xi, c in self.coeffs.items():
-            if xi[i] == 0:
-                continue
-            dn = list(xi)
-            dn[i] -= 1
-            out[tuple(dn)] = out.get(tuple(dn), 0.0) + math.sqrt(2.0 * xi[i]) * c
-        return SpectralFunction(self.dim, self.max_degree, out)
+        K = self.max_degree
+        out = np.zeros_like(self.array)
+        dst = [slice(None)] * self.dim
+        src = [slice(None)] * self.dim
+        dst[i], src[i] = slice(0, K), slice(1, K + 1)
+        out[tuple(dst)] = _axis_vector(np.sqrt(2.0 * np.arange(1, K + 1)), i, self.dim) \
+            * self.array[tuple(src)]
+        return SpectralFunction(self.dim, K, out)
 
     def derivative(self, i):
         """d/dx_i = (B_i - A_i)/2, exact on the coefficients."""
@@ -379,14 +461,10 @@ class SpectralFunction:
                 out = out.derivative(i)
         return out
 
-    def multiply_by_x(self, i):
-        """x_i = (A_i + B_i)/2."""
-        return self.apply_annihilation_axis(i).add(self.apply_creation_axis(i)).scaled(0.5)
-
     def apply_hermite_operator(self):
         """(-Laplacian + |x|^2) f, diagonal: c_xi -> (2|xi| + dim) c_xi."""
         return SpectralFunction(self.dim, self.max_degree,
-                                {xi: (2 * sum(xi) + self.dim) * c for xi, c in self.coeffs.items()})
+                                (2 * self.degrees + self.dim) * self.array)
 
     # -- serialization -----------------------------------------------------
 
@@ -396,14 +474,18 @@ class SpectralFunction:
             "max_degree": self.max_degree,
             "coeffs": [
                 {"xi": list(xi), "re": float(np.real(c)), "im": float(np.imag(c))}
-                for xi, c in sorted(self.coeffs.items())
+                for xi, c in self.coeffs.items()
             ],
         }
 
     @classmethod
     def from_json_dict(cls, d):
-        coeffs = {tuple(int(v) for v in e["xi"]): complex(e["re"], e.get("im", 0.0))
-                  for e in d["coeffs"]}
+        coeffs = {}
+        for e in d["coeffs"]:
+            c = complex(e["re"], e.get("im", 0.0))
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient at xi = {e['xi']}")
+            coeffs[tuple(int(v) for v in e["xi"])] = c
         return cls(int(d["dim"]), int(d["max_degree"]), coeffs)
 
     def save(self, path):
@@ -414,6 +496,26 @@ class SpectralFunction:
     def load(cls, path):
         with open(path) as f:
             return cls.from_json_dict(json.load(f))
+
+
+def _axis_vector(v, i, dim):
+    """v shaped to broadcast along axis i of a dim-dimensional array."""
+    return v.reshape((-1,) + (1,) * (dim - 1 - i))
+
+
+def kernel_expansion(w, x):
+    """sum_{|xi| <= K} w[|xi|] h_xi(x) h_xi with K = len(w) - 1.
+
+    Each coefficient is w[|xi|] h_{xi_1}(x_1) h_{xi_2}(x_2) ..., multiplied
+    in that order.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.size
+    K = len(w) - 1
+    arr = degree_array(np.asarray(w, dtype=float), n)
+    for i, xd in enumerate(x):
+        arr = arr * _axis_vector(hermite_functions(K, float(xd)), i, n)
+    return SpectralFunction(n, K, arr)
 
 
 def apply_creation(alpha, f):
@@ -432,21 +534,19 @@ def basis_function(xi, dim=None):
 
 
 def random_spectral(dim, max_degree, rng, real=False):
-    """Random element of V_K with unit-scale Gaussian coefficients."""
-    coeffs = {}
+    """Random element of V_K with unit-scale Gaussian coefficients.
 
-    def rec(prefix, budget):
-        if len(prefix) == dim - 1:
-            for v in range(budget + 1):
-                xi = prefix + (v,)
-                c = rng.standard_normal() if real else complex(rng.standard_normal(), rng.standard_normal())
-                coeffs[xi] = c
-            return
-        for v in range(budget + 1):
-            rec(prefix + (v,), budget - v)
-
-    rec((), max_degree)
-    return SpectralFunction(dim, max_degree, coeffs)
+    Drawn in lexicographic order of xi; a complex coefficient takes its real
+    and then its imaginary part.
+    """
+    idx = multi_indices(dim, max_degree)
+    if real:
+        vals = rng.standard_normal(len(idx))
+    else:
+        vals = rng.standard_normal((len(idx), 2)).view(complex).ravel()
+    arr = np.zeros((max_degree + 1,) * dim, dtype=complex)
+    arr[tuple(np.transpose(idx))] = vals
+    return SpectralFunction(dim, max_degree, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +575,8 @@ class GridFunction:
     def dim(self):
         return len(self.axes)
 
-    def point_array(self):
-        """All grid points, shape (prod(lengths), dim), row-major."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     def save_csv(self, path):
-        pts = self.point_array()
+        pts = tensor_points(self.axes)
         flat = self.samples.ravel()
         with open(path, "w") as f:
             cols = [f"x{i + 1}" for i in range(self.dim)]
@@ -489,14 +584,3 @@ class GridFunction:
             for p, v in zip(pts, flat):
                 coords = ",".join("%.17g" % c for c in p)
                 f.write(f"{coords},{'%.17g' % np.real(v)},{'%.17g' % np.imag(v)}\n")
-
-    @classmethod
-    def load_csv(cls, path):
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        names = data.dtype.names
-        dim = len(names) - 2
-        pts = np.stack([data[f"x{i + 1}"] for i in range(dim)], axis=-1)
-        vals = data["re"] + 1j * data["im"]
-        axes = [np.unique(pts[:, d]) for d in range(dim)]
-        shape = tuple(len(a) for a in axes)
-        return cls(axes, vals.reshape(shape))

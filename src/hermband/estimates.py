@@ -9,18 +9,19 @@ definition of "uniform constant"; no unknown analytic constant is asserted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Constants, SpectralFunction, e_function, random_spectral
+from .core import (Constants, GridFunction, axis_tables, e_function, kernel_expansion,
+                   lifted_gauss_hermite, multi_indices, random_spectral, tensor_points)
 from .frames import CoefficientSequence, needlet, synthesize
-from .lp import apply_lp, lp_delta, lp_moment, spectral_window, support_set, hoppe_check
-from .norms import QuadratureBox, SpaceParams, lp_norm, maximal, seq_besov_norm, seq_tl_norm, space_norm
-from .symbols import Symbol, apply_pseudomultiplier, reproject
+from .lp import apply_lp, lp_delta, lp_moment, support_set, hoppe_check
+from .norms import SpaceParams, maximal, seq_besov_norm, seq_tl_norm, space_norm
+from .symbols import apply_pseudomultiplier, reproject
 from .tiles import build_level, cubature, tile_geometry_constants
-from .core import GridFunction
 
 
 @dataclass
@@ -117,19 +118,12 @@ class Molecule:
 
     def moment(self, gamma, extra=6):
         """integral of (y - x_R)^gamma m(y) dy, exact Gauss-Hermite."""
-        from .core import gauss_hermite, hermite_functions
         gamma = tuple(int(g) for g in gamma)
-        deg = self.f.max_degree + sum(gamma)
-        q = deg // 2 + 1 + extra
-        u, w = gauss_hermite(q)
-        y = math.sqrt(2.0) * u
-        axes = [y] * self.dim
-        T = np.real(self.f.eval_grid(axes))
-        lift = w * np.exp(u * u)
-        for d in range(self.dim):
-            mono = (y - self.center[d]) ** gamma[d] * lift
-            T = np.tensordot(T, mono, axes=([0], [0]))
-        return float(T) * 2.0 ** (self.dim / 2.0)
+        q = (self.f.max_degree + sum(gamma)) // 2 + 1 + extra
+        n = self.dim
+        return float(lifted_gauss_hermite(
+            lambda y: np.real(self.f.eval_grid([y] * n)), q, n, s=2.0,
+            axis_factor=lambda d, y: (y - self.center[d]) ** gamma[d]))
 
 
 def needlet_molecule(sys, tile, dual=False):
@@ -146,7 +140,6 @@ def spectral_bump_molecule(weight_fn, level, center, cfg, k_cap=200):
     at 0, giving the full moment cancellation of an order-M molecule;
     weight_fn(u) = e^{-u} has no cancellation and is the negative control.
     """
-    from .core import hermite_functions
     n = cfg.dim
     center = np.atleast_1d(np.asarray(center, dtype=float))
     lam = 2.0 * np.arange(k_cap + 1) + n
@@ -154,28 +147,10 @@ def spectral_bump_molecule(weight_fn, level, center, cfg, k_cap=200):
     peak = np.max(np.abs(w))
     keep = np.abs(w) > 1e-14 * peak
     k_max = int(np.max(np.nonzero(keep))) if keep.any() else 0
-    H = [hermite_functions(k_max, float(c)) for c in center]
-    coeffs = {}
-
-    def rec(prefix, budget):
-        if len(prefix) == n - 1:
-            for v in range(budget + 1):
-                xi = prefix + (v,)
-                k = sum(xi)
-                c = w[k]
-                for d, vv in enumerate(xi):
-                    c *= H[d][vv]
-                if c != 0.0:
-                    coeffs[xi] = c
-            return
-        for v in range(budget + 1):
-            rec(prefix + (v,), budget - v)
-
-    rec((), k_max)
     ts = build_level(level, cfg)
     tile = ts.locate(center)
     measure = tile.measure if tile is not None else 2.0 ** (-level * n)
-    return Molecule(SpectralFunction(n, k_max, coeffs), level, center, measure)
+    return Molecule(kernel_expansion(w[:k_max + 1], center), level, center, measure)
 
 
 def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
@@ -192,7 +167,7 @@ def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
     n = mol.dim
     two_j = 2.0 ** j
     rinv = mol.measure ** -0.5
-    pts = np.stack([m.ravel() for m in np.meshgrid(*grid_axes, indexing="ij")], axis=-1)
+    pts = tensor_points(grid_axes)
     dist = np.sqrt(np.sum((pts - mol.center) ** 2, axis=1))
     absx = np.sqrt(np.sum(pts ** 2, axis=1))
     loc = (1.0 + two_j * dist) ** -params.mu
@@ -200,7 +175,7 @@ def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
 
     size_const = 0.0
     per_gamma = {}
-    for gamma in _multi_indices(n, params.N):
+    for gamma in multi_indices(n, params.N):
         vals = np.abs(mol.deriv_eval(gamma, pts))
         rhs = rinv * two_j ** sum(gamma) * loc * tail
         c = float(np.max(vals / rhs))
@@ -208,7 +183,7 @@ def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
         size_const = max(size_const, c)
 
     holder_const = 0.0
-    for gamma in _multi_indices(n, params.N):
+    for gamma in multi_indices(n, params.N):
         if sum(gamma) != params.N:
             continue
         for _ in range(holder_offsets):
@@ -224,7 +199,7 @@ def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
     moments = {}
     if params.M >= 0:
         cen = 1.0 + float(np.linalg.norm(mol.center))
-        for gamma in _multi_indices(n, params.M):
+        for gamma in multi_indices(n, params.M):
             mval = abs(mol.moment(gamma))
             rhs = rinv * two_j ** -(n + sum(gamma)) * (cen / two_j) ** (params.M + params.theta - sum(gamma))
             moments[str(gamma)] = mval / rhs
@@ -241,20 +216,6 @@ def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
                  if not isinstance(params, MoleculeParams) else
                  {"M": params.M, "theta": params.theta, "N": params.N,
                   "delta": params.delta, "mu": params.mu}})
-
-
-def _multi_indices(dim, order_max):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == dim:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], order_max)
-    return sorted(out, key=sum)
 
 
 def sample_tiles(ts, count, rng, central_bias=True):
@@ -287,7 +248,7 @@ def verify_molecules(sys, cfg, params, levels=4, tiles_per_level=20,
         ts = build_level(j, cfg)
         for tile in sample_tiles(ts, tiles_per_level, rng):
             mol = needlet_molecule(sys, tile)
-            if mol.f.coeffs:
+            if mol.f.array.any():
                 mols.append(mol)
 
     def scan(points):
@@ -332,7 +293,7 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta,
     numerical precision are clamped to a floor relative to the largest sup,
     so exact zeros count as arbitrarily fast decay without breaking the fit.
     """
-    pts = np.stack([m.ravel() for m in np.meshgrid(*grid_axes, indexing="ij")], axis=-1)
+    pts = tensor_points(grid_axes)
     n = molecules[0].dim
     a = n + params.M + params.theta
     b = params.N + params.delta
@@ -348,11 +309,7 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta,
             if not support_set(sys, j, n):
                 # empty spectral band (can happen at j = 0): nothing to measure
                 continue
-            g = apply_lp(sys, j, mol.f)
-            if g.coeffs:
-                vals = np.abs(np.real(g.eval_points(pts)))
-            else:
-                vals = np.zeros(pts.shape[0])
+            vals = np.abs(np.real(apply_lp(sys, j, mol.f).eval_points(pts)))
             wsup = float(np.max(vals * (1.0 + 2.0 ** min(j, k) * dist) ** eta)) / rinv
             decay = 2.0 ** (-a * max(k - j, 0) - b * max(j - k, 0))
             ratio = wsup / decay
@@ -416,7 +373,7 @@ def verify_ao(sys, cfg, params=None, eta=None, k_levels=(1, 2, 3, 4),
             if np.max(np.abs(tile.node)) > 0.5 * half_width:
                 continue
             mol = needlet_molecule(sys, tile)
-            if mol.f.coeffs:
+            if mol.f.array.any():
                 mols.append(mol)
                 picked += 1
             if picked >= tiles_per_level:
@@ -437,52 +394,28 @@ def verify_ao(sys, cfg, params=None, eta=None, k_levels=(1, 2, 3, 4),
 # ---------------------------------------------------------------------------
 
 
-def _tsigma_needlet_parts(sigma, sys, tile, n):
-    """Per-degree pieces q_k = tau_R^{1/2} phi_j(sqrt(lambda_k)) P_k(., x_R).
-
-    T_sigma phi_R(x) = sum_k sigma(x, lambda_k) q_k(x); kept split so that
-    spatial derivatives can be taken by the Leibniz rule with exact ladder
-    derivatives of the q_k.
-    """
-    j = tile.level
-    phi_R = needlet(sys, tile)
-    parts = []
-    for k, coeffs in sorted(phi_R.degree_slices().items()):
-        parts.append((k, SpectralFunction(n, phi_R.max_degree, coeffs)))
-    return parts
-
-
-def _binom_multi(gamma, beta):
-    return math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
-
-
-def _sub_indices(gamma):
-    ranges = [range(g + 1) for g in gamma]
-    out = []
-
-    def rec(prefix, d):
-        if d == len(gamma):
-            out.append(tuple(prefix))
-            return
-        for v in ranges[d]:
-            rec(prefix + [v], d + 1)
-
-    rec([], 0)
-    return out
-
-
 def tsigma_derivative_on_points(sigma, sys, tile, gamma, pts, n,
                                 part_cache=None):
-    """d^gamma_x T_sigma phi_R at the points, via Leibniz."""
-    parts = part_cache if part_cache is not None else _tsigma_needlet_parts(sigma, sys, tile, n)
+    """d^gamma_x T_sigma phi_R at the points, via Leibniz.
+
+    T_sigma phi_R(x) = sum_k sigma(x, lambda_k) q_k(x) with the degree parts
+    q_k = P_k phi_R, whose derivatives are exact ladder derivatives;
+    part_cache holds the (k, q_k) pairs when the caller already has them.
+    """
+    parts = part_cache
+    if parts is None:
+        parts = list(needlet(sys, tile).degree_slices().items())
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     acc = np.zeros(pts.shape[0], dtype=complex)
-    for beta in _sub_indices(gamma):
+    if not parts:
+        return acc
+    tables = axis_tables(parts[0][1].max_degree + sum(gamma), pts)
+    for beta in itertools.product(*(range(g + 1) for g in gamma)):
         rest = tuple(g - bq for g, bq in zip(gamma, beta))
-        coef = _binom_multi(gamma, beta)
+        coef = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
         for k, qk in parts:
             lam = 2.0 * k + n
-            dq = np.real(qk.derivative_multi(rest).eval_points(pts))
+            dq = np.real(qk.derivative_multi(rest).eval_points(pts, tables))
             if not np.any(dq):
                 continue
             ds = np.asarray(sigma.x_derivative(pts, lam, beta))
@@ -502,7 +435,7 @@ def verify_tsmooth(sigma, sys, cfg, m, gamma_max=2, N_max=3, levels=3,
     rng = np.random.default_rng(seed)
     n = cfg.dim
     axes = [np.linspace(-half_width, half_width, grid_points)] * n
-    pts = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pts = tensor_points(axes)
     absx2 = np.sum(pts ** 2, axis=1)
 
     best = None
@@ -516,12 +449,12 @@ def verify_tsmooth(sigma, sys, cfg, m, gamma_max=2, N_max=3, levels=3,
                                np.exp(-constants.vartheta * absx2)) ** (1.0 - kappa)
                 lev = 0.0
                 for tile in sample_tiles(ts, tiles_per_level, rng):
-                    parts = _tsigma_needlet_parts(sigma, sys, tile, n)
+                    parts = list(needlet(sys, tile).degree_slices().items())
                     if not parts:
                         continue
                     dist = np.sqrt(np.sum((pts - tile.node) ** 2, axis=1))
                     rinv = tile.measure ** -0.5
-                    for gamma in _multi_indices(n, gamma_max):
+                    for gamma in multi_indices(n, gamma_max):
                         for N in range(1, N_max + 1):
                             vals = np.abs(tsigma_derivative_on_points(
                                 sigma, sys, tile, gamma, pts, n, parts))
@@ -547,28 +480,17 @@ def tsigma_moment(sigma, sys, tile, gamma, n, extra=8):
     Not exact (sigma need not be polynomial in x); the quadrature degree is
     oversampled and the caller can compare two degrees for a residual flag.
     """
-    from .core import gauss_hermite
-    parts = _tsigma_needlet_parts(sigma, sys, tile, n)
-    if not parts:
+    phi_R = needlet(sys, tile)
+    if not phi_R.array.any():
         return 0.0
-    deg = max(k for k, _ in parts) + sum(gamma)
-    q = deg // 2 + 1 + extra
-    u, w = gauss_hermite(q)
-    y = math.sqrt(2.0) * u
-    axes = [y] * n
-    pts = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    vals = np.zeros(pts.shape[0], dtype=complex)
-    for k, qk in parts:
-        lam = 2.0 * k + n
-        vals += np.asarray(sigma(pts, lam)) * np.real(qk.eval_points(pts))
-    mono = np.ones(pts.shape[0])
-    for d in range(n):
-        mono = mono * (pts[:, d] - tile.node[d]) ** gamma[d]
-    lift = w * np.exp(u * u)
-    W = lift
-    for _ in range(n - 1):
-        W = np.multiply.outer(W, lift)
-    return complex(np.sum(W.ravel() * mono * vals)) * 2.0 ** (n / 2.0)
+    q = (int(np.max(phi_R.degrees[phi_R.array != 0])) + sum(gamma)) // 2 + 1 + extra
+
+    def sample(y):
+        pts = tensor_points([y] * n)
+        return apply_pseudomultiplier(sigma, phi_R, pts=pts).reshape([q] * n)
+
+    return complex(lifted_gauss_hermite(sample, q, n, s=2.0,
+                                        axis_factor=lambda d, y: (y - tile.node[d]) ** gamma[d]))
 
 
 def verify_tcanc(sigma, sys, cfg, m, M=1, theta=0.5, levels=3,
@@ -585,7 +507,7 @@ def verify_tcanc(sigma, sys, cfg, m, M=1, theta=0.5, levels=3,
         for tile in sample_tiles(ts, tiles_per_level, rng):
             rinv = tile.measure ** -0.5
             cen = 1.0 + float(np.linalg.norm(tile.node))
-            for gamma in _multi_indices(n, M):
+            for gamma in multi_indices(n, M):
                 mom = tsigma_moment(sigma, sys, tile, gamma, n)
                 mom2 = tsigma_moment(sigma, sys, tile, gamma, n, extra=16)
                 resid_flag = max(resid_flag, abs(mom - mom2) / max(abs(mom2), 1e-30))
@@ -706,7 +628,7 @@ def verify_kernel(sys, cfg, levels=4, etas=(2, 4), grid_points=201,
         for x0 in (0.0, 1.0, 2.0 ** j * 0.7):
             x = np.full(n, x0 / math.sqrt(n))
             e_x = float(e_function(constants.epsilon * 4.0 ** j, x[None, :], constants)[0])
-            for gamma in _multi_indices(n, K_moment):
+            for gamma in multi_indices(n, K_moment):
                 mom = lp_moment(sys, j, x, gamma, n)
                 rhs = 2.0 ** (-j * sum(gamma)) \
                     * ((1.0 + np.linalg.norm(x)) / 2.0 ** j) ** (K_moment - sum(gamma)) \
@@ -806,7 +728,7 @@ def verify_tiles(cfg, levels=4, constants=Constants(), s=1.0, cubature_pairs=20,
                                    "tau_over_measure": [ratio_lo, ratio_hi],
                                    "covering_error": cover_err,
                                    "cubature_relative_error": cub_err},
-                          passed=math.isfinite(ctrl) and cub_err < 1e-9)
+                          passed=bool(math.isfinite(ctrl) and cub_err < 1e-9))
 
 
 def verify_maximal(cfg, j_max=3, rs=(0.7, 1.0, 2.0), seed=0,
@@ -826,7 +748,7 @@ def verify_maximal(cfg, j_max=3, rs=(0.7, 1.0, 2.0), seed=0,
             else:
                 hw = half_width
             axes = [np.linspace(-hw, hw, grid_points)] * n
-            pts = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+            pts = tensor_points(axes)
             a = rng.random(ts.count)
             nodes = ts.node_array()
             idx = ts.locate_indices(pts)
@@ -895,7 +817,7 @@ def verify_linearize(sys, cfg, K=10, n_funcs=20, J=None, seed=0,
     if half_width is None:
         half_width = math.sqrt(2.0 * (2.0 * K + n)) * 1.2 + 2.0
     axes = [np.linspace(-half_width, half_width, grid_points)] * n
-    pts = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pts = tensor_points(axes)
     worst = {p: 0.0 for p in powers}
     halving = {}
     for i in range(n_funcs):

@@ -8,12 +8,13 @@ no quadrature); synthesis assembles sum s_R psi_R in coefficient space.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
 import numpy as np
 
-from .core import SpectralFunction, hermite_functions
+from .core import SpectralFunction, degree_array, hermite_functions, lifted_gauss_hermite
 from .lp import apply_lp, lp_delta, support_set
 from .tiles import build_level
 
@@ -26,23 +27,11 @@ class CoefficientSequence:
         self.J = int(J)
         self.levels = {}
 
-    def set_level(self, j, arr):
-        ts = build_level(j, self.cfg)
-        arr = np.asarray(arr, dtype=complex)
-        if arr.shape != (ts.nodes_per_axis,) * ts.dim:
-            raise ValueError(f"level {j}: expected shape {(ts.nodes_per_axis,) * ts.dim}")
-        self.levels[j] = arr
-
     def level(self, j):
         if j in self.levels:
             return self.levels[j]
         ts = build_level(j, self.cfg)
         return np.zeros((ts.nodes_per_axis,) * ts.dim, dtype=complex)
-
-    def copy(self):
-        out = CoefficientSequence(self.cfg, self.J)
-        out.levels = {j: a.copy() for j, a in self.levels.items()}
-        return out
 
     def scaled(self, a):
         out = CoefficientSequence(self.cfg, self.J)
@@ -62,11 +51,10 @@ class CoefficientSequence:
         levels = []
         for j in sorted(self.levels):
             arr = self.levels[j]
-            entries = []
-            for ix in np.ndindex(arr.shape):
-                v = arr[ix]
-                if abs(v) > tol:
-                    entries.append({"node": list(ix), "re": float(v.real), "im": float(v.imag)})
+            idx = np.argwhere(np.abs(arr) > tol)
+            vals = arr[tuple(idx.T)]
+            entries = [{"node": ix, "re": v.real, "im": v.imag}
+                       for ix, v in zip(idx.tolist(), vals.tolist())]
             levels.append({"j": j, "entries": entries})
         return {"levels": levels}
 
@@ -77,9 +65,17 @@ class CoefficientSequence:
         for lev in d["levels"]:
             j = int(lev["j"])
             ts = build_level(j, cfg)
-            arr = np.zeros((ts.nodes_per_axis,) * ts.dim, dtype=complex)
+            shape = (ts.nodes_per_axis,) * ts.dim
+            arr = np.zeros(shape, dtype=complex)
             for e in lev["entries"]:
-                arr[tuple(int(i) for i in e["node"])] = complex(e["re"], e.get("im", 0.0))
+                node = tuple(int(i) for i in e["node"])
+                if len(node) != ts.dim or not all(0 <= i < ts.nodes_per_axis for i in node):
+                    raise ValueError(f"level {j}: node {list(node)} is not an index "
+                                     f"of the {shape} node grid")
+                v = complex(e["re"], e.get("im", 0.0))
+                if not cmath.isfinite(v):
+                    raise ValueError(f"level {j}: non-finite coefficient at node {list(node)}")
+                arr[node] = v
             out.levels[j] = arr
         return out
 
@@ -108,13 +104,8 @@ def analyze(sys, f, J, cfg):
     for j in range(J + 1):
         ts = build_level(j, cfg)
         fj = apply_lp(sys, j, f)
-        axes = [ts.zeros] * f.dim
-        vals = fj.eval_grid(axes)
-        tau = ts.tau1d
-        w = tau
-        for _ in range(f.dim - 1):
-            w = np.multiply.outer(w, tau)
-        s.levels[j] = np.sqrt(w) * vals
+        vals = fj.eval_grid([ts.zeros] * f.dim)
+        s.levels[j] = np.sqrt(ts.weight_array().reshape(vals.shape)) * vals
     return s
 
 
@@ -123,44 +114,30 @@ def synthesize(sys, s, prune_tol=1e-15):
 
     Per level, the coefficient of h_xi is
     psi_j(sqrt(lambda_{|xi|})) * sum_zeta tau_zeta^{1/2} s_zeta h_xi(zeta),
-    a tensor contraction over the level's node grid.
+    a tensor contraction over the level's node grid; coefficients of
+    magnitude <= prune_tol are dropped.
     """
     cfg = s.cfg
     n = cfg.dim
     total = None
-    pruned = False
     for j in sorted(s.levels):
         ts = build_level(j, cfg)
         ks = support_set(sys, j, n)
         if len(ks) == 0:
             continue
         k_max = ks[-1]
-        w = np.asarray(sys.dual_window(j, np.sqrt(2.0 * np.arange(k_max + 1) + n)), dtype=float)
         H = hermite_functions(k_max, ts.zeros)          # (k_max+1, nodes)
-        T = s.levels[j] * np.sqrt(ts.tau1d.reshape((-1,) + (1,) * (n - 1)))
-        for d in range(1, n):
-            shape = [1] * n
-            shape[d] = -1
-            T = T * np.sqrt(ts.tau1d).reshape(shape)
+        T = s.levels[j]
+        for d in range(n):
+            T = T * np.sqrt(ts.tau1d).reshape((-1,) + (1,) * (n - 1 - d))
         # contract each axis against the Hermite values at the nodes
         for _ in range(n):
             T = np.tensordot(T, H, axes=([0], [1]))     # -> (..., k_max+1)
-        coeffs = {}
-        for xi in np.ndindex(*([k_max + 1] * n)):
-            k = sum(xi)
-            if k > k_max or w[k] == 0.0:
-                continue
-            c = w[k] * T[xi]
-            if abs(c) > prune_tol:
-                coeffs[xi] = c
-            elif c != 0.0:
-                pruned = True
-        part = SpectralFunction(n, k_max, coeffs)
+        c = degree_array(sys.degree_windows(j, k_max, n, dual=True), n) * T
+        c[np.abs(c) <= prune_tol] = 0.0
+        part = SpectralFunction(n, k_max, c)
         total = part if total is None else total.add(part)
-    if total is None:
-        total = SpectralFunction(n, 0, {})
-    total.pruned = pruned
-    return total
+    return total if total is not None else SpectralFunction(n, 0)
 
 
 def roundtrip_residual(sys, f, J, cfg):
@@ -184,20 +161,12 @@ def inner_product_quadrature(f, g, extra=6):
     Both are polynomial times e^{-|y|^2/2}, so the product carries the
     Gauss-Hermite weight e^{-|y|^2} exactly.
     """
-    from .core import gauss_hermite
     if g.dim != f.dim:
         raise ValueError("dimension mismatch")
-    deg = f.max_degree + g.max_degree
-    q = deg // 2 + 1 + extra
-    u, w = gauss_hermite(q)
-    axes = [u] * f.dim
-    # samples carry the two half-Gaussians; lifting by e^{u^2} per axis
-    # leaves the pure polynomial the rule integrates exactly
-    T = f.eval_grid(axes) * np.conj(g.eval_grid(axes))
-    lift = w * np.exp(u * u)
-    for _ in range(f.dim):
-        T = np.tensordot(T, lift, axes=([0], [0]))
-    return complex(T)
+    n = f.dim
+    q = (f.max_degree + g.max_degree) // 2 + 1 + extra
+    return complex(lifted_gauss_hermite(
+        lambda y: f.eval_grid([y] * n) * np.conj(g.eval_grid([y] * n)), q, n))
 
 
 def analyze_tile_quadrature(sys, f, tile, extra=6):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import binom
 
-from .core import (SpectralFunction, gauss_hermite, hermite_functions,
-                   projector_kernel_sequence, finite_difference)
+from .core import (SpectralFunction, degree_array, finite_difference, kernel_expansion,
+                   lifted_gauss_hermite, projector_kernel_sequence)
 
 
 def _sigma(u):
@@ -103,6 +103,11 @@ class AdmissibleSystem:
         u = np.asarray(u, dtype=float)
         return self.psi0(u) if j == 0 else self.psi(u * 2.0 ** -j)
 
+    def degree_windows(self, j, k_max, n, dual=False):
+        """phi_j(sqrt(lambda_k)) (psi_j with dual) for k = 0..k_max, lambda_k = 2k + n."""
+        win = self.dual_window if dual else self.window
+        return np.asarray(win(j, np.sqrt(2.0 * np.arange(k_max + 1) + n)), dtype=float)
+
     def window_sum(self, u, J):
         u = np.asarray(u, dtype=float)
         return sum(self.window(j, u) for j in range(J + 1))
@@ -117,10 +122,6 @@ class AdmissibleSystem:
         while (self.plateau_end * 2.0 ** J) ** 2 < lam_max:
             J += 1
         return J
-
-    def descriptor(self):
-        return {"profile": "exp-bump smoothstep", "plateau_end": self.plateau_end,
-                "support_end": self.support_end}
 
 
 def bump_system(plateau_end=0.5, support_end=0.75):
@@ -244,110 +245,44 @@ def spectral_window(sys, j, k, n):
     return float(sys.window(j, math.sqrt(2.0 * k + n)))
 
 
-def spectral_window_array(sys, j, k_max, n):
-    lam = 2.0 * np.arange(k_max + 1) + n
-    return np.asarray(sys.window(j, np.sqrt(lam)), dtype=float)
-
-
 def lp_kernel(sys, j, x, y, n, dual=False):
     """Kernel of phi_j(sqrt(L)): sum_k phi_j(sqrt(lambda_k)) P_k(x,y)."""
     ks = support_set(sys, j, n)
     if len(ks) == 0:
         return 0.0
-    k_max = ks[-1]
-    seq = projector_kernel_sequence(k_max, x, y)
-    win = sys.dual_window if dual else sys.window
-    w = np.asarray(win(j, np.sqrt(2.0 * np.arange(k_max + 1) + n)), dtype=float)
-    return float(np.dot(w, seq))
+    seq = projector_kernel_sequence(ks[-1], x, y)
+    return float(np.dot(sys.degree_windows(j, ks[-1], n, dual), seq))
 
 
-def lp_kernel_at_points(sys, j, x, pts, n, dual=False):
-    """phi_j(sqrt(L))(x, y) for many y at once, via the spectral expansion.
-
-    Only valid pointwise; pts has shape (m, n).
-    """
-    ks = support_set(sys, j, n)
-    if len(ks) == 0:
-        return np.zeros(np.atleast_2d(pts).shape[0])
-    k_max = ks[-1]
-    win = sys.dual_window if dual else sys.window
-    w = np.asarray(win(j, np.sqrt(2.0 * np.arange(k_max + 1) + n)), dtype=float)
-    # delta at x filtered through the window: coefficients w_{|xi|} h_xi(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    Hx = [hermite_functions(k_max, float(xd)) for xd in x]
-    coeffs = {}
-    _fill_delta_coeffs(coeffs, w, Hx, (), k_max)
-    f = SpectralFunction(len(x), k_max, coeffs)
-    return np.real(f.eval_points(pts))
-
-
-def _fill_delta_coeffs(coeffs, w, Hx, prefix, budget):
-    d = len(Hx)
-    if len(prefix) == d - 1:
-        for v in range(budget + 1):
-            xi = prefix + (v,)
-            k = sum(xi)
-            if w[k] != 0.0:
-                c = w[k]
-                for dd, vv in enumerate(xi):
-                    c *= Hx[dd][vv]
-                if c != 0.0:
-                    coeffs[xi] = c
-        return
-    for v in range(budget + 1):
-        _fill_delta_coeffs(coeffs, w, Hx, prefix + (v,), budget - v)
-
-
-def apply_lp(sys, j, f, dual=False):
+def apply_lp(sys, j, f):
     """phi_j(sqrt(L)) f by exact diagonal action on the coefficients."""
-    win = sys.dual_window if dual else sys.window
-    out = {}
-    for xi, c in f.coeffs.items():
-        w = float(win(j, math.sqrt(2.0 * sum(xi) + f.dim)))
-        if w != 0.0:
-            out[xi] = w * c
-    return SpectralFunction(f.dim, f.max_degree, out)
+    w = sys.degree_windows(j, f.max_degree, f.dim)
+    return SpectralFunction(f.dim, f.max_degree, degree_array(w, f.dim) * f.array)
 
 
 def lp_delta(sys, j, x, n, dual=False):
     """phi_j(sqrt(L))(., x) as a SpectralFunction in the first slot."""
     ks = support_set(sys, j, n)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(ks) == 0:
-        return SpectralFunction(n, 0, {})
-    k_max = ks[-1]
-    win = sys.dual_window if dual else sys.window
-    w = np.asarray(win(j, np.sqrt(2.0 * np.arange(k_max + 1) + n)), dtype=float)
-    Hx = [hermite_functions(k_max, float(xd)) for xd in x]
-    coeffs = {}
-    _fill_delta_coeffs(coeffs, w, Hx, (), k_max)
-    return SpectralFunction(n, k_max, coeffs)
+        return SpectralFunction(n, 0)
+    return kernel_expansion(sys.degree_windows(j, ks[-1], n, dual), x)
 
 
 def lp_moment(sys, j, x, gamma, n, quad_extra=6):
     """integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy.
 
-    The integrand is polynomial times e^{-|y|^2/2}; the substitution
-    y = sqrt(2) u makes a tensor Gauss-Hermite rule exact.
+    The integrand is polynomial times e^{-|y|^2/2}, which the lifted
+    Gauss-Hermite rule integrates exactly.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     gamma = tuple(int(g) for g in gamma)
     ks = support_set(sys, j, n)
     if len(ks) == 0:
         return 0.0
-    deg = ks[-1] + sum(gamma)
-    q = deg // 2 + 1 + quad_extra
-    u, w = gauss_hermite(q)
+    q = (ks[-1] + sum(gamma)) // 2 + 1 + quad_extra
     ker = lp_delta(sys, j, x, n)
-    axes = [math.sqrt(2.0) * u] * n
-    K = np.real(ker.eval_grid(axes))
-    lift = w * np.exp(u * u)           # quadrature weight with Gaussian removed
-    total = K
-    for d in range(n):
-        y = math.sqrt(2.0) * u
-        mono = (x[d] - y) ** gamma[d] * lift
-        total = np.tensordot(total, mono, axes=([0], [0]))
-    return float(total) * 2.0 ** (n / 2.0)
+    return float(lifted_gauss_hermite(lambda y: np.real(ker.eval_grid([y] * n)), q, n, s=2.0,
+                                      axis_factor=lambda d, y: (x[d] - y) ** gamma[d]))
 
 
 def hoppe_check(sys, ell, N, j, k, n, zero_mode=False):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import maximum_filter, uniform_filter
 
-from .core import GridFunction, SpectralFunction
+from .core import GridFunction, SpectralFunction, tensor_points
 from .lp import apply_lp
 from .tiles import build_level
 
@@ -33,11 +33,6 @@ class SpaceParams:
             raise ValueError("p and q must be positive")
         if self.family == "F" and math.isinf(self.p):
             raise ValueError("F-family requires p < infinity")
-
-    def n_pq(self, n):
-        if self.family == "F":
-            return n / min(1.0, self.p, self.q)
-        return n / min(1.0, self.p)
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,7 @@ def besov_norm(sys, f, params, J=None, box=None):
     terms = []
     for j in range(J + 1):
         fj = apply_lp(sys, j, f)
-        if not fj.coeffs:
+        if not fj.array.any():
             continue
         terms.append(2.0 ** (j * params.alpha) * lp_norm(fj, params.p, box))
     val = _combine_q(terms, params.q)
@@ -122,7 +117,7 @@ def tl_norm(sys, f, params, J=None, box=None):
     acc = None
     for j in range(J + 1):
         fj = apply_lp(sys, j, f)
-        if not fj.coeffs:
+        if not fj.array.any():
             continue
         g = (2.0 ** (j * params.alpha) * np.abs(fj.eval_grid(axes)))
         if math.isinf(params.q):
@@ -165,7 +160,7 @@ def seq_tl_norm(s, params, box=None):
         top = max((build_level(j, s.cfg).outer_halfwidth for j in s.levels), default=1.0)
         box = QuadratureBox(top + 0.5, 801 if n == 1 else 241)
     axes = box.axes(n)
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pts = tensor_points(axes)
     acc = None
     for j in sorted(s.levels):
         ts = build_level(j, s.cfg)

@@ -18,7 +18,8 @@ import operator
 import numpy as np
 from scipy.special import binom, roots_legendre
 
-from .core import GridFunction, SpectralFunction, gauss_hermite
+from .core import (GridFunction, SpectralFunction, hermite_functions, lifted_gauss_hermite,
+                   multi_indices, tensor_points)
 from .lp import apply_lp
 
 
@@ -36,12 +37,10 @@ class Symbol:
     derivative multi-index to an evaluator with the same signature.
     """
 
-    def __init__(self, evaluator, dim, x_derivatives=None, class_meta=None,
-                 growth=None, name="symbol"):
+    def __init__(self, evaluator, dim, x_derivatives=None, growth=None, name="symbol"):
         self.evaluator = evaluator
         self.dim = int(dim)
         self.x_derivatives = dict(x_derivatives or {})
-        self.class_meta = class_meta
         self.growth = growth
         self.name = name
 
@@ -92,17 +91,13 @@ def apply_pseudomultiplier(sigma, f, axes=None, pts=None):
     """T_sigma f = sum_k sigma(., lambda_k) (P_k f)(.) on a grid or point set."""
     if (axes is None) == (pts is None):
         raise ValueError("supply exactly one of axes or pts")
-    parts = f.degree_slices()
     if axes is not None:
-        pts_arr = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        pts_arr = tensor_points(axes)
     else:
         pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
     out = np.zeros(pts_arr.shape[0], dtype=complex)
-    for k, coeffs in sorted(parts.items()):
-        part = SpectralFunction(f.dim, f.max_degree, coeffs)
-        vals = part.eval_points(pts_arr)
-        lam = 2.0 * k + f.dim
-        out += np.asarray(sigma(pts_arr, lam)) * vals
+    for k, part in f.eval_degrees(pts_arr):
+        out += np.asarray(sigma(pts_arr, 2.0 * k + f.dim)) * part
     if axes is not None:
         return GridFunction(axes, out.reshape([len(a) for a in axes]))
     return out
@@ -115,35 +110,20 @@ def reproject(evalfn, dim, K_prime, quad_degree=None):
     (true for anything of the form sum_k sigma(y, lambda_k) P_k f).  Returns
     (SpectralFunction, relative residual of the discarded part).
     """
-    from .core import hermite_functions
     q = quad_degree if quad_degree is not None else max(64, 2 * K_prime + 16)
-    u, w = gauss_hermite(q)
-    axes = [u] * dim
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    g = np.asarray(evalfn(pts)).reshape([q] * dim)
-    H = hermite_functions(K_prime, u)              # (K'+1, q)
-    # c_xi = sum_i W_i g(y_i) h_xi(y_i) e^{|y_i|^2}: the lift cancels the two
-    # half-Gaussians carried by g and h_xi
-    A = H * (w * np.exp(u * u))
-    G = g
-    for _ in range(dim):
-        G = np.tensordot(G, A, axes=([0], [1]))
-    coeffs = {}
-    W = w * np.exp(u * u)
-    T2 = np.abs(g) ** 2
-    for _ in range(dim):
-        T2 = np.tensordot(T2, W, axes=([0], [0]))
-    norm_g2 = float(np.real(T2))
-    kept2 = 0.0
-    for xi in np.ndindex(*([K_prime + 1] * dim)):
-        if sum(xi) > K_prime:
-            continue
-        c = complex(G[xi])
-        if c != 0.0:
-            coeffs[xi] = c
-            kept2 += abs(c) ** 2
-    fK = SpectralFunction(dim, K_prime, coeffs).prune(1e-300)
-    resid2 = max(norm_g2 - kept2, 0.0)
+    g = None
+
+    def sample(y):
+        nonlocal g
+        g = np.asarray(evalfn(tensor_points([y] * dim))).reshape([q] * dim)
+        return g
+
+    # c_xi = <g, h_xi>: g and h_xi each carry a half-Gaussian
+    G = lifted_gauss_hermite(sample, q, dim,
+                             axis_factor=lambda d, y: hermite_functions(K_prime, y).T)
+    norm_g2 = float(np.real(lifted_gauss_hermite(lambda y: np.abs(g) ** 2, q, dim)))
+    fK = SpectralFunction(dim, K_prime, G).prune(1e-300)
+    resid2 = max(norm_g2 - fK.norm2() ** 2, 0.0)
     residual = math.sqrt(resid2 / norm_g2) if norm_g2 > 0 else 0.0
     return fK, residual
 
@@ -161,8 +141,7 @@ def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid,
                                     np.geomspace(16, max(xi_max, 17), 12).astype(int)]))
     xis = xis[xis <= xi_max]
     report = {}
-    nus = _derivative_multiindices(sigma.dim, N_der)
-    for nu in nus:
+    for nu in multi_indices(sigma.dim, N_der):
         for kappa in range(K_fd + 1):
             best = 0.0
             for xi in xis:
@@ -184,20 +163,6 @@ def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid,
     return report
 
 
-def _derivative_multiindices(dim, order_max):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == dim:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], order_max)
-    return sorted(out, key=sum)
-
-
 def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9, 25, 64),
                              gl_points=12):
     """Ball-averaged derivative bounds of the cancellation class.
@@ -211,12 +176,12 @@ def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9,
     nodes, weights = roots_legendre(gl_points)
     report = {}
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    for gamma in _derivative_multiindices(n, order):
+    for gamma in multi_indices(n, order):
         best = 0.0
         for x in pts:
             r = float(rho(x))
             axes = [x[d] + r * nodes for d in range(n)]
-            ball = np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+            ball = tensor_points(axes)
             wgt = weights
             for _ in range(n - 1):
                 wgt = np.multiply.outer(wgt, weights)
@@ -248,11 +213,10 @@ def hermite_multiplier(seq, dim=1, name="multiplier"):
     def zero(pts, xi):
         return np.zeros(np.atleast_2d(pts).shape[0], dtype=complex)
 
-    for nu in _derivative_multiindices(dim, 4):
+    for nu in multi_indices(dim, 4):
         if sum(nu) > 0:
             derivs[nu] = zero
     sym.x_derivatives = derivs
-    sym.multiplier_seq = seq
     return sym
 
 
@@ -285,7 +249,7 @@ def separable_symbol(dim=1, x_scale=2.0, xi_scale=8.0):
     return Symbol(ev, dim, name="separable")
 
 
-def band_sum_symbol(sys, dim=1, beta=-1.0, delta=0.0, j_max=8):
+def band_sum_symbol(sys, dim=1, beta=-1.0, j_max=8):
     """sigma(x, xi) = sum_j sigma_j(x) phi_j(sqrt(xi)) with
     sigma_j(x) = (1 + |x|^2/4^j)^{beta/2} (smooth, dyadically scaled)."""
 
@@ -320,7 +284,7 @@ def annulus_symbol(dim=1, j_max=6):
         acc = _radial_bump(r)          # central piece
         for j in range(j_max + 1):
             c = 1.5 * 2.0 ** j
-            acc = acc + _radial_bump(np.abs(r - c) / (0.5 * 2.0 ** j)) / (1.0 + xi) ** 0.0
+            acc = acc + _radial_bump(np.abs(r - c) / (0.5 * 2.0 ** j))
         return acc
 
     return Symbol(ev, dim, name="annulus")
@@ -523,7 +487,7 @@ def symbol_from_descriptor(d, sys=None):
         if sys is None:
             from .lp import default_system
             sys = default_system()
-        return band_sum_symbol(sys, dim, d.get("beta", -1.0), d.get("delta", 0.0))
+        return band_sum_symbol(sys, dim, d.get("beta", -1.0))
     if kind == "custom-expression":
         return Symbol(compile_expression(d["expression"], dim), dim, name="expression")
     raise ValueError(f"unknown symbol kind {kind!r}")

@@ -10,14 +10,12 @@ for products f g with deg f + deg g <= 4 N_j - 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .core import christoffel_many, gauss_hermite
+from .core import christoffel_many, gauss_hermite, tensor_points
 
 
 @dataclass(frozen=True)
@@ -26,9 +24,6 @@ class TileConfig:
     dim: int = 1
     max_level: int = 8
     node_budget: int = 2_000_000
-    # classical convention sums the Christoffel denominator to degree
-    # 2N_j - 1, which gives the Gauss weights and the full exactness degree
-    classical_weights: bool = True
 
     def __post_init__(self):
         if not (0 < self.delta_star < 1.0 / 37.0):
@@ -83,8 +78,9 @@ class TileSet:
         mids = 0.5 * (self.zeros[:-1] + self.zeros[1:])
         outer = self.zeros[-1] + 2.0 ** (-level / 6.0)
         self.edges = np.concatenate(([-outer], mids, [outer]))
-        denom = m - 1 if cfg.classical_weights else m
-        self.tau1d = christoffel_many(denom, self.zeros)
+        # the Christoffel sum to degree 2N_j - 1 gives the Gauss weights and
+        # the full exactness degree
+        self.tau1d = christoffel_many(m - 1, self.zeros)
         self.widths = np.diff(self.edges)
 
     @property
@@ -120,8 +116,7 @@ class TileSet:
 
     def node_array(self):
         """All nodes, shape (count, dim), in index (row-major) order."""
-        mesh = np.meshgrid(*([self.zeros] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_points([self.zeros] * self.dim)
 
     def weight_array(self):
         w = self.tau1d
@@ -164,21 +159,6 @@ class TileSet:
             out[:, d] = i
         return out
 
-    def to_json_dict(self):
-        return {
-            "level": self.level,
-            "dim": self.dim,
-            "delta_star": self.cfg.delta_star,
-            "degree": self.degree,
-            "zeros": list(self.zeros),
-            "edges": list(self.edges),
-            "tau1d": list(self.tau1d),
-        }
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f)
-
 
 _cache = {}
 
@@ -191,7 +171,7 @@ def build_level(j, cfg):
     if m ** cfg.dim > cfg.node_budget:
         raise ValueError(f"level {j} needs {m ** cfg.dim} nodes in dimension "
                          f"{cfg.dim}; budget is {cfg.node_budget}")
-    key = (j, cfg.dim, cfg.delta_star, cfg.classical_weights)
+    key = (j, cfg.dim, cfg.delta_star)
     if key not in _cache:
         _cache[key] = TileSet(j, cfg)
     return _cache[key]
@@ -212,10 +192,6 @@ def cubature(ts, f_vals, g_vals=None):
     if g_vals.size != ts.count:
         raise ValueError("sample count does not match node count")
     return np.sum(w * f_vals * g_vals)
-
-
-def locate_tile(ts, x):
-    return ts.locate(x)
 
 
 def write_nodes_csv(ts, fh):

@@ -132,3 +132,37 @@ def test_verify_suite_exit_codes(tmp_path, monkeypatch):
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_coefficient_exits_1(tmp_path, capsys, bad):
+    path = tmp_path / "f.json"
+    path.write_text('{"dim": 1, "max_degree": 1, "coeffs": '
+                    '[{"xi": [0], "re": 1.0, "im": 0.0}, {"xi": [1], "re": %s, "im": 0.0}]}' % bad)
+    assert main(["norm", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _coefficient_file(tmp_path, node):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"levels": [
+        {"j": 0, "entries": [{"node": node, "re": 1.0, "im": 0.0}]}]}))
+    return path
+
+
+def test_negative_node_index_exits_1(tmp_path, capsys):
+    path = _coefficient_file(tmp_path, [-1])
+    assert main(["synthesize", "--in", str(path), "--out", str(tmp_path / "g.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_out_of_range_node_index_exits_1(tmp_path, capsys):
+    path = _coefficient_file(tmp_path, [99])
+    assert main(["synthesize", "--in", str(path), "--out", str(tmp_path / "g.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_node_index_of_wrong_length_exits_1(tmp_path, capsys):
+    path = _coefficient_file(tmp_path, [0, 0])
+    assert main(["synthesize", "--in", str(path), "--out", str(tmp_path / "g.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -13,8 +13,6 @@ from hermband.core import (
     christoffel,
     christoffel_many,
     e_function,
-    eval_hermite_1d,
-    eval_hermite_nd,
     finite_difference,
     gauss_hermite,
     hermite_derivative_1d,
@@ -27,17 +25,17 @@ from hermband.core import (
 
 
 def test_h0_at_zero():
-    assert list(eval_hermite_1d(0, 0.0)) == pytest.approx([0.7511255444649425], abs=1e-15)
+    assert list(hermite_functions(0, 0.0)) == pytest.approx([0.7511255444649425], abs=1e-15)
 
 
 def test_h1_closed_form():
     t = 1.0
     expect = math.sqrt(2.0) * t * math.exp(-t * t / 2.0) * math.pi ** -0.25
-    assert eval_hermite_1d(1, t)[1] == pytest.approx(expect, abs=1e-14)
+    assert hermite_functions(1, t)[1] == pytest.approx(expect, abs=1e-14)
 
 
 def test_h2_at_zero():
-    assert eval_hermite_1d(2, 0.0)[2] == pytest.approx(
+    assert hermite_functions(2, 0.0)[2] == pytest.approx(
         -1.0 / (math.sqrt(2.0) * math.pi ** 0.25), abs=1e-14)
 
 
@@ -62,16 +60,19 @@ def test_deep_tail_no_overflow():
 
 
 def test_eval_hermite_nd_product_structure():
-    assert eval_hermite_nd((0, 0), (0.0, 0.0)) == pytest.approx(math.pi ** -0.5, abs=1e-14)
+    def h(xi, x):
+        return basis_function(xi).eval_points([x])[0]
+
+    assert h((0, 0), (0.0, 0.0)) == pytest.approx(math.pi ** -0.5, abs=1e-14)
     for y in (-1.3, 0.0, 2.2):
-        assert eval_hermite_nd((1, 0), (0.0, y)) == 0.0
-    expect = eval_hermite_1d(2, 0.3)[2] * eval_hermite_1d(1, -0.7)[1]
-    assert eval_hermite_nd((2, 1), (0.3, -0.7)) == pytest.approx(expect, abs=1e-14)
+        assert h((1, 0), (0.0, y)) == 0.0
+    expect = hermite_functions(2, 0.3)[2] * hermite_functions(1, -0.7)[1]
+    assert h((2, 1), (0.3, -0.7)) == pytest.approx(expect, abs=1e-14)
 
 
 def test_projector_kernel_1d_factorization():
     assert projector_kernel(0, 0.0, 0.0, 1) == pytest.approx(math.pi ** -0.5, abs=1e-14)
-    expect = eval_hermite_1d(3, 0.5)[3] * eval_hermite_1d(3, -0.2)[3]
+    expect = hermite_functions(3, 0.5)[3] * hermite_functions(3, -0.2)[3]
     assert projector_kernel(3, 0.5, -0.2, 1) == pytest.approx(expect, abs=1e-13)
 
 
@@ -85,8 +86,8 @@ def test_projector_kernel_2d_sum_over_multiindices():
     acc = 0.0
     for a in range(k + 1):
         b = k - a
-        acc += (eval_hermite_1d(a, x[0])[a] * eval_hermite_1d(b, x[1])[b]
-                * eval_hermite_1d(a, y[0])[a] * eval_hermite_1d(b, y[1])[b])
+        acc += (hermite_functions(a, x[0])[a] * hermite_functions(b, x[1])[b]
+                * hermite_functions(a, y[0])[a] * hermite_functions(b, y[1])[b])
     assert projector_kernel(k, x, y, 2) == pytest.approx(acc, abs=1e-13)
 
 
@@ -160,7 +161,7 @@ def test_creation_iterated_factor():
 
 def test_hermite_derivative_identity():
     t = 0.7
-    h = eval_hermite_1d(2, t)
+    h = hermite_functions(2, t)
     expect = (math.sqrt(2.0) * h[0] - 2.0 * h[2]) / 2.0
     assert hermite_derivative_1d(1, t) == pytest.approx(expect, rel=1e-13)
 
@@ -169,7 +170,7 @@ def test_hermite_derivative_finite_difference():
     h = 1e-6
     for k in (0, 3, 10):
         for t in (-1.2, 0.4, 2.0):
-            fd = (eval_hermite_1d(k, t + h)[k] - eval_hermite_1d(k, t - h)[k]) / (2.0 * h)
+            fd = (hermite_functions(k, t + h)[k] - hermite_functions(k, t - h)[k]) / (2.0 * h)
             assert hermite_derivative_1d(k, t) == pytest.approx(fd, abs=5e-8)
 
 

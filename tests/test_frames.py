@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hermband.core import basis_function, eval_hermite_1d, random_spectral
+from hermband.core import basis_function, hermite_functions, random_spectral
 from hermband.frames import (
     CoefficientSequence,
     analyze,
@@ -60,7 +60,7 @@ def test_level0_needlet_single_term(sys, cfg):
     tile = ts.tile((3,))
     f = needlet(sys, tile)
     w = spectral_window(sys, 0, 0, 1)
-    expect = math.sqrt(tile.weight) * w * eval_hermite_1d(0, float(tile.node[0]))[0]
+    expect = math.sqrt(tile.weight) * w * hermite_functions(0, float(tile.node[0]))[0]
     got = f.coeffs.get((0,), 0.0)
     assert abs(got - expect) < 1e-14
     assert w == 0.0 and f.norm2() == 0.0
@@ -80,7 +80,7 @@ def test_analyze_closed_form_ground_state(sys, cfg):
         ts = build_level(j, cfg)
         w = spectral_window(sys, j, 0, 1)
         expect = np.sqrt(ts.tau1d) * w * np.array(
-            [eval_hermite_1d(0, float(t))[0] for t in ts.zeros])
+            [hermite_functions(0, float(t))[0] for t in ts.zeros])
         assert np.max(np.abs(s.levels[j] - expect)) < 1e-13
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hermband.core import basis_function, eval_hermite_1d, random_spectral
+from hermband.core import basis_function, hermite_functions, random_spectral
 from hermband.frames import inner_product_quadrature
 from hermband.lp import (
     SmoothProfile,
@@ -122,7 +122,7 @@ def test_support_set_consistency(sys):
 
 def test_lp_kernel_j0_closed_form(sys):
     x, y = 0.3, -0.8
-    expect = float(sys.window(0, 1.0)) * eval_hermite_1d(0, x)[0] * eval_hermite_1d(0, y)[0]
+    expect = float(sys.window(0, 1.0)) * hermite_functions(0, x)[0] * hermite_functions(0, y)[0]
     assert lp_kernel(sys, 0, x, y, 1) == pytest.approx(expect, abs=1e-14)
 
 
@@ -133,7 +133,7 @@ def test_lp_kernel_reproduces_windowed_basis(sys):
         col = lp_delta(sys, j, np.array([x]), 1)
         for k in (0, 2, 5):
             val = inner_product_quadrature(col, basis_function((k,)))
-            expect = spectral_window(sys, j, k, 1) * eval_hermite_1d(k, x)[k]
+            expect = spectral_window(sys, j, k, 1) * hermite_functions(k, x)[k]
             assert abs(val - expect) < 1e-9
 
 

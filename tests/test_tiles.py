@@ -13,7 +13,6 @@ from hermband.tiles import (
     cubature,
     hermite_zeros,
     level_degree,
-    locate_tile,
     tile_geometry_constants,
     write_nodes_csv,
 )
@@ -119,15 +118,15 @@ def test_locate_node_in_own_tile():
     cfg = TileConfig()
     ts = build_level(2, cfg)
     for i in (0, 5, ts.nodes_per_axis - 1):
-        t = locate_tile(ts, ts.zeros[i])
+        t = ts.locate(ts.zeros[i])
         assert t is not None and t.index == (i,)
 
 
 def test_locate_outside():
     cfg = TileConfig()
     ts = build_level(0, cfg)
-    assert locate_tile(ts, ts.outer_halfwidth + 1.0) is None
-    assert locate_tile(ts, -ts.outer_halfwidth - 1.0) is None
+    assert ts.locate(ts.outer_halfwidth + 1.0) is None
+    assert ts.locate(-ts.outer_halfwidth - 1.0) is None
 
 
 def test_locate_matches_linear_scan():
@@ -136,7 +135,7 @@ def test_locate_matches_linear_scan():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-ts.outer_halfwidth - 0.5, ts.outer_halfwidth + 0.5, size=10_000)
     for x in pts:
-        t = locate_tile(ts, x)
+        t = ts.locate(x)
         hits = [i for i in range(ts.nodes_per_axis)
                 if ts.edges[i] <= x <= ts.edges[i + 1]]
         if t is None:
