@@ -55,29 +55,32 @@ def _round_floats(obj):
     return obj
 
 
-def _config(args, extra=None):
+def _config(args):
     cfg = {"command": args.command}
     for k, v in sorted(vars(args).items()):
         # the output path is not part of the computation, so reports stay
         # byte-identical wherever they are written
         if k not in ("func", "command", "out"):
             cfg[k] = v
-    if extra:
-        cfg.update(extra)
     return cfg
 
 
 def _tile_config(args):
-    return tiles.TileConfig(delta_star=getattr(args, "delta_star", 1.0 / 40.0),
-                            dim=getattr(args, "dim", 1),
+    return tiles.TileConfig(delta_star=args.delta_star, dim=args.dim,
                             max_level=max(getattr(args, "level", 0) or 0,
                                           getattr(args, "levels", 0) or 0, 8))
 
 
 def _system(args):
-    a = getattr(args, "plateau", 0.5)
-    b = getattr(args, "support", 0.75)
-    return lp.bump_system(a, b)
+    return lp.bump_system(args.plateau, args.support)
+
+
+def _load_function(args):
+    """The spectral function of --in, whose dimension must be --dim."""
+    f = SpectralFunction.load(args.infile)
+    if f.dim != args.dim:
+        raise PreconditionError(f"function dimension {f.dim} != --dim {args.dim}")
+    return f
 
 
 def cmd_nodes(args):
@@ -123,11 +126,8 @@ def cmd_needlet(args):
 
 def cmd_analyze(args):
     sys = _system(args)
-    cfg = _tile_config(args)
-    f = SpectralFunction.load(args.infile)
-    if f.dim != cfg.dim:
-        raise PreconditionError(f"function dimension {f.dim} != --dim {cfg.dim}")
-    s = frames.analyze(sys, f, args.levels, cfg)
+    f = _load_function(args)
+    s = frames.analyze(sys, f, args.levels, _tile_config(args))
     s.save(args.out, tol=args.prune)
     return 0
 
@@ -143,25 +143,19 @@ def cmd_synthesize(args):
 
 def cmd_norm(args):
     sys = _system(args)
-    f = SpectralFunction.load(args.infile)
-    params = norms.SpaceParams(args.space, args.alpha, args.p, args.q)
-    val = norms.space_norm(sys, f, params)
-    warnings = []
-    if isinstance(val, tuple):
-        val, covered = val
-        if not covered:
-            warnings.append("occupied spectrum not covered by the window levels")
+    f = _load_function(args)
+    val = norms.space_norm(sys, f, norms.SpaceParams(args.space, args.alpha, args.p, args.q))
     J = sys.coverage_level(2.0 * f.max_degree + f.dim)
     box = norms.QuadratureBox.for_degree(f.max_degree, f.dim)
     _dump_report({"value": val, "J_used": J,
                   "box": {"half_width": box.half_width, "points": box.points},
-                  "warnings": warnings, "config": _config(args)}, args.out)
+                  "warnings": [], "config": _config(args)}, args.out)
     return 0
 
 
 def cmd_apply(args):
     sys = _system(args)
-    f = SpectralFunction.load(args.infile)
+    f = _load_function(args)
     sigma = symbols.load_symbol(args.symbol, sys)
     if sigma.dim != f.dim:
         raise PreconditionError("symbol and function dimensions differ")
@@ -174,7 +168,7 @@ def cmd_apply(args):
 
 def cmd_linearize(args):
     sys = _system(args)
-    f = SpectralFunction.load(args.infile)
+    f = _load_function(args)
     if args.power < 2:
         raise PreconditionError("power must be >= 2")
     H = symbols.nonlinearity_power(args.power)
@@ -218,7 +212,7 @@ def cmd_verify(args):
     elif suite == "kernel":
         rep = estimates.verify_kernel(sys, cfg, levels=levels)
     elif suite == "hoppe":
-        rep = estimates.verify_hoppe(sys, levels=5, n=n)
+        rep = estimates.verify_hoppe(sys, n=n)
     elif suite == "qq":
         rep = estimates.verify_qq(n=n)
     elif suite == "tiles":
@@ -242,44 +236,43 @@ def build_parser():
                                 description="Hermite-operator frames, norms and pseudo-multipliers")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, dim=True, system=True):
-        if dim:
-            sp.add_argument("--dim", type=int, default=1)
+    def common(sp, builds_tiles, system):
+        sp.add_argument("--dim", type=int, default=1)
+        if builds_tiles:
             sp.add_argument("--delta-star", dest="delta_star", type=float, default=1.0 / 40.0)
         if system:
             sp.add_argument("--plateau", type=float, default=0.5)
             sp.add_argument("--support", type=float, default=0.75)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("nodes", help="emit a level's node/tile table as CSV")
     sp.add_argument("--level", type=int, required=True)
-    common(sp, system=False)
+    common(sp, builds_tiles=True, system=False)
     sp.set_defaults(func=cmd_nodes)
 
     sp = sub.add_parser("windows", help="dump the spectral window tables as CSV")
     sp.add_argument("--levels", type=int, default=4)
     sp.add_argument("--kmax", type=int, default=64)
-    common(sp)
+    common(sp, builds_tiles=False, system=True)
     sp.set_defaults(func=cmd_windows)
 
     sp = sub.add_parser("needlet", help="write one frame element as a spectral JSON")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--index", required=True, help="comma-separated node index")
     sp.add_argument("--dual", action="store_true")
-    common(sp)
+    common(sp, builds_tiles=True, system=True)
     sp.set_defaults(func=cmd_needlet)
 
     sp = sub.add_parser("analyze", help="frame coefficients of a spectral function")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--levels", type=int, required=True)
     sp.add_argument("--prune", type=float, default=0.0)
-    common(sp)
+    common(sp, builds_tiles=True, system=True)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("synthesize", help="rebuild a spectral function from coefficients")
     sp.add_argument("--in", dest="infile", required=True)
-    common(sp)
+    common(sp, builds_tiles=True, system=True)
     sp.set_defaults(func=cmd_synthesize)
 
     sp = sub.add_parser("norm", help="distribution-space norm of a spectral function")
@@ -288,26 +281,27 @@ def build_parser():
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--q", type=float, default=2.0)
-    common(sp)
+    common(sp, builds_tiles=False, system=True)
     sp.set_defaults(func=cmd_norm)
 
     sp = sub.add_parser("apply", help="apply a pseudo-multiplier, emit grid CSV")
     sp.add_argument("--symbol", required=True)
     sp.add_argument("--in", dest="infile", required=True)
-    common(sp)
+    common(sp, builds_tiles=False, system=True)
     sp.set_defaults(func=cmd_apply)
 
     sp = sub.add_parser("linearize", help="linearize H(u)=u^p around a function and apply")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--power", type=int, default=2)
     sp.add_argument("--levels", type=int, default=None)
-    common(sp)
+    common(sp, builds_tiles=False, system=True)
     sp.set_defaults(func=cmd_linearize)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=_SUITES)
     sp.add_argument("--levels", type=int, default=None)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    common(sp, builds_tiles=True, system=True)
     sp.set_defaults(func=cmd_verify)
 
     return p

@@ -481,12 +481,14 @@ class SpectralFunction:
     @classmethod
     def from_json_dict(cls, d):
         coeffs = {}
-        for e in d["coeffs"]:
-            c = complex(e["re"], e.get("im", 0.0))
+        for e in json_field(d, "coeffs", "function"):
+            xi = tuple(json_int(v, "xi") for v in json_field(e, "xi", "coefficient"))
+            c = complex(json_field(e, "re", "coefficient"), e.get("im", 0.0))
             if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient at xi = {e['xi']}")
-            coeffs[tuple(int(v) for v in e["xi"])] = c
-        return cls(int(d["dim"]), int(d["max_degree"]), coeffs)
+                raise ValueError(f"non-finite coefficient at xi = {list(xi)}")
+            coeffs[xi] = c
+        return cls(json_int(json_field(d, "dim", "function"), "dim"),
+                   json_int(json_field(d, "max_degree", "function"), "max_degree"), coeffs)
 
     def save(self, path):
         with open(path, "w") as f:
@@ -496,6 +498,23 @@ class SpectralFunction:
     def load(cls, path):
         with open(path) as f:
             return cls.from_json_dict(json.load(f))
+
+
+def json_field(d, key, what):
+    """d[key] of a decoded JSON object; ValueError when d is no object or lacks the key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"{what} has no {key!r} field")
+    return d[key]
+
+
+def json_int(v, what):
+    """A decoded JSON number as an int; ValueError unless it is integral."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _axis_vector(v, i, dim):
@@ -527,10 +546,9 @@ def apply_creation(alpha, f):
     return out
 
 
-def basis_function(xi, dim=None):
+def basis_function(xi):
     xi = tuple(int(v) for v in xi)
-    n = dim if dim is not None else len(xi)
-    return SpectralFunction(n, sum(xi), {xi: 1.0})
+    return SpectralFunction(len(xi), sum(xi), {xi: 1.0})
 
 
 def random_spectral(dim, max_degree, rng, real=False):

@@ -9,6 +9,7 @@ definition of "uniform constant"; no unknown analytic constant is asserted.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,9 +20,12 @@ from .core import (Constants, GridFunction, axis_tables, e_function, kernel_expa
                    lifted_gauss_hermite, multi_indices, random_spectral, tensor_points)
 from .frames import CoefficientSequence, needlet, synthesize
 from .lp import apply_lp, lp_delta, lp_moment, support_set, hoppe_check
-from .norms import SpaceParams, maximal, seq_besov_norm, seq_tl_norm, space_norm
+from .norms import QuadratureBox, SpaceParams, maximal, seq_tl_norm, space_norm
 from .symbols import apply_pseudomultiplier, reproject
 from .tiles import build_level, cubature, tile_geometry_constants
+
+# envelope constants (vartheta, epsilon) of the kernel, tile and T_sigma scans
+_CONSTANTS = Constants()
 
 
 @dataclass
@@ -58,13 +62,13 @@ def _plain(obj):
     return obj
 
 
-def refinement_stable(base, refined, tol=0.10):
+def refinement_stable(base, refined):
     """Relative change of the measured constant under refinement."""
     if base == 0.0 and refined == 0.0:
         return True, 0.0
     denom = max(abs(base), abs(refined), 1e-300)
     change = abs(refined - base) / denom
-    return change < tol, change
+    return change < 0.10, change
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +120,24 @@ class Molecule:
     def deriv_eval(self, gamma, pts):
         return np.real(self.derivative(gamma).eval_points(pts))
 
-    def moment(self, gamma, extra=6):
+    def moment(self, gamma):
         """integral of (y - x_R)^gamma m(y) dy, exact Gauss-Hermite."""
         gamma = tuple(int(g) for g in gamma)
-        q = (self.f.max_degree + sum(gamma)) // 2 + 1 + extra
+        q = (self.f.max_degree + sum(gamma)) // 2 + 7
         n = self.dim
         return float(lifted_gauss_hermite(
             lambda y: np.real(self.f.eval_grid([y] * n)), q, n, s=2.0,
             axis_factor=lambda d, y: (y - self.center[d]) ** gamma[d]))
 
 
-def needlet_molecule(sys, tile, dual=False):
-    f = needlet(sys, tile, dual=dual)
-    return Molecule(f, tile.level, tile.node, tile.measure)
+def needlet_molecule(sys, tile):
+    return Molecule(needlet(sys, tile), tile.level, tile.node, tile.measure)
 
 
-def spectral_bump_molecule(weight_fn, level, center, cfg, k_cap=200):
+def spectral_bump_molecule(weight_fn, level, center, cfg):
     """Molecule from a radial spectral profile: coefficients
     weight_fn(lambda_{|xi|} / 4^level) h_xi(center), truncated when the
-    profile falls below 1e-14 of its peak.
+    profile falls below 1e-14 of its peak (degrees k <= 200).
 
     With weight_fn(u) = u^{M+1} e^{-u} the spectrum vanishes to order M+1
     at 0, giving the full moment cancellation of an order-M molecule;
@@ -142,7 +145,7 @@ def spectral_bump_molecule(weight_fn, level, center, cfg, k_cap=200):
     """
     n = cfg.dim
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    lam = 2.0 * np.arange(k_cap + 1) + n
+    lam = 2.0 * np.arange(201) + n
     w = np.array([weight_fn(l / 4.0 ** level) for l in lam])
     peak = np.max(np.abs(w))
     keep = np.abs(w) > 1e-14 * peak
@@ -153,12 +156,13 @@ def spectral_bump_molecule(weight_fn, level, center, cfg, k_cap=200):
     return Molecule(kernel_expansion(w[:k_max + 1], center), level, center, measure)
 
 
-def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
+def check_molecule(mol, params, grid_axes, rng=None):
     """Clause-by-clause constants of the molecule definition.
 
     (i)  size:   |d^gamma m| against |R|^{-1/2} 2^{j|gamma|}
                  (1+2^j|x-x_R|)^{-mu} (1+|x|/2^j)^{-(N+delta)};
-    (ii) Holder: increments of the top derivatives over |x-y| <= 2^{-j};
+    (ii) Holder: increments of the top derivatives over 8 random
+                 offsets |x-y| <= 2^{-j};
     (iii) moments of order <= M against
                  |R|^{-1/2} 2^{-j(n+|gamma|)} ((1+|x_R|)/2^j)^{M+theta-|gamma|}.
     """
@@ -186,7 +190,7 @@ def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
     for gamma in multi_indices(n, params.N):
         if sum(gamma) != params.N:
             continue
-        for _ in range(holder_offsets):
+        for _ in range(8):
             h = rng.uniform(-1.0, 1.0, size=n)
             h *= rng.uniform(0.05, 1.0) * 2.0 ** -j / max(np.linalg.norm(h), 1e-12)
             a = mol.deriv_eval(gamma, pts)
@@ -212,20 +216,17 @@ def check_molecule(mol, params, grid_axes, holder_offsets=8, rng=None):
         details={"size": size_const, "size_per_gamma": per_gamma,
                  "holder": holder_const, "moment": moment_const,
                  "moment_per_gamma": moments,
-                 "params": vars(params) if hasattr(params, "__dict__") else params.__dict__
-                 if not isinstance(params, MoleculeParams) else
-                 {"M": params.M, "theta": params.theta, "N": params.N,
-                  "delta": params.delta, "mu": params.mu}})
+                 "params": dataclasses.asdict(params)})
 
 
-def sample_tiles(ts, count, rng, central_bias=True):
+def sample_tiles(ts, count, rng):
     """Sample tiles of a level, biased toward the center of the node range."""
     npa = ts.nodes_per_axis
     idx = set()
     tries = 0
     while len(idx) < min(count, ts.count) and tries < 50 * count:
         tries += 1
-        if central_bias and rng.random() < 0.7:
+        if rng.random() < 0.7:
             ix = tuple(int(np.clip(round(npa / 2 + rng.standard_normal() * npa / 6), 0, npa - 1))
                        for _ in range(ts.dim))
         else:
@@ -234,14 +235,14 @@ def sample_tiles(ts, count, rng, central_bias=True):
     return [ts.tile(ix) for ix in sorted(idx)]
 
 
-def verify_molecules(sys, cfg, params, levels=4, tiles_per_level=20,
-                     grid_points=801, half_width=14.0, seed=0):
+def verify_molecules(sys, cfg, params, levels=4, tiles_per_level=20, grid_points=801, seed=0):
     """Needlets-are-molecules scan: one constant over sampled tiles, j <= levels.
 
     The scan range in j is fixed; refinement stability means the measured
     sup moves by < 10% when the evaluation grid is doubled on the same
     tiles, i.e. the reported constant is a converged measurement.
     """
+    half_width = 14.0
     rng = np.random.default_rng(seed)
     mols = []
     for j in range(levels + 1):
@@ -280,18 +281,17 @@ def verify_molecules(sys, cfg, params, levels=4, tiles_per_level=20,
 # ---------------------------------------------------------------------------
 
 
-def verify_almost_orthogonality(sys, molecules, params, j_range, eta,
-                                grid_axes, fit=True, slope_slack=0.5,
-                                max_offset=3):
+def verify_almost_orthogonality(sys, molecules, params, j_range, eta, grid_axes):
     """Band projections of molecules against the cross-scale decay bound.
 
     molecules: list of Molecule at (possibly different) levels k.
     Ratio: sup_x |phi_j(sqrt L) m(x)| (1 + 2^{j^k} |x-x_R|)^eta divided by
     |R|^{-1/2} 2^{-(n+M+theta)[(k-j) v 0] - (N+delta)[(j-k) v 0]}.
-    Also fits the log2 decay of the sup against (j - k) on both sides; only
-    pairs with |j - k| <= max_offset enter.  Band projections that vanish to
-    numerical precision are clamped to a floor relative to the largest sup,
-    so exact zeros count as arbitrarily fast decay without breaking the fit.
+    Also fits the log2 decay of the sup against (j - k) on both sides, which
+    must come within 0.5 of the bound's slopes; only pairs with |j - k| <= 3
+    enter.  Band projections that vanish to numerical precision are clamped
+    to a floor relative to the largest sup, so exact zeros count as
+    arbitrarily fast decay without breaking the fit.
     """
     pts = tensor_points(grid_axes)
     n = molecules[0].dim
@@ -304,7 +304,7 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta,
         dist = np.sqrt(np.sum((pts - mol.center) ** 2, axis=1))
         rinv = mol.measure ** -0.5
         for j in j_range:
-            if abs(j - k) > max_offset:
+            if abs(j - k) > 3:
                 continue
             if not support_set(sys, j, n):
                 # empty spectral band (can happen at j = 0): nothing to measure
@@ -316,24 +316,19 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta,
             rows.append((k, j, wsup, ratio))
             constant = max(constant, ratio)
 
-    details = {"eta": eta, "rows": rows}
-    passed = math.isfinite(constant)
-    if fit:
-        floor = 1e-15 * max((w for _, _, w, _ in rows), default=1.0)
-        slopes = _ao_slopes(rows, floor)
-        details["slopes"] = slopes
-        details["floor"] = floor
-        lo_ok = slopes["j_above_k"] is None or slopes["j_above_k"] <= -b + slope_slack
-        hi_ok = slopes["k_above_j"] is None or slopes["k_above_j"] <= -a + slope_slack
-        details["slope_pass"] = {"j>k": lo_ok, "k>j": hi_ok,
-                                 "required": {"j>k": -b + slope_slack, "k>j": -a + slope_slack}}
-        passed = passed and lo_ok and hi_ok
+    floor = 1e-15 * max((w for _, _, w, _ in rows), default=1.0)
+    slopes = _ao_slopes(rows, floor)
+    required = {"j>k": -b + 0.5, "k>j": -a + 0.5}
+    lo_ok = slopes["j_above_k"] is None or slopes["j_above_k"] <= required["j>k"]
+    hi_ok = slopes["k_above_j"] is None or slopes["k_above_j"] <= required["k>j"]
+    details = {"eta": eta, "rows": rows, "slopes": slopes, "floor": floor,
+               "slope_pass": {"j>k": lo_ok, "k>j": hi_ok, "required": required}}
     return EstimateReport("almost-orthogonality", constant, per_level={},
-                          scan={"j_range": list(j_range), "max_offset": max_offset},
-                          details=details, passed=passed)
+                          scan={"j_range": list(j_range), "max_offset": 3},
+                          details=details, passed=math.isfinite(constant) and lo_ok and hi_ok)
 
 
-def _ao_slopes(rows, floor, min_points=4):
+def _ao_slopes(rows, floor):
     """Least-squares log2 slopes of the weighted sup vs |j-k| on each side."""
     out = {"j_above_k": None, "k_above_j": None}
     for key, sign in (("j_above_k", 1), ("k_above_j", -1)):
@@ -343,25 +338,22 @@ def _ao_slopes(rows, floor, min_points=4):
             if d >= 0:
                 xs.append(d)
                 ys.append(math.log2(max(wsup, floor)))
-        if len(xs) >= min_points and len(set(xs)) >= 2:
+        if len(xs) >= 4 and len(set(xs)) >= 2:
             A = np.stack([np.asarray(xs, dtype=float), np.ones(len(xs))], axis=1)
             sol, *_ = np.linalg.lstsq(A, np.asarray(ys), rcond=None)
             out[key] = float(sol[0])
     return out
 
 
-def verify_ao(sys, cfg, params=None, eta=None, k_levels=(1, 2, 3, 4),
-              tiles_per_level=3, grid_points=801, half_width=14.0, seed=0):
-    """Almost-orthogonality scan over a sampled needlet family.
+def verify_ao(sys, cfg, k_levels=(1, 2, 3, 4), tiles_per_level=3, grid_points=801, seed=0):
+    """Almost-orthogonality scan over a sampled needlet family, with
+    MoleculeParams(1, 0.5, 2, 0.5, n + 2) and eta = n + 1.
 
     The uniform constant is checked for stability by dropping the finest
     frame level and comparing the two sups.
     """
     n = cfg.dim
-    if params is None:
-        params = MoleculeParams(1, 0.5, 2, 0.5, n + 2)
-    if eta is None:
-        eta = n + 1
+    half_width = 14.0
     rng = np.random.default_rng(seed)
     axes = [np.linspace(-half_width, half_width, grid_points)] * n
     mols = []
@@ -379,7 +371,8 @@ def verify_ao(sys, cfg, params=None, eta=None, k_levels=(1, 2, 3, 4),
             if picked >= tiles_per_level:
                 break
     j_range = range(max(0, min(k_levels) - 3), max(k_levels) + 4)
-    rep = verify_almost_orthogonality(sys, mols, params, j_range, eta, axes)
+    rep = verify_almost_orthogonality(sys, mols, MoleculeParams(1, 0.5, 2, 0.5, n + 2), j_range,
+                                      n + 1, axes)
     kmax = max(k_levels)
     shorter = max((r for k, _, _, r in rep.details["rows"] if k < kmax), default=0.0)
     stable, change = refinement_stable(shorter, rep.constant)
@@ -423,30 +416,29 @@ def tsigma_derivative_on_points(sigma, sys, tile, gamma, pts, n,
     return acc
 
 
-def verify_tsmooth(sigma, sys, cfg, m, gamma_max=2, N_max=3, levels=3,
-                   tiles_per_level=6, grid_points=401, half_width=12.0,
-                   kappa_grid=(0.0, 0.25, 0.5), eps_grid=(4.5, 4.84, 16.5),
-                   constants=Constants(), seed=0):
-    """Smoothness of T_sigma on needlets: decay in x and growth 2^{j(m+|gamma|)}.
+def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=401, seed=0):
+    """Smoothness of T_sigma on needlets: decay in x and growth 2^{j(m+|gamma|)},
+    for |gamma| <= 2 and decay orders N <= 3 on [-12, 12]^n.
 
     The (kappa, eps) pair is an existential output; the scan reports the
     pair minimizing the measured sup.
     """
+    gamma_max, N_max = 2, 3
     rng = np.random.default_rng(seed)
     n = cfg.dim
-    axes = [np.linspace(-half_width, half_width, grid_points)] * n
+    axes = [np.linspace(-12.0, 12.0, grid_points)] * n
     pts = tensor_points(axes)
     absx2 = np.sum(pts ** 2, axis=1)
 
     best = None
-    for kappa in kappa_grid:
-        for eps in eps_grid:
+    for kappa in (0.0, 0.25, 0.5):
+        for eps in (4.5, 4.84, 16.5):
             worst = 0.0
             per_level = {}
             for j in range(levels + 1):
                 ts = build_level(j, cfg)
                 env = np.where(absx2 < eps * 4.0 ** j, 1.0,
-                               np.exp(-constants.vartheta * absx2)) ** (1.0 - kappa)
+                               np.exp(-_CONSTANTS.vartheta * absx2)) ** (1.0 - kappa)
                 lev = 0.0
                 for tile in sample_tiles(ts, tiles_per_level, rng):
                     parts = list(needlet(sys, tile).degree_slices().items())
@@ -493,9 +485,9 @@ def tsigma_moment(sigma, sys, tile, gamma, n, extra=8):
                                         axis_factor=lambda d, y: (y - tile.node[d]) ** gamma[d]))
 
 
-def verify_tcanc(sigma, sys, cfg, m, M=1, theta=0.5, levels=3,
-                 tiles_per_level=6, seed=0):
-    """Moment cancellation of T_sigma phi_R up to order M."""
+def verify_tcanc(sigma, sys, cfg, m, levels=3, tiles_per_level=6, seed=0):
+    """Moment cancellation of T_sigma phi_R up to order M = 1, with theta = 1/2."""
+    M, theta = 1, 0.5
     rng = np.random.default_rng(seed)
     n = cfg.dim
     worst = 0.0
@@ -539,23 +531,20 @@ def random_sparse_sequence(cfg, J, rng, per_level=8):
     return s
 
 
-def verify_synthesis(sys, cfg, params=SpaceParams("F", 0.0, 2.0, 2.0),
-                     J=3, n_sequences=100, per_level=8, seed=0, box=None):
-    """Ratio of the synthesized norm to the sequence norm, random sparse input."""
+def verify_synthesis(sys, cfg, J=3, n_sequences=100, per_level=8, seed=0, box=None):
+    """Ratio of the F^0_{2,2} norm of the synthesized function to the f^0_{2,2}
+    sequence norm, random sparse input."""
+    params = SpaceParams("F", 0.0, 2.0, 2.0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     ratios = []
     for _ in range(n_sequences):
         s = random_sparse_sequence(cfg, J, rng, per_level)
         g = synthesize(sys, s)
-        if params.family == "B":
-            snorm = seq_besov_norm(s, params)
-        else:
-            snorm = seq_tl_norm(s, params, box)
+        snorm = seq_tl_norm(s, params, box)
         if snorm == 0.0:
             continue
-        gn = space_norm(sys, g, params, J=max(J + 1, sys.coverage_level(2 * g.max_degree + g.dim)))
-        gn = gn[0] if isinstance(gn, tuple) else gn
+        gn = space_norm(sys, g, params)
         ratios.append(gn / snorm)
         worst = max(worst, gn / snorm)
     return EstimateReport("synthesis", worst,
@@ -564,14 +553,12 @@ def verify_synthesis(sys, cfg, params=SpaceParams("F", 0.0, 2.0, 2.0),
                           passed=math.isfinite(worst))
 
 
-def verify_boundedness(sigma, m, space_list, sys, cfg, family=None,
-                       K=12, n_funcs=20, seed=0):
+def verify_boundedness(sigma, m, space_list, sys, cfg, K=12, n_funcs=20, seed=0):
     """Operator-norm surrogate: sup over a random family of
     ||T_sigma f||_{A_alpha} / ||f||_{A_{alpha+m}} (output reprojected)."""
     rng = np.random.default_rng(seed)
     n = cfg.dim
-    if family is None:
-        family = [random_spectral(n, K, rng, real=True) for _ in range(n_funcs)]
+    family = [random_spectral(n, K, rng, real=True) for _ in range(n_funcs)]
     out = {}
     resid_max = 0.0
     for params in space_list:
@@ -582,9 +569,7 @@ def verify_boundedness(sigma, m, space_list, sys, cfg, family=None,
             resid_max = max(resid_max, resid)
             src = SpaceParams(params.family, params.alpha + m, params.p, params.q)
             denom = space_norm(sys, f, src)
-            denom = denom[0] if isinstance(denom, tuple) else denom
             num = space_norm(sys, g, params)
-            num = num[0] if isinstance(num, tuple) else num
             if denom > 0:
                 worst = max(worst, num / denom)
         out[(params.family, params.alpha, params.p, params.q)] = worst
@@ -601,22 +586,23 @@ def verify_boundedness(sigma, m, space_list, sys, cfg, family=None,
 # ---------------------------------------------------------------------------
 
 
-def verify_kernel(sys, cfg, levels=4, etas=(2, 4), grid_points=201,
-                  half_width=10.0, K_moment=2, constants=Constants()):
-    """Kernel size/decay and moment bounds of the band projections."""
+def verify_kernel(sys, cfg, levels=4):
+    """Kernel size/decay (eta = 2, 4) and moment (|gamma| <= K = 2) bounds of
+    the band projections."""
     n = cfg.dim
-    xs = np.linspace(-half_width, half_width, grid_points)
+    eps = _CONSTANTS.epsilon
+    xs = np.linspace(-10.0, 10.0, 201)
     details = {}
     worst = 0.0
-    for eta in etas:
+    for eta in (2, 4):
         c_eta = 0.0
         for j in range(levels + 1):
             ker = lp_delta(sys, j, np.zeros(n), n)
             x0 = np.zeros(n)
             pts = np.stack([xs] + [np.zeros_like(xs)] * (n - 1), axis=-1)
             vals = np.abs(np.real(ker.eval_points(pts)))
-            e_x0 = float(e_function(constants.epsilon * 4.0 ** j, x0[None, :], constants)[0])
-            e_y = np.asarray(e_function(constants.epsilon * 4.0 ** j, pts, constants))
+            e_x0 = float(e_function(eps * 4.0 ** j, x0[None, :])[0])
+            e_y = np.asarray(e_function(eps * 4.0 ** j, pts))
             rhs = 2.0 ** (j * n) * (1.0 + 2.0 ** j * np.abs(xs)) ** -eta \
                 * e_x0 * np.maximum(e_y, 1e-300)
             c_eta = max(c_eta, float(np.max(vals / rhs)))
@@ -627,11 +613,11 @@ def verify_kernel(sys, cfg, levels=4, etas=(2, 4), grid_points=201,
     for j in range(1, levels + 1):
         for x0 in (0.0, 1.0, 2.0 ** j * 0.7):
             x = np.full(n, x0 / math.sqrt(n))
-            e_x = float(e_function(constants.epsilon * 4.0 ** j, x[None, :], constants)[0])
-            for gamma in multi_indices(n, K_moment):
+            e_x = float(e_function(eps * 4.0 ** j, x[None, :])[0])
+            for gamma in multi_indices(n, 2):
                 mom = lp_moment(sys, j, x, gamma, n)
                 rhs = 2.0 ** (-j * sum(gamma)) \
-                    * ((1.0 + np.linalg.norm(x)) / 2.0 ** j) ** (K_moment - sum(gamma)) \
+                    * ((1.0 + np.linalg.norm(x)) / 2.0 ** j) ** (2 - sum(gamma)) \
                     * max(e_x, 1e-300)
                 c_mom = max(c_mom, abs(mom) / rhs)
     details["phiest_B"] = c_mom
@@ -640,11 +626,13 @@ def verify_kernel(sys, cfg, levels=4, etas=(2, 4), grid_points=201,
                           details=details, passed=math.isfinite(worst))
 
 
-def verify_hoppe(sys, levels=5, ells=(1, 2, 3), n=1):
+def verify_hoppe(sys, n=1):
+    """Hoppe-type difference bounds of the windows, levels 1..5 and orders 1..3."""
+    levels = 5
     worst = 0.0
     rows = {}
     for j in range(1, levels + 1):
-        for ell in ells:
+        for ell in (1, 2, 3):
             N = ell + 1
             for k in support_set(sys, j, n):
                 r = hoppe_check(sys, ell, N, j, k, n)
@@ -656,13 +644,14 @@ def verify_hoppe(sys, levels=5, ells=(1, 2, 3), n=1):
                           passed=math.isfinite(worst))
 
 
-def verify_qq(N=64, n=1, grid_points=801, constants=Constants()):
-    """Diagonal growth Q_N(x,x) <= C N^{n/2} and Gaussian tail decay.
+def verify_qq(n=1):
+    """Diagonal growth Q_N(x,x) <= C N^{n/2} and Gaussian tail decay, N = 64.
 
     Also fits the tail exponent vartheta from the decay beyond sqrt(4N+2).
     """
     from .core import christoffel_many
-    xs = np.linspace(-1.5, 1.5, grid_points) * math.sqrt(4.0 * N + 2.0)
+    N = 64
+    xs = np.linspace(-1.5, 1.5, 801) * math.sqrt(4.0 * N + 2.0)
     diag = 1.0 / christoffel_many(N, xs)
     c_growth = float(np.max(diag)) / N ** (n / 2.0)
     edge = math.sqrt(4.0 * N + 2.0)
@@ -677,17 +666,17 @@ def verify_qq(N=64, n=1, grid_points=801, constants=Constants()):
     c_eb = 0.0
     for j in range(0, 5):
         for beta in (1.0, 3.0):
-            ev = np.asarray(e_function(constants.epsilon * 4.0 ** j, xs, constants))
+            ev = np.asarray(e_function(_CONSTANTS.epsilon * 4.0 ** j, xs))
             rhs = (1.0 + np.abs(xs) / 2.0 ** j) ** -beta
             c_eb = max(c_eb, float(np.max(ev / rhs)))
     return EstimateReport("qq-growth", c_growth, scan={"N": N},
                           details={"fitted_vartheta": fitted,
-                                   "default_vartheta": constants.vartheta,
+                                   "default_vartheta": _CONSTANTS.vartheta,
                                    "ebound_constant": c_eb},
                           passed=math.isfinite(c_growth))
 
 
-def verify_tiles(cfg, levels=4, constants=Constants(), s=1.0, cubature_pairs=20, seed=0):
+def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
     """Tile geometry constants, tile control, tau ~ |R|, cubature exactness."""
     rng = np.random.default_rng(seed)
     per_level = {}
@@ -700,8 +689,8 @@ def verify_tiles(cfg, levels=4, constants=Constants(), s=1.0, cubature_pairs=20,
         meas = ts.measure_array()
         tau = ts.weight_array()
         nodes = ts.node_array()
-        env = np.asarray(e_function(constants.epsilon * 4.0 ** j, nodes, constants))
-        ctrl = max(ctrl, float(np.max(meas * 2.0 ** (j * ts.dim) * env ** s)))
+        env = np.asarray(e_function(_CONSTANTS.epsilon * 4.0 ** j, nodes))
+        ctrl = max(ctrl, float(np.max(meas * 2.0 ** (j * ts.dim) * env)))
         ratio_lo = min(ratio_lo, float(np.min(tau / meas)))
         ratio_hi = max(ratio_hi, float(np.max(tau / meas)))
     # covering check at the finest level
@@ -731,9 +720,10 @@ def verify_tiles(cfg, levels=4, constants=Constants(), s=1.0, cubature_pairs=20,
                           passed=bool(math.isfinite(ctrl) and cub_err < 1e-9))
 
 
-def verify_maximal(cfg, j_max=3, rs=(0.7, 1.0, 2.0), seed=0,
-                   grid_points=801, half_width=None):
-    """Discrete counterpart of the cross-scale sum vs maximal function bound."""
+def verify_maximal(cfg, j_max=3, seed=0):
+    """Discrete counterpart of the cross-scale sum vs maximal function bound,
+    for r = 0.7, 1, 2."""
+    rs = (0.7, 1.0, 2.0)
     rng = np.random.default_rng(seed)
     n = cfg.dim
     worst = 0.0
@@ -743,11 +733,8 @@ def verify_maximal(cfg, j_max=3, rs=(0.7, 1.0, 2.0), seed=0,
         c_r = 0.0
         for k in range(j_max + 1):
             ts = build_level(k, cfg)
-            if half_width is None:
-                hw = ts.outer_halfwidth + 0.5
-            else:
-                hw = half_width
-            axes = [np.linspace(-hw, hw, grid_points)] * n
+            hw = ts.outer_halfwidth + 0.5
+            axes = [np.linspace(-hw, hw, 801)] * n
             pts = tensor_points(axes)
             a = rng.random(ts.count)
             nodes = ts.node_array()
@@ -773,9 +760,10 @@ def verify_maximal(cfg, j_max=3, rs=(0.7, 1.0, 2.0), seed=0,
                           details=details, passed=math.isfinite(worst))
 
 
-def verify_embeddings(sys, cfg, K=12, n_funcs=50, eps=0.5, seed=0,
-                      params=SpaceParams("F", 0.0, 2.0, 2.0)):
-    """Lifting and B-F sandwich as measured ratio bounds on a random family."""
+def verify_embeddings(sys, cfg, n_funcs=50, seed=0):
+    """Lifting F^{1/2}_{2,2} -> F^0_{2,2} and the B-F sandwich as measured
+    ratio bounds on a random family of degree 12."""
+    K = 12
     rng = np.random.default_rng(seed)
     n = cfg.dim
     fam = [random_spectral(n, K, rng, real=True) for _ in range(n_funcs)]
@@ -783,18 +771,14 @@ def verify_embeddings(sys, cfg, K=12, n_funcs=50, eps=0.5, seed=0,
     sand_lo = 0.0
     sand_hi = 0.0
     p, q = 2.0, 1.5
-
-    def val(v):
-        return v[0] if isinstance(v, tuple) else v
-
     for f in fam:
-        lo = val(space_norm(sys, f, SpaceParams(params.family, params.alpha, params.p, params.q)))
-        hi = val(space_norm(sys, f, SpaceParams(params.family, params.alpha + eps, params.p, params.q)))
+        lo = space_norm(sys, f, SpaceParams("F", 0.0, 2.0, 2.0))
+        hi = space_norm(sys, f, SpaceParams("F", 0.5, 2.0, 2.0))
         if hi > 0:
             lift_c = max(lift_c, lo / hi)
-        bmin = val(space_norm(sys, f, SpaceParams("B", 0.0, p, min(p, q))))
-        ff = val(space_norm(sys, f, SpaceParams("F", 0.0, p, q)))
-        bmax = val(space_norm(sys, f, SpaceParams("B", 0.0, p, max(p, q))))
+        bmin = space_norm(sys, f, SpaceParams("B", 0.0, p, min(p, q)))
+        ff = space_norm(sys, f, SpaceParams("F", 0.0, p, q))
+        bmax = space_norm(sys, f, SpaceParams("B", 0.0, p, max(p, q)))
         if bmin > 0:
             sand_lo = max(sand_lo, ff / bmin)
         if ff > 0:
@@ -806,16 +790,13 @@ def verify_embeddings(sys, cfg, K=12, n_funcs=50, eps=0.5, seed=0,
                           passed=math.isfinite(worst))
 
 
-def verify_linearize(sys, cfg, K=10, n_funcs=20, J=None, seed=0,
-                     grid_points=801, half_width=None, powers=(2, 3)):
+def verify_linearize(sys, cfg, K=10, n_funcs=20, seed=0, grid_points=801, powers=(2, 3)):
     """Exactness of the linearization: sup |T_{sigma_f} f - H(f)| on the grid."""
     from .symbols import linearize_nonlinearity, nonlinearity_power
     rng = np.random.default_rng(seed)
     n = cfg.dim
-    if J is None:
-        J = sys.coverage_level(2.0 * K + n)
-    if half_width is None:
-        half_width = math.sqrt(2.0 * (2.0 * K + n)) * 1.2 + 2.0
+    J = sys.coverage_level(2.0 * K + n)
+    half_width = QuadratureBox.for_degree(K, n).half_width
     axes = [np.linspace(-half_width, half_width, grid_points)] * n
     pts = tensor_points(axes)
     worst = {p: 0.0 for p in powers}

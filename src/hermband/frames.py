@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .core import SpectralFunction, degree_array, hermite_functions, lifted_gauss_hermite
+from .core import (SpectralFunction, degree_array, hermite_functions, json_field, json_int,
+                   lifted_gauss_hermite)
 from .lp import apply_lp, lp_delta, support_set
 from .tiles import build_level
 
@@ -60,19 +61,16 @@ class CoefficientSequence:
 
     @classmethod
     def from_json_dict(cls, d, cfg):
-        J = max((lev["j"] for lev in d["levels"]), default=0)
-        out = cls(cfg, J)
-        for lev in d["levels"]:
-            j = int(lev["j"])
+        levels = [(json_int(json_field(lev, "j", "level"), "level j"), lev)
+                  for lev in json_field(d, "levels", "coefficient sequence")]
+        out = cls(cfg, max((j for j, _ in levels), default=0))
+        for j, lev in levels:
             ts = build_level(j, cfg)
-            shape = (ts.nodes_per_axis,) * ts.dim
-            arr = np.zeros(shape, dtype=complex)
-            for e in lev["entries"]:
-                node = tuple(int(i) for i in e["node"])
-                if len(node) != ts.dim or not all(0 <= i < ts.nodes_per_axis for i in node):
-                    raise ValueError(f"level {j}: node {list(node)} is not an index "
-                                     f"of the {shape} node grid")
-                v = complex(e["re"], e.get("im", 0.0))
+            arr = np.zeros((ts.nodes_per_axis,) * ts.dim, dtype=complex)
+            for e in json_field(lev, "entries", f"level {j}"):
+                node = ts.node_index(json_int(i, f"level {j} node index")
+                                     for i in json_field(e, "node", f"level {j} entry"))
+                v = complex(json_field(e, "re", f"level {j} entry"), e.get("im", 0.0))
                 if not cmath.isfinite(v):
                     raise ValueError(f"level {j}: non-finite coefficient at node {list(node)}")
                 arr[node] = v
@@ -89,7 +87,7 @@ class CoefficientSequence:
             return cls.from_json_dict(json.load(f), cfg)
 
 
-def needlet(sys, tile, n=None, dual=False):
+def needlet(sys, tile, dual=False):
     """Frame element of a tile as an exact finite Hermite expansion."""
     node = np.atleast_1d(tile.node)
     f = lp_delta(sys, tile.level, node, len(node), dual=dual)
@@ -109,13 +107,13 @@ def analyze(sys, f, J, cfg):
     return s
 
 
-def synthesize(sys, s, prune_tol=1e-15):
+def synthesize(sys, s):
     """sum_R s_R psi_R assembled exactly in the spectral representation.
 
     Per level, the coefficient of h_xi is
     psi_j(sqrt(lambda_{|xi|})) * sum_zeta tau_zeta^{1/2} s_zeta h_xi(zeta),
     a tensor contraction over the level's node grid; coefficients of
-    magnitude <= prune_tol are dropped.
+    magnitude <= 1e-15 are dropped.
     """
     cfg = s.cfg
     n = cfg.dim
@@ -134,7 +132,7 @@ def synthesize(sys, s, prune_tol=1e-15):
         for _ in range(n):
             T = np.tensordot(T, H, axes=([0], [1]))     # -> (..., k_max+1)
         c = degree_array(sys.degree_windows(j, k_max, n, dual=True), n) * T
-        c[np.abs(c) <= prune_tol] = 0.0
+        c[np.abs(c) <= 1e-15] = 0.0
         part = SpectralFunction(n, k_max, c)
         total = part if total is None else total.add(part)
     return total if total is not None else SpectralFunction(n, 0)
@@ -143,11 +141,10 @@ def synthesize(sys, s, prune_tol=1e-15):
 def roundtrip_residual(sys, f, J, cfg):
     """Relative L^2 error of synthesize(analyze(f)).
 
-    Meaningful only when the window sum is 1 on the occupied spectrum
-    (lambda_K <= (plateau_end * 2^J)^2); the flag reports coverage.
+    Meaningful only when the window sum is 1 on the occupied spectrum, that
+    is when J reaches its coverage level; the flag reports coverage.
     """
-    lam_max = 2.0 * f.max_degree + f.dim
-    covered = lam_max <= (sys.plateau_end * 2.0 ** J) ** 2 + 1e-12
+    covered = sys.coverage_level(2.0 * f.max_degree + f.dim) <= J
     g = synthesize(sys, analyze(sys, f, J, cfg))
     num = g.sub(f).norm2()
     den = f.norm2()
@@ -155,7 +152,7 @@ def roundtrip_residual(sys, f, J, cfg):
     return res, covered
 
 
-def inner_product_quadrature(f, g, extra=6):
+def inner_product_quadrature(f, g):
     """Oracle: <f, g-conj> for two spectral functions by Gauss-Hermite.
 
     Both are polynomial times e^{-|y|^2/2}, so the product carries the
@@ -164,12 +161,11 @@ def inner_product_quadrature(f, g, extra=6):
     if g.dim != f.dim:
         raise ValueError("dimension mismatch")
     n = f.dim
-    q = (f.max_degree + g.max_degree) // 2 + 1 + extra
+    q = (f.max_degree + g.max_degree) // 2 + 7
     return complex(lifted_gauss_hermite(
         lambda y: f.eval_grid([y] * n) * np.conj(g.eval_grid([y] * n)), q, n))
 
 
-def analyze_tile_quadrature(sys, f, tile, extra=6):
+def analyze_tile_quadrature(sys, f, tile):
     """Oracle for one coefficient: <f, phi_R> by quadrature."""
-    phi_R = needlet(sys, tile)
-    return inner_product_quadrature(f, phi_R, extra)
+    return inner_product_quadrature(f, needlet(sys, tile))

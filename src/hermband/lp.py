@@ -12,7 +12,7 @@ Windows act on sqrt(lambda_k), lambda_k = 2k + n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import binom
@@ -48,18 +48,17 @@ class SmoothProfile:
     evaluator: object
     support: tuple
     name: str = "profile"
-    fd_steps: dict = field(default_factory=lambda: dict(_FD_STEPS))
 
     def __call__(self, u):
         return self.evaluator(np.asarray(u, dtype=float))
 
-    def derivative(self, u, order, richardson=True):
+    def derivative(self, u, order):
         """Central finite difference of the given order at u (scalar or array)."""
         if order == 0:
             return self(u)
         if order > 8:
             raise ValueError("derivative order above 8 not supported")
-        h = self.fd_steps.get(order, 0.1)
+        h = _FD_STEPS[order]
 
         def fd(step):
             acc = 0.0
@@ -67,7 +66,7 @@ class SmoothProfile:
                 acc = acc + (-1.0) ** i * binom(order, i) * self(np.asarray(u) + (order / 2.0 - i) * step)
             return acc / step ** order
 
-        if not richardson or order > 4:
+        if order > 4:
             return fd(h)
         # three-level Richardson for the O(h^2) central stencil
         a1, a2, a3 = fd(h), fd(h / 2.0), fd(h / 4.0)
@@ -75,11 +74,11 @@ class SmoothProfile:
         b2 = (4.0 * a3 - a2) / 3.0
         return (16.0 * b2 - b1) / 15.0
 
-    def sup_derivative(self, order, samples=2001):
+    def sup_derivative(self, order):
         """max |d^order profile| over a slightly enlarged support."""
         lo, hi = self.support
         pad = 0.05 * (hi - lo + 1.0)
-        grid = np.linspace(lo - pad, hi + pad, samples)
+        grid = np.linspace(lo - pad, hi + pad, 2001)
         return float(np.max(np.abs(self.derivative(grid, order))))
 
 
@@ -91,8 +90,6 @@ class AdmissibleSystem:
     psi: SmoothProfile
     plateau_end: float
     support_end: float
-    reproducing: bool = True
-    constants: dict = field(default_factory=dict)
 
     def window(self, j, u):
         """phi_j(u) = phi(2^-j u) for j >= 1, phi0(u) for j = 0."""
@@ -170,11 +167,11 @@ def default_system():
     return bump_system(0.5, 0.75)
 
 
-def check_admissible(sys, grid_points=4001, deriv_tol=1e-8):
+def check_admissible(sys):
     """Measure the admissibility clauses; returns a per-clause report dict."""
     report = {}
     b = sys.support_end
-    grid = np.linspace(-0.5, 2.0, grid_points)
+    grid = np.linspace(-0.5, 2.0, 4001)
 
     phi0_vals = sys.phi0(grid)
     outside = grid > sys.phi0.support[1] + 1e-9
@@ -193,7 +190,7 @@ def check_admissible(sys, grid_points=4001, deriv_tol=1e-8):
     }
 
     # lower bound of |phi0| near 0: report the largest plateau we can certify
-    pos = np.linspace(0.0, b, grid_points)
+    pos = np.linspace(0.0, b, 4001)
     v = np.abs(sys.phi0(pos))
     half = v >= 0.5
     b1 = float(pos[np.argmin(half)]) if not half.all() else float(b)
@@ -205,10 +202,10 @@ def check_admissible(sys, grid_points=4001, deriv_tol=1e-8):
     for order in range(1, 9):
         d = float(sys.phi0.derivative(0.0, order))
         derivs[order] = d
-        if abs(d) > deriv_tol:
+        if abs(d) > 1e-8:
             ok = False
     report["phi0_flat_at_zero"] = {"pass": ok, "derivatives": derivs,
-                                   "fd_steps": dict(sys.phi0.fd_steps)}
+                                   "fd_steps": dict(_FD_STEPS)}
 
     lam = np.linspace(0.0, 2.0 ** 5, 10000)
     J = sys.coverage_level(2.0 ** 5) + 1
@@ -219,11 +216,7 @@ def check_admissible(sys, grid_points=4001, deriv_tol=1e-8):
     return report
 
 
-def eigenvalue(k, n):
-    return 2 * k + n
-
-
-def support_set(sys, j, n, k_cap=None):
+def support_set(sys, j, n):
     """Degrees k with phi_j(sqrt(lambda_k)) possibly nonzero.
 
     Derived from the actual profile supports rather than a closed formula;
@@ -235,8 +228,6 @@ def support_set(sys, j, n, k_cap=None):
         lo_u, hi_u = (s * 2.0 ** j for s in sys.phi.support)
     lo_k = max(0, int(math.ceil((lo_u ** 2 - n) / 2.0)))
     hi_k = int(math.floor((hi_u ** 2 - n) / 2.0))
-    if k_cap is not None:
-        hi_k = min(hi_k, k_cap)
     return range(lo_k, hi_k + 1)
 
 
@@ -245,13 +236,13 @@ def spectral_window(sys, j, k, n):
     return float(sys.window(j, math.sqrt(2.0 * k + n)))
 
 
-def lp_kernel(sys, j, x, y, n, dual=False):
+def lp_kernel(sys, j, x, y, n):
     """Kernel of phi_j(sqrt(L)): sum_k phi_j(sqrt(lambda_k)) P_k(x,y)."""
     ks = support_set(sys, j, n)
     if len(ks) == 0:
         return 0.0
     seq = projector_kernel_sequence(ks[-1], x, y)
-    return float(np.dot(sys.degree_windows(j, ks[-1], n, dual), seq))
+    return float(np.dot(sys.degree_windows(j, ks[-1], n), seq))
 
 
 def apply_lp(sys, j, f):
@@ -268,7 +259,7 @@ def lp_delta(sys, j, x, n, dual=False):
     return kernel_expansion(sys.degree_windows(j, ks[-1], n, dual), x)
 
 
-def lp_moment(sys, j, x, gamma, n, quad_extra=6):
+def lp_moment(sys, j, x, gamma, n):
     """integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy.
 
     The integrand is polynomial times e^{-|y|^2/2}, which the lifted
@@ -279,7 +270,7 @@ def lp_moment(sys, j, x, gamma, n, quad_extra=6):
     ks = support_set(sys, j, n)
     if len(ks) == 0:
         return 0.0
-    q = (ks[-1] + sum(gamma)) // 2 + 1 + quad_extra
+    q = (ks[-1] + sum(gamma)) // 2 + 7
     ker = lp_delta(sys, j, x, n)
     return float(lifted_gauss_hermite(lambda y: np.real(ker.eval_grid([y] * n)), q, n, s=2.0,
                                       axis_factor=lambda d, y: (x[d] - y) ** gamma[d]))

@@ -44,12 +44,9 @@ class QuadratureBox:
         return [np.linspace(-self.half_width, self.half_width, self.points)] * dim
 
     @classmethod
-    def for_degree(cls, K, n, points=None):
+    def for_degree(cls, K, n):
         """Box wide enough that the Gaussian tail beyond it is negligible."""
-        X = math.sqrt(2.0 * (2.0 * K + n)) * 1.2 + 2.0
-        if points is None:
-            points = 801 if n == 1 else 241
-        return cls(X, points)
+        return cls(math.sqrt(2.0 * (2.0 * K + n)) * 1.2 + 2.0, 801 if n == 1 else 241)
 
 
 def _grid_lp(vals, axes, p):
@@ -83,39 +80,31 @@ def lp_norm(g, p, box=None):
 
 
 def _combine_q(terms, q):
-    terms = [t for t in terms]
     if math.isinf(q):
         return max(terms) if terms else 0.0
     return sum(t ** q for t in terms) ** (1.0 / q)
 
 
-def besov_norm(sys, f, params, J=None, box=None):
-    """(sum_j (2^{j alpha} ||phi_j(sqrt L) f||_p)^q)^{1/q}."""
-    lam_max = 2.0 * f.max_degree + f.dim
-    if J is None:
-        J = sys.coverage_level(lam_max)
-    covered = lam_max <= (sys.plateau_end * 2.0 ** J) ** 2 + 1e-12
+def besov_norm(sys, f, params):
+    """(sum_j (2^{j alpha} ||phi_j(sqrt L) f||_p)^q)^{1/q}.
+
+    Bands past the coverage level of the occupied spectrum vanish, so the
+    sum stops there.
+    """
     terms = []
-    for j in range(J + 1):
+    for j in range(sys.coverage_level(2.0 * f.max_degree + f.dim) + 1):
         fj = apply_lp(sys, j, f)
         if not fj.array.any():
             continue
-        terms.append(2.0 ** (j * params.alpha) * lp_norm(fj, params.p, box))
-    val = _combine_q(terms, params.q)
-    return (val, covered) if not covered else val
+        terms.append(2.0 ** (j * params.alpha) * lp_norm(fj, params.p))
+    return _combine_q(terms, params.q)
 
 
-def tl_norm(sys, f, params, J=None, box=None):
-    """|| (sum_j (2^{j alpha} |phi_j(sqrt L) f|)^q)^{1/q} ||_p."""
-    lam_max = 2.0 * f.max_degree + f.dim
-    if J is None:
-        J = sys.coverage_level(lam_max)
-    covered = lam_max <= (sys.plateau_end * 2.0 ** J) ** 2 + 1e-12
-    if box is None:
-        box = QuadratureBox.for_degree(f.max_degree, f.dim)
-    axes = box.axes(f.dim)
+def tl_norm(sys, f, params):
+    """|| (sum_j (2^{j alpha} |phi_j(sqrt L) f|)^q)^{1/q} ||_p, bands up to the coverage level."""
+    axes = QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
     acc = None
-    for j in range(J + 1):
+    for j in range(sys.coverage_level(2.0 * f.max_degree + f.dim) + 1):
         fj = apply_lp(sys, j, f)
         if not fj.array.any():
             continue
@@ -129,13 +118,12 @@ def tl_norm(sys, f, params, J=None, box=None):
         return 0.0
     if not math.isinf(params.q):
         acc = acc ** (1.0 / params.q)
-    val = _grid_lp(acc, axes, params.p)
-    return (val, covered) if not covered else val
+    return _grid_lp(acc, axes, params.p)
 
 
-def space_norm(sys, f, params, J=None, box=None):
+def space_norm(sys, f, params):
     fn = besov_norm if params.family == "B" else tl_norm
-    return fn(sys, f, params, J, box)
+    return fn(sys, f, params)
 
 
 def seq_besov_norm(s, params):

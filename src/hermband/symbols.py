@@ -48,9 +48,9 @@ class Symbol:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.asarray(self.evaluator(pts, xi))
 
-    def x_derivative(self, pts, xi, nu, step_scale=1e-4):
+    def x_derivative(self, pts, xi, nu):
         """d^nu_x sigma: analytic when supplied, otherwise Richardson
-        central differences with step step_scale*(1+|x|) per axis."""
+        central differences with step 1e-4*(1+|x|) per axis."""
         nu = tuple(int(v) for v in nu)
         if sum(nu) == 0:
             return self(pts, xi)
@@ -61,20 +61,20 @@ class Symbol:
         lower = list(nu)
         lower[axis] -= 1
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        h = step_scale * (1.0 + np.sqrt(np.sum(pts ** 2, axis=1)))
+        h = 1e-4 * (1.0 + np.sqrt(np.sum(pts ** 2, axis=1)))
 
         def d(step):
             up = pts.copy()
             dn = pts.copy()
             up[:, axis] += step
             dn[:, axis] -= step
-            return (self.x_derivative(up, xi, lower, step_scale)
-                    - self.x_derivative(dn, xi, lower, step_scale)) / (2.0 * step)
+            return (self.x_derivative(up, xi, lower)
+                    - self.x_derivative(dn, xi, lower)) / (2.0 * step)
 
         a1, a2 = d(h), d(h / 2.0)
         return (4.0 * a2 - a1) / 3.0
 
-    def xi_difference(self, pts, xi, kappa, convention="index", n=1):
+    def xi_difference(self, pts, xi, kappa, convention="index"):
         """Forward differences in the spectral argument.
 
         convention "index": unit steps in xi.  convention "lambda": steps of
@@ -103,14 +103,14 @@ def apply_pseudomultiplier(sigma, f, axes=None, pts=None):
     return out
 
 
-def reproject(evalfn, dim, K_prime, quad_degree=None):
+def reproject(evalfn, dim, K_prime):
     """Project a pointwise-evaluable function with Gaussian decay onto V_{K'}.
 
     evalfn(pts) -> values; the function must carry the factor e^{-|y|^2/2}
     (true for anything of the form sum_k sigma(y, lambda_k) P_k f).  Returns
     (SpectralFunction, relative residual of the discarded part).
     """
-    q = quad_degree if quad_degree is not None else max(64, 2 * K_prime + 16)
+    q = max(64, 2 * K_prime + 16)
     g = None
 
     def sample(y):
@@ -128,18 +128,16 @@ def reproject(evalfn, dim, K_prime, quad_degree=None):
     return fK, residual
 
 
-def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid,
-                       xi_max=64, growth=None, convention="index"):
+def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid):
     """Constants sup |d^nu_x Delta^kappa_xi sigma| / [g (1+sqrt(xi))^{m-2 rho kappa+delta|nu|}].
 
-    Returns {(|nu| pattern, kappa): constant}.  growth defaults to the
-    symbol's own, then to 1 (the no-growth variant of the class).
+    Scans xi <= 64 with unit steps in the differences.  Returns
+    {(|nu| pattern, kappa): constant}.  g is the symbol's growth, or 1 (the
+    no-growth variant of the class) when it has none.
     """
     pts = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    g = growth if growth is not None else sigma.growth
-    xis = np.unique(np.concatenate([np.arange(0, min(xi_max, 16)),
-                                    np.geomspace(16, max(xi_max, 17), 12).astype(int)]))
-    xis = xis[xis <= xi_max]
+    g = sigma.growth
+    xis = np.unique(np.concatenate([np.arange(0, 16), np.geomspace(16, 64, 12).astype(int)]))
     report = {}
     for nu in multi_indices(sigma.dim, N_der):
         for kappa in range(K_fd + 1):
@@ -149,12 +147,10 @@ def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid,
                 if kappa == 0:
                     val = sigma.x_derivative(pts, xi, nu)
                 else:
-                    step = 1 if convention == "index" else 2
-                    acc = 0.0
+                    val = 0.0
                     for i in range(kappa + 1):
-                        acc = acc + (-1.0) ** (kappa - i) * binom(kappa, i) \
-                            * sigma.x_derivative(pts, xi + i * step, nu)
-                    val = acc
+                        val = val + (-1.0) ** (kappa - i) * binom(kappa, i) \
+                            * sigma.x_derivative(pts, xi + i, nu)
                 denom = (1.0 + math.sqrt(xi)) ** (m - 2.0 * rho_par * kappa + delta * sum(nu))
                 if g is not None:
                     denom = denom * np.maximum(np.asarray(g(pts, xi), dtype=float), 1e-300)
@@ -163,17 +159,17 @@ def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid,
     return report
 
 
-def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9, 25, 64),
-                             gl_points=12):
+def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9, 25, 64)):
     """Ball-averaged derivative bounds of the cancellation class.
 
     For each sample x and xi, computes
     (avg over B(x, rho(x)) of |rho(y)^{|gamma|} d^gamma sigma(y, xi)|^2)^{1/2}
-    divided by (1 + sqrt(xi))^m, for |gamma| <= 2 floor((n+M)/2) + 2.
+    divided by (1 + sqrt(xi))^m, for |gamma| <= 2 floor((n+M)/2) + 2, with
+    a 12-point Gauss-Legendre rule per axis over the ball's bounding box.
     """
     n = sigma.dim
     order = 2 * ((n + M) // 2) + 2
-    nodes, weights = roots_legendre(gl_points)
+    nodes, weights = roots_legendre(12)
     report = {}
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     for gamma in multi_indices(n, order):
@@ -249,8 +245,8 @@ def separable_symbol(dim=1, x_scale=2.0, xi_scale=8.0):
     return Symbol(ev, dim, name="separable")
 
 
-def band_sum_symbol(sys, dim=1, beta=-1.0, j_max=8):
-    """sigma(x, xi) = sum_j sigma_j(x) phi_j(sqrt(xi)) with
+def band_sum_symbol(sys, dim=1, beta=-1.0):
+    """sigma(x, xi) = sum_{j <= 8} sigma_j(x) phi_j(sqrt(xi)) with
     sigma_j(x) = (1 + |x|^2/4^j)^{beta/2} (smooth, dyadically scaled)."""
 
     def ev(pts, xi):
@@ -258,7 +254,7 @@ def band_sum_symbol(sys, dim=1, beta=-1.0, j_max=8):
         r2 = np.sum(pts ** 2, axis=1)
         u = math.sqrt(max(xi, 0.0))
         acc = np.zeros(pts.shape[0])
-        for j in range(j_max + 1):
+        for j in range(9):
             w = float(sys.window(j, u))
             if w != 0.0:
                 acc += w * (1.0 + r2 / 4.0 ** j) ** (beta / 2.0)
@@ -290,15 +286,15 @@ def annulus_symbol(dim=1, j_max=6):
     return Symbol(ev, dim, name="annulus")
 
 
-def oscillating_symbol(v, dim=1):
-    """e^{i x . v}: rapid oscillation, negative control for cancellation."""
+def oscillating_symbol(v):
+    """e^{i x . v} on R^len(v): rapid oscillation, negative control for cancellation."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
 
     def ev(pts, xi):
         pts = np.atleast_2d(pts)
         return np.exp(1j * pts @ v)
 
-    return Symbol(ev, dim, name="oscillating")
+    return Symbol(ev, v.size, name="oscillating")
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +378,10 @@ class LinearizedSymbol(Symbol):
                 acc += w * ms[j]
         return acc
 
-    def x_derivative(self, pts, xi, nu, step_scale=1e-4):
+    def x_derivative(self, pts, xi, nu):
         nu = tuple(int(v) for v in nu)
         if sum(nu) != 1 or self.H.d2h is None:
-            return super().x_derivative(pts, xi, nu, step_scale)
+            return super().x_derivative(pts, xi, nu)
         axis = nu.index(1)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         bands = self._band_values(pts)

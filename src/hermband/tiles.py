@@ -55,10 +55,6 @@ class Tile:
     weight: float         # tau_R
     measure: float        # |R|
 
-    @property
-    def box(self):
-        return list(zip(self.lo, self.hi))
-
 
 class TileSet:
     """All tiles of one level; per-axis data stored once, Tile objects lazy."""
@@ -102,17 +98,22 @@ class TileSet:
     def indices(self):
         return itertools.product(range(self.zeros.size), repeat=self.dim)
 
+    def node_index(self, index):
+        """index as a tuple of ints; ValueError unless it names a node of this level."""
+        index = tuple(index)
+        if len(index) != self.dim or not all(0 <= i < self.zeros.size for i in index):
+            raise ValueError(f"{list(index)} is not a node index of level {self.level}: "
+                             f"need {self.dim} entries in [0, {self.zeros.size})")
+        return tuple(int(i) for i in index)
+
     def tile(self, index):
-        index = tuple(int(i) for i in index)
+        index = self.node_index(index)
         node = self.zeros[list(index)]
         lo = self.edges[list(index)]
         hi = self.edges[[i + 1 for i in index]]
         return Tile(self.level, index, node, lo, hi,
                     float(np.prod(self.tau1d[list(index)])),
                     float(np.prod(hi - lo)))
-
-    def tiles(self):
-        return [self.tile(ix) for ix in self.indices()]
 
     def node_array(self):
         """All nodes, shape (count, dim), in index (row-major) order."""
@@ -211,7 +212,7 @@ def write_nodes_csv(ts, fh):
         fh.write(",".join(row) + "\n")
 
 
-def tile_geometry_constants(ts, delta_star=None):
+def tile_geometry_constants(ts):
     """Minimal box constants of the level: central c0 and global (c1, c2).
 
     c0: smallest c with R contained in Q(x_R, c 2^{-j}) for central tiles
@@ -222,7 +223,7 @@ def tile_geometry_constants(ts, delta_star=None):
     on the 2^{-j/3} scale by construction);
     c2_all: same including the padded boundary tiles.
     """
-    ds = ts.cfg.delta_star if delta_star is None else delta_star
+    ds = ts.cfg.delta_star
     j = ts.level
     z, e = ts.zeros, ts.edges
     half_out = np.maximum(e[1:] - z, z - e[:-1])   # outer half width per 1d tile

@@ -106,9 +106,20 @@ def test_missing_input_exits_1(tmp_path):
                  "--levels", "2"]) == 1
 
 
-def test_dimension_mismatch_exits_1(tmp_path, v10_file):
+def test_dimension_mismatch_exits_1(tmp_path, v10_file, capsys):
     fpath, _ = v10_file
     assert main(["analyze", "--in", str(fpath), "--levels", "2", "--dim", "2"]) == 1
+    f2 = tmp_path / "f2.json"
+    random_spectral(2, 3, np.random.default_rng(1), real=True).save(f2)
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"kind": "multiplier", "dim": 2, "expression": "1/(1+xi)"}))
+    for argv in (["norm", "--in", str(f2)],
+                 ["norm", "--in", str(fpath), "--dim", "2"],
+                 ["apply", "--symbol", str(sym), "--in", str(f2)],
+                 ["linearize", "--in", str(f2)]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1, argv
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["norm", "--in", str(f2), "--dim", "2", "--out", str(tmp_path / "n.json")]) == 0
 
 
 def test_bad_symbol_exits_1(tmp_path, v10_file):
@@ -134,13 +145,47 @@ def test_unknown_command_exits_1(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+_FUNCTION = ('{"dim": 1, "max_degree": 1, "coeffs": '
+             '[{"xi": [0], "re": 1.0, "im": 0.0}, {"xi": [1], "re": %s, "im": 0.0}]}')
+
+# (command reading the file, file text): non-finite values, missing keys,
+# documents that are not objects and fractional indices
+BAD_FILES = {
+    "NaN": ("norm", _FUNCTION % "NaN"),
+    "Infinity": ("norm", _FUNCTION % "Infinity"),
+    "no-coeffs": ("norm", '{"dim": 1, "max_degree": 1}'),
+    "no-re": ("norm", '{"dim": 1, "max_degree": 1, "coeffs": [{"xi": [0], "im": 0.0}]}'),
+    "no-dim": ("norm", '{"max_degree": 1, "coeffs": []}'),
+    "function-array": ("norm", "[1, 2]"),
+    "fractional-xi": ("norm", '{"dim": 1, "max_degree": 2, "coeffs": [{"xi": [1.7], "re": 1.0}]}'),
+    "fractional-max-degree": ("norm",
+                              '{"dim": 1, "max_degree": 2.9, "coeffs": [{"xi": [1], "re": 1.0}]}'),
+    "fractional-dim": ("norm", '{"dim": 1.5, "max_degree": 1, "coeffs": []}'),
+    "no-levels": ("synthesize", '{}'),
+    "no-entries": ("synthesize", '{"levels": [{"j": 0}]}'),
+    "sequence-array": ("synthesize", "[]"),
+    "fractional-j": ("synthesize", '{"levels": [{"j": 0.5, "entries": []}]}'),
+    "fractional-node": ("synthesize",
+                        '{"levels": [{"j": 0, "entries": [{"node": [1.5], "re": 1.0}]}]}'),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_FILES))
 def test_non_finite_coefficient_exits_1(tmp_path, capsys, bad):
+    command, text = BAD_FILES[bad]
     path = tmp_path / "f.json"
-    path.write_text('{"dim": 1, "max_degree": 1, "coeffs": '
-                    '[{"xi": [0], "re": 1.0, "im": 0.0}, {"xi": [1], "re": %s, "im": 0.0}]}' % bad)
-    assert main(["norm", "--in", str(path)]) == 1
+    path.write_text(text)
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_integral_float_indices_load(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"dim": 1.0, "max_degree": 2.0, "coeffs": [{"xi": [1.0], "re": 1.0}]}')
+    assert main(["norm", "--in", str(path), "--out", str(tmp_path / "n.json")]) == 0
+    path = tmp_path / "c.json"
+    path.write_text('{"levels": [{"j": 0.0, "entries": [{"node": [3.0], "re": 1.0}]}]}')
+    assert main(["synthesize", "--in", str(path), "--out", str(tmp_path / "g.json")]) == 0
 
 
 def _coefficient_file(tmp_path, node):
@@ -150,19 +195,26 @@ def _coefficient_file(tmp_path, node):
     return path
 
 
-def test_negative_node_index_exits_1(tmp_path, capsys):
-    path = _coefficient_file(tmp_path, [-1])
+def _assert_bad_index(tmp_path, capsys, node):
+    """synthesize on a file holding node, and needlet --index node, both exit 1."""
+    path = _coefficient_file(tmp_path, node)
     assert main(["synthesize", "--in", str(path), "--out", str(tmp_path / "g.json")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    index = ",".join(str(i) for i in node)
+    assert main(["needlet", "--level", "2", "--index", index,
+                 "--out", str(tmp_path / "nd.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "nd.json").exists()
+
+
+def test_negative_node_index_exits_1(tmp_path, capsys):
+    _assert_bad_index(tmp_path, capsys, [-1])
 
 
 def test_out_of_range_node_index_exits_1(tmp_path, capsys):
-    path = _coefficient_file(tmp_path, [99])
-    assert main(["synthesize", "--in", str(path), "--out", str(tmp_path / "g.json")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    # level 2 has 72 nodes per axis
+    _assert_bad_index(tmp_path, capsys, [500])
 
 
 def test_node_index_of_wrong_length_exits_1(tmp_path, capsys):
-    path = _coefficient_file(tmp_path, [0, 0])
-    assert main(["synthesize", "--in", str(path), "--out", str(tmp_path / "g.json")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    _assert_bad_index(tmp_path, capsys, [5, 7])

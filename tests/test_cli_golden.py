@@ -2,10 +2,11 @@
 
 The files under tests/golden/ hold what the CLI wrote for these commands.
 Outputs whose arithmetic is fixed are compared byte for byte; the ones
-that sum pointwise Hermite evaluations (the B norm, apply, linearize) may
-reorder those sums, so unless their bytes agree they are compared within
-1e-13 relative: JSON numbers one by one, CSV values against the largest
-magnitude in their column.
+that sum pointwise Hermite evaluations (the B norm, apply, linearize, the
+1-D seed-0 verify reports of the faster suites) may reorder those sums, so
+unless their bytes agree they are compared within 1e-13 relative: JSON
+numbers one by one, CSV values against the largest magnitude in their
+column.
 
 Regenerate (only when an output is meant to change) with
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -66,6 +67,10 @@ CASES = [
     for kind in SYMBOLS
 ] + [
     ("linearize.csv", ["linearize", "--in", "f1.json", "--power", "2"], False),
+] + [
+    (f"verify-{suite}.json", ["verify", suite], False)
+    for suite in ("tcanc", "synthesis", "boundedness", "kernel", "hoppe", "qq", "maximal",
+                  "embeddings")
 ]
 
 

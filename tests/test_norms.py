@@ -83,13 +83,6 @@ def test_f22_comparable_to_l2(sys):
     assert 0.5 < min(ratios) and max(ratios) < 2.0
 
 
-def test_uncovered_spectrum_flagged(sys):
-    rng = np.random.default_rng(3)
-    f = random_spectral(1, 30, rng, real=True)
-    out = besov_norm(sys, f, SpaceParams("B", 0.0, 2.0, 2.0), J=2)
-    assert isinstance(out, tuple) and out[1] is False
-
-
 def test_seq_besov_single_entry(cfg):
     ts = build_level(2, cfg)
     s = CoefficientSequence(cfg, 2)
