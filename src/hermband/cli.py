@@ -2,14 +2,16 @@
 
 Subcommands: nodes, windows, needlet, analyze, synthesize, norm, apply,
 linearize, verify.  Exit codes: 0 success, 1 precondition or input error,
-2 a verification suite failed its stability criterion.  All float output
-uses 17 significant digits so identical configurations produce byte-
-identical reports.
+2 a verification suite failed its stability criterion.  CSV floats use 17
+significant digits and JSON floats Python's shortest round-trip repr; both
+read back exactly, and identical configurations produce byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys as _sys
@@ -36,23 +38,14 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
+def _output(path):
+    """The file at path opened for writing, or stdout (left open) when path is None."""
+    return open(path, "w") if path else contextlib.nullcontext(_sys.stdout)
+
+
 def _dump_report(obj, out_path=None):
-    text = json.dumps(_round_floats(obj), indent=1, sort_keys=True, default=_json_default)
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+    with _output(out_path) as fh:
+        fh.write(json.dumps(obj, indent=1, sort_keys=True, default=_json_default) + "\n")
 
 
 def _config(args):
@@ -86,19 +79,14 @@ def _load_function(args):
 def cmd_nodes(args):
     cfg = _tile_config(args)
     ts = tiles.build_level(args.level, cfg)
-    out = open(args.out, "w") if args.out else _sys.stdout
-    try:
+    with _output(args.out) as out:
         tiles.write_nodes_csv(ts, out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def cmd_windows(args):
     sys = _system(args)
-    out = open(args.out, "w") if args.out else _sys.stdout
-    try:
+    with _output(args.out) as out:
         out.write("j,k,lambda,phi,psi\n")
         for j in range(args.levels + 1):
             for k in range(args.kmax + 1):
@@ -107,9 +95,6 @@ def cmd_windows(args):
                 phi = float(np.ravel(sys.window(j, u))[0])
                 psi = float(np.ravel(sys.dual_window(j, u))[0])
                 out.write(f"{j},{k},{lam},{_fmt(phi)},{_fmt(psi)}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -159,11 +144,7 @@ def cmd_apply(args):
     sigma = symbols.load_symbol(args.symbol, sys)
     if sigma.dim != f.dim:
         raise PreconditionError("symbol and function dimensions differ")
-    box = norms.QuadratureBox.for_degree(f.max_degree, f.dim)
-    axes = box.axes(f.dim)
-    g = symbols.apply_pseudomultiplier(sigma, f, axes=axes)
-    g.save_csv(args.out)
-    return 0
+    return _apply_on_box(sigma, f, args.out)
 
 
 def cmd_linearize(args):
@@ -174,18 +155,26 @@ def cmd_linearize(args):
     H = symbols.nonlinearity_power(args.power)
     J = args.levels if args.levels is not None else sys.coverage_level(2.0 * f.max_degree + f.dim)
     sigma = symbols.linearize_nonlinearity(H, f, sys, J)
-    box = norms.QuadratureBox.for_degree(f.max_degree, f.dim)
-    axes = box.axes(f.dim)
-    g = symbols.apply_pseudomultiplier(sigma, f, axes=axes)
-    g.save_csv(args.out)
+    return _apply_on_box(sigma, f, args.out)
+
+
+def _apply_on_box(sigma, f, out):
+    """Write T_sigma f on the quadrature box of f as grid CSV."""
+    axes = norms.QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
+    symbols.apply_pseudomultiplier(sigma, f, axes=axes).save_csv(out)
     return 0
 
 
 _SUITES = ("molecule", "ao", "tsmooth", "tcanc", "synthesis", "boundedness",
            "kernel", "hoppe", "qq", "tiles", "maximal", "embeddings", "linearize")
+# the suites whose scan range --levels sets
+_LEVEL_SUITES = ("molecule", "tsmooth", "tcanc", "kernel", "tiles")
 
 
 def cmd_verify(args):
+    if args.levels is not None and args.suite not in _LEVEL_SUITES:
+        raise PreconditionError(f"verify {args.suite} takes no --levels; only "
+                                f"{', '.join(_LEVEL_SUITES)} do")
     sys = _system(args)
     cfg = _tile_config(args)
     n = cfg.dim

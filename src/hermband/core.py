@@ -158,36 +158,29 @@ def projector_kernel_sequence(k_max, x, y):
     return acc
 
 
-def projector_kernel(k, x, y, n=None):
-    """P_k(x,y) = sum_{|xi|=k} h_xi(x) h_xi(y)."""
-    if k < 0:
+def _checked_kernel_sequence(k_max, x, y, n):
+    """projector_kernel_sequence once k_max >= 0 and, unless n is None, x and y are in R^n."""
+    if k_max < 0:
         raise ValueError("degree must be non-negative")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if n is not None and (x.size != n or y.size != n):
         raise ValueError("dimension mismatch")
-    return projector_kernel_sequence(k, x, y)[k]
+    return projector_kernel_sequence(k_max, x, y)
+
+
+def projector_kernel(k, x, y, n=None):
+    """P_k(x,y) = sum_{|xi|=k} h_xi(x) h_xi(y)."""
+    return _checked_kernel_sequence(k, x, y, n)[k]
 
 
 def qq_kernel(N, x, y, n=None):
     """Q_N(x,y) = sum_{k<=N} P_k(x,y)."""
-    if N < 0:
-        raise ValueError("degree must be non-negative")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if n is not None and (x.size != n or y.size != n):
-        raise ValueError("dimension mismatch")
-    return float(np.sum(projector_kernel_sequence(N, x, y)))
+    return float(np.sum(_checked_kernel_sequence(N, x, y, n)))
 
 
 def christoffel(N, t):
-    """1 / sum_{k<=N} h_k(t)^2 (one-dimensional)."""
-    h = hermite_functions(N, float(t))
-    return 1.0 / float(np.sum(h * h))
-
-
-def christoffel_many(N, t):
-    """Vectorized christoffel over an array of points."""
+    """1 / sum_{k<=N} h_k(t)^2 (one-dimensional), elementwise over t."""
     h = hermite_functions(N, np.asarray(t, dtype=float))
     return 1.0 / np.sum(h * h, axis=0)
 
@@ -236,6 +229,14 @@ def tensor_points(axes):
     """All points of the tensor grid of per-axis arrays, shape (prod(lengths), dim), row-major."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def tensor_product(vectors):
+    """Products v_1[i_1] v_2[i_2] ... of per-axis vectors, flat in row-major order."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, v)
+    return out.ravel()
 
 
 def lifted_gauss_hermite(sample, q, dim, s=1.0, axis_factor=None):
@@ -481,9 +482,10 @@ class SpectralFunction:
     @classmethod
     def from_json_dict(cls, d):
         coeffs = {}
-        for e in json_field(d, "coeffs", "function"):
-            xi = tuple(json_int(v, "xi") for v in json_field(e, "xi", "coefficient"))
-            c = complex(json_field(e, "re", "coefficient"), e.get("im", 0.0))
+        for e in json_array(d, "coeffs", "function"):
+            xi = tuple(json_int(v, "xi") for v in json_array(e, "xi", "coefficient"))
+            c = complex(json_float(json_field(e, "re", "coefficient"), "re"),
+                        json_float(e.get("im", 0.0), "im"))
             if not cmath.isfinite(c):
                 raise ValueError(f"non-finite coefficient at xi = {list(xi)}")
             coeffs[xi] = c
@@ -515,6 +517,24 @@ def json_int(v, what):
             or (isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"{what} must be an integer, got {v!r}")
     return int(v)
+
+
+def json_float(v, what):
+    """A decoded JSON number as a float; ValueError for any other value."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} {v} is out of range") from None
+
+
+def json_array(d, key, what):
+    """json_field(d, key, what), which must be a JSON array; ValueError otherwise."""
+    v = json_field(d, key, what)
+    if not isinstance(v, list):
+        raise ValueError(f"{what} field {key!r} must be a JSON array, got {v!r}")
+    return v
 
 
 def _axis_vector(v, i, dim):

@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Constants, GridFunction, axis_tables, e_function, kernel_expansion,
-                   lifted_gauss_hermite, multi_indices, random_spectral, tensor_points)
+from .core import (Constants, GridFunction, axis_tables, christoffel, e_function,
+                   kernel_expansion, lifted_gauss_hermite, multi_indices, random_spectral,
+                   tensor_points)
 from .frames import CoefficientSequence, needlet, synthesize
 from .lp import apply_lp, lp_delta, lp_moment, support_set, hoppe_check
 from .norms import QuadratureBox, SpaceParams, maximal, seq_tl_norm, space_norm
-from .symbols import apply_pseudomultiplier, reproject
+from .symbols import (apply_pseudomultiplier, linearize_nonlinearity, nonlinearity_power,
+                      reproject)
 from .tiles import build_level, cubature, tile_geometry_constants
 
 # envelope constants (vartheta, epsilon) of the kernel, tile and T_sigma scans
@@ -190,10 +192,10 @@ def check_molecule(mol, params, grid_axes, rng=None):
     for gamma in multi_indices(n, params.N):
         if sum(gamma) != params.N:
             continue
+        a = mol.deriv_eval(gamma, pts)
         for _ in range(8):
             h = rng.uniform(-1.0, 1.0, size=n)
             h *= rng.uniform(0.05, 1.0) * 2.0 ** -j / max(np.linalg.norm(h), 1e-12)
-            a = mol.deriv_eval(gamma, pts)
             b = mol.deriv_eval(gamma, pts + h)
             num = np.abs(a - b)
             rhs = rinv * two_j ** params.N * (two_j * np.linalg.norm(h)) ** params.delta * loc
@@ -447,9 +449,9 @@ def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=
                     dist = np.sqrt(np.sum((pts - tile.node) ** 2, axis=1))
                     rinv = tile.measure ** -0.5
                     for gamma in multi_indices(n, gamma_max):
+                        vals = np.abs(tsigma_derivative_on_points(
+                            sigma, sys, tile, gamma, pts, n, parts))
                         for N in range(1, N_max + 1):
-                            vals = np.abs(tsigma_derivative_on_points(
-                                sigma, sys, tile, gamma, pts, n, parts))
                             rhs = rinv * 2.0 ** (j * (m + sum(gamma))) \
                                 * (1.0 + 2.0 ** j * dist) ** -N * np.maximum(env, 1e-300)
                             lev = max(lev, float(np.max(vals / rhs)))
@@ -521,10 +523,10 @@ def verify_tcanc(sigma, sys, cfg, m, levels=3, tiles_per_level=6, seed=0):
 
 
 def random_sparse_sequence(cfg, J, rng, per_level=8):
-    s = CoefficientSequence(cfg, J)
+    s = CoefficientSequence(cfg)
     for j in range(J + 1):
         ts = build_level(j, cfg)
-        arr = np.zeros((ts.nodes_per_axis,) * ts.dim, dtype=complex)
+        arr = np.zeros(ts.shape, dtype=complex)
         for tile in sample_tiles(ts, per_level, rng):
             arr[tile.index] = complex(rng.standard_normal(), rng.standard_normal())
         s.levels[j] = arr
@@ -649,10 +651,9 @@ def verify_qq(n=1):
 
     Also fits the tail exponent vartheta from the decay beyond sqrt(4N+2).
     """
-    from .core import christoffel_many
     N = 64
     xs = np.linspace(-1.5, 1.5, 801) * math.sqrt(4.0 * N + 2.0)
-    diag = 1.0 / christoffel_many(N, xs)
+    diag = 1.0 / christoffel(N, xs)
     c_growth = float(np.max(diag)) / N ** (n / 2.0)
     edge = math.sqrt(4.0 * N + 2.0)
     tail = np.abs(xs) >= edge * 1.02
@@ -738,12 +739,8 @@ def verify_maximal(cfg, j_max=3, seed=0):
             pts = tensor_points(axes)
             a = rng.random(ts.count)
             nodes = ts.node_array()
-            idx = ts.locate_indices(pts)
-            inside = np.all(idx >= 0, axis=1)
-            ind = np.zeros(pts.shape[0])
-            if inside.any():
-                lin = np.ravel_multi_index(tuple(idx[inside].T), (ts.nodes_per_axis,) * n)
-                ind[inside] = a[lin]
+            lin = ts.locate_many(pts)
+            ind = np.where(lin >= 0, a[lin], 0.0)
             gf = GridFunction(axes, ind.reshape([len(ax) for ax in axes]))
             for j in range(j_max + 1):
                 star = np.zeros(pts.shape[0])
@@ -792,7 +789,6 @@ def verify_embeddings(sys, cfg, n_funcs=50, seed=0):
 
 def verify_linearize(sys, cfg, K=10, n_funcs=20, seed=0, grid_points=801, powers=(2, 3)):
     """Exactness of the linearization: sup |T_{sigma_f} f - H(f)| on the grid."""
-    from .symbols import linearize_nonlinearity, nonlinearity_power
     rng = np.random.default_rng(seed)
     n = cfg.dim
     J = sys.coverage_level(2.0 * K + n)

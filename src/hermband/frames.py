@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .core import (SpectralFunction, degree_array, hermite_functions, json_field, json_int,
-                   lifted_gauss_hermite)
+from .core import (SpectralFunction, degree_array, hermite_functions, json_array, json_field,
+                   json_float, json_int, lifted_gauss_hermite)
 from .lp import apply_lp, lp_delta, support_set
 from .tiles import build_level
 
@@ -23,24 +23,22 @@ from .tiles import build_level
 class CoefficientSequence:
     """Per-level dense coefficient arrays over the level's node grids."""
 
-    def __init__(self, cfg, J):
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.J = int(J)
         self.levels = {}
 
     def level(self, j):
         if j in self.levels:
             return self.levels[j]
-        ts = build_level(j, self.cfg)
-        return np.zeros((ts.nodes_per_axis,) * ts.dim, dtype=complex)
+        return np.zeros(build_level(j, self.cfg).shape, dtype=complex)
 
     def scaled(self, a):
-        out = CoefficientSequence(self.cfg, self.J)
+        out = CoefficientSequence(self.cfg)
         out.levels = {j: a * arr for j, arr in self.levels.items()}
         return out
 
     def add(self, other):
-        out = CoefficientSequence(self.cfg, max(self.J, other.J))
+        out = CoefficientSequence(self.cfg)
         for j in set(self.levels) | set(other.levels):
             out.levels[j] = self.level(j) + other.level(j)
         return out
@@ -61,16 +59,16 @@ class CoefficientSequence:
 
     @classmethod
     def from_json_dict(cls, d, cfg):
-        levels = [(json_int(json_field(lev, "j", "level"), "level j"), lev)
-                  for lev in json_field(d, "levels", "coefficient sequence")]
-        out = cls(cfg, max((j for j, _ in levels), default=0))
-        for j, lev in levels:
+        out = cls(cfg)
+        for lev in json_array(d, "levels", "coefficient sequence"):
+            j = json_int(json_field(lev, "j", "level"), "level j")
             ts = build_level(j, cfg)
-            arr = np.zeros((ts.nodes_per_axis,) * ts.dim, dtype=complex)
-            for e in json_field(lev, "entries", f"level {j}"):
+            arr = np.zeros(ts.shape, dtype=complex)
+            for e in json_array(lev, "entries", f"level {j}"):
                 node = ts.node_index(json_int(i, f"level {j} node index")
-                                     for i in json_field(e, "node", f"level {j} entry"))
-                v = complex(json_field(e, "re", f"level {j} entry"), e.get("im", 0.0))
+                                     for i in json_array(e, "node", f"level {j} entry"))
+                v = complex(json_float(json_field(e, "re", f"level {j} entry"), "re"),
+                            json_float(e.get("im", 0.0), "im"))
                 if not cmath.isfinite(v):
                     raise ValueError(f"level {j}: non-finite coefficient at node {list(node)}")
                 arr[node] = v
@@ -98,7 +96,7 @@ def analyze(sys, f, J, cfg):
     """Coefficients s_R = tau_R^{1/2} (phi_j(sqrt(L)) f)(x_R), all levels <= J."""
     if cfg.dim != f.dim:
         raise ValueError("config dimension does not match function")
-    s = CoefficientSequence(cfg, J)
+    s = CoefficientSequence(cfg)
     for j in range(J + 1):
         ts = build_level(j, cfg)
         fj = apply_lp(sys, j, f)

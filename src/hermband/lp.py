@@ -47,7 +47,6 @@ class SmoothProfile:
 
     evaluator: object
     support: tuple
-    name: str = "profile"
 
     def __call__(self, u):
         return self.evaluator(np.asarray(u, dtype=float))
@@ -155,10 +154,10 @@ def bump_system(plateau_end=0.5, support_end=0.75):
         return phi(u) / dsum(2.0 * np.asarray(u, dtype=float))
 
     sys = AdmissibleSystem(
-        phi0=SmoothProfile(chi, (0.0, b), "phi0"),
-        phi=SmoothProfile(phi, (a / 2.0, b), "phi"),
-        psi0=SmoothProfile(psi0, (0.0, b), "psi0"),
-        psi=SmoothProfile(psi, (a / 2.0, b), "psi"),
+        phi0=SmoothProfile(chi, (0.0, b)),
+        phi=SmoothProfile(phi, (a / 2.0, b)),
+        psi0=SmoothProfile(psi0, (0.0, b)),
+        psi=SmoothProfile(psi, (a / 2.0, b)),
         plateau_end=a, support_end=b)
     return sys
 
@@ -276,12 +275,11 @@ def lp_moment(sys, j, x, gamma, n):
                                       axis_factor=lambda d, y: (x[d] - y) ** gamma[d]))
 
 
-def hoppe_check(sys, ell, N, j, k, n, zero_mode=False):
+def hoppe_check(sys, ell, N, j, k, n):
     """Ratio of |Delta^ell phi_j(sqrt(lambda_k))| to its smoothness bound.
 
-    Bound: sup|phi^(N)| 2^{-jN} lambda_k^{N/2 - ell} for the band profile;
-    with zero_mode the low-frequency variant sup over orders times
-    lambda_k^{-ell/2} is used instead.
+    Bound: sup|phi^(N)| 2^{-jN} lambda_k^{N/2 - ell} for the band profile
+    (phi0 at j = 0).
     """
     if not (N > ell >= 1):
         raise ValueError("need N > ell >= 1")
@@ -289,11 +287,8 @@ def hoppe_check(sys, ell, N, j, k, n, zero_mode=False):
     vals = np.asarray(sys.window(j, np.sqrt(2.0 * kk + n)), dtype=float)
     diff = float(finite_difference(vals, ell)[0])
     lam = 2.0 * k + n
-    prof = sys.phi0 if (j == 0 or zero_mode) else sys.phi
-    if zero_mode:
-        bound = max(prof.sup_derivative(r) for r in range(1, N + 1)) * lam ** (-ell / 2.0)
-    else:
-        bound = prof.sup_derivative(N) * 2.0 ** (-j * N) * lam ** (N / 2.0 - ell)
+    prof = sys.phi0 if j == 0 else sys.phi
+    bound = prof.sup_derivative(N) * 2.0 ** (-j * N) * lam ** (N / 2.0 - ell)
     if bound == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return abs(diff) / bound

@@ -100,15 +100,10 @@ def besov_norm(sys, f, params):
     return _combine_q(terms, params.q)
 
 
-def tl_norm(sys, f, params):
-    """|| (sum_j (2^{j alpha} |phi_j(sqrt L) f|)^q)^{1/q} ||_p, bands up to the coverage level."""
-    axes = QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
+def _f_sum(bands, axes, params):
+    """|| (sum_j g_j^q)^{1/q} ||_p of non-negative grid bands g_j (max over j for q = inf)."""
     acc = None
-    for j in range(sys.coverage_level(2.0 * f.max_degree + f.dim) + 1):
-        fj = apply_lp(sys, j, f)
-        if not fj.array.any():
-            continue
-        g = (2.0 ** (j * params.alpha) * np.abs(fj.eval_grid(axes)))
+    for g in bands:
         if math.isinf(params.q):
             acc = g if acc is None else np.maximum(acc, g)
         else:
@@ -119,6 +114,19 @@ def tl_norm(sys, f, params):
     if not math.isinf(params.q):
         acc = acc ** (1.0 / params.q)
     return _grid_lp(acc, axes, params.p)
+
+
+def tl_norm(sys, f, params):
+    """|| (sum_j (2^{j alpha} |phi_j(sqrt L) f|)^q)^{1/q} ||_p, bands up to the coverage level."""
+    axes = QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
+
+    def bands():
+        for j in range(sys.coverage_level(2.0 * f.max_degree + f.dim) + 1):
+            fj = apply_lp(sys, j, f)
+            if fj.array.any():
+                yield 2.0 ** (j * params.alpha) * np.abs(fj.eval_grid(axes))
+
+    return _f_sum(bands(), axes, params)
 
 
 def space_norm(sys, f, params):
@@ -149,29 +157,18 @@ def seq_tl_norm(s, params, box=None):
         box = QuadratureBox(top + 0.5, 801 if n == 1 else 241)
     axes = box.axes(n)
     pts = tensor_points(axes)
-    acc = None
-    for j in sorted(s.levels):
-        ts = build_level(j, s.cfg)
-        idx = ts.locate_indices(pts)
-        inside = np.all(idx >= 0, axis=1)
-        flat = np.zeros(pts.shape[0])
-        if inside.any():
-            ii = idx[inside]
-            lin = np.ravel_multi_index(tuple(ii.T), (ts.nodes_per_axis,) * n)
-            meas = ts.measure_array()[lin]
-            vals = np.abs(s.levels[j].ravel()[lin])
-            flat[inside] = meas ** -0.5 * vals
-        g = 2.0 ** (j * params.alpha) * flat.reshape([len(a) for a in axes])
-        if math.isinf(params.q):
-            acc = g if acc is None else np.maximum(acc, g)
-        else:
-            g = g ** params.q
-            acc = g if acc is None else acc + g
-    if acc is None:
-        return 0.0
-    if not math.isinf(params.q):
-        acc = acc ** (1.0 / params.q)
-    return _grid_lp(acc, axes, params.p)
+
+    def bands():
+        for j in sorted(s.levels):
+            ts = build_level(j, s.cfg)
+            lin = ts.locate_many(pts)
+            inside = lin >= 0
+            lin = lin[inside]
+            flat = np.zeros(pts.shape[0])
+            flat[inside] = ts.measure_array()[lin] ** -0.5 * np.abs(s.levels[j].ravel()[lin])
+            yield 2.0 ** (j * params.alpha) * flat.reshape([len(a) for a in axes])
+
+    return _f_sum(bands(), axes, params)
 
 
 def maximal(g, s):

@@ -18,8 +18,8 @@ import operator
 import numpy as np
 from scipy.special import binom, roots_legendre
 
-from .core import (GridFunction, SpectralFunction, hermite_functions, lifted_gauss_hermite,
-                   multi_indices, tensor_points)
+from .core import (GridFunction, SpectralFunction, hermite_functions, json_field, json_float,
+                   json_int, lifted_gauss_hermite, multi_indices, tensor_points, tensor_product)
 from .lp import apply_lp
 
 
@@ -37,12 +37,11 @@ class Symbol:
     derivative multi-index to an evaluator with the same signature.
     """
 
-    def __init__(self, evaluator, dim, x_derivatives=None, growth=None, name="symbol"):
+    def __init__(self, evaluator, dim, x_derivatives=None, growth=None):
         self.evaluator = evaluator
         self.dim = int(dim)
         self.x_derivatives = dict(x_derivatives or {})
         self.growth = growth
-        self.name = name
 
     def __call__(self, pts, xi):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -54,13 +53,12 @@ class Symbol:
         nu = tuple(int(v) for v in nu)
         if sum(nu) == 0:
             return self(pts, xi)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if nu in self.x_derivatives:
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
             return np.asarray(self.x_derivatives[nu](pts, xi))
         axis = next(i for i, v in enumerate(nu) if v > 0)
         lower = list(nu)
         lower[axis] -= 1
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         h = 1e-4 * (1.0 + np.sqrt(np.sum(pts ** 2, axis=1)))
 
         def d(step):
@@ -73,18 +71,6 @@ class Symbol:
 
         a1, a2 = d(h), d(h / 2.0)
         return (4.0 * a2 - a1) / 3.0
-
-    def xi_difference(self, pts, xi, kappa, convention="index"):
-        """Forward differences in the spectral argument.
-
-        convention "index": unit steps in xi.  convention "lambda": steps of
-        2 along the actual eigenvalues lambda_k = 2k + n.
-        """
-        step = 1 if convention == "index" else 2
-        acc = 0.0
-        for i in range(kappa + 1):
-            acc = acc + (-1.0) ** (kappa - i) * binom(kappa, i) * self(pts, xi + i * step)
-        return acc
 
 
 def apply_pseudomultiplier(sigma, f, axes=None, pts=None):
@@ -178,16 +164,13 @@ def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9,
             r = float(rho(x))
             axes = [x[d] + r * nodes for d in range(n)]
             ball = tensor_points(axes)
-            wgt = weights
-            for _ in range(n - 1):
-                wgt = np.multiply.outer(wgt, weights)
-            wgt = wgt.ravel()
+            wgt = tensor_product([weights] * n)
             inside = np.sum((ball - x) ** 2, axis=1) <= r * r
             if not inside.any():
                 continue
             win = wgt * inside
             vol = float(np.sum(win))
-            rr = 1.0 / (1.0 + np.sqrt(np.sum(ball ** 2, axis=1)))
+            rr = rho(ball)
             for xi in xi_samples:
                 d = sigma.x_derivative(ball, int(xi), gamma)
                 avg = float(np.sum(win * np.abs(rr ** sum(gamma) * d) ** 2) / vol)
@@ -197,27 +180,20 @@ def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9,
     return report
 
 
-def hermite_multiplier(seq, dim=1, name="multiplier"):
+def hermite_multiplier(seq, dim=1):
     """x-independent symbol from a spectral sequence xi -> complex."""
 
     def ev(pts, xi):
         return np.full(np.atleast_2d(pts).shape[0], complex(seq(xi)))
 
-    derivs = {}
-    sym = Symbol(ev, dim, name=name)
-
     def zero(pts, xi):
         return np.zeros(np.atleast_2d(pts).shape[0], dtype=complex)
 
-    for nu in multi_indices(dim, 4):
-        if sum(nu) > 0:
-            derivs[nu] = zero
-    sym.x_derivatives = derivs
-    return sym
+    return Symbol(ev, dim, {nu: zero for nu in multi_indices(dim, 4) if sum(nu) > 0})
 
 
 def identity_symbol(dim=1):
-    return hermite_multiplier(lambda xi: 1.0, dim, name="identity")
+    return hermite_multiplier(lambda xi: 1.0, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +218,7 @@ def separable_symbol(dim=1, x_scale=2.0, xi_scale=8.0):
         r = np.sqrt(np.sum(pts ** 2, axis=1)) / x_scale
         return _radial_bump(r) * math.exp(-xi / xi_scale)
 
-    return Symbol(ev, dim, name="separable")
+    return Symbol(ev, dim)
 
 
 def band_sum_symbol(sys, dim=1, beta=-1.0):
@@ -260,15 +236,12 @@ def band_sum_symbol(sys, dim=1, beta=-1.0):
                 acc += w * (1.0 + r2 / 4.0 ** j) ** (beta / 2.0)
         return acc
 
-    sym = Symbol(ev, dim, name="band-sum")
-
     def growth(pts, xi):
         pts = np.atleast_2d(pts)
         r = np.sqrt(np.sum(pts ** 2, axis=1))
         return (1.0 + r / (1.0 + math.sqrt(max(xi, 0.0)))) ** beta
 
-    sym.growth = growth
-    return sym
+    return Symbol(ev, dim, growth=growth)
 
 
 def annulus_symbol(dim=1, j_max=6):
@@ -283,7 +256,7 @@ def annulus_symbol(dim=1, j_max=6):
             acc = acc + _radial_bump(np.abs(r - c) / (0.5 * 2.0 ** j))
         return acc
 
-    return Symbol(ev, dim, name="annulus")
+    return Symbol(ev, dim)
 
 
 def oscillating_symbol(v):
@@ -294,7 +267,7 @@ def oscillating_symbol(v):
         pts = np.atleast_2d(pts)
         return np.exp(1j * pts @ v)
 
-    return Symbol(ev, v.size, name="oscillating")
+    return Symbol(ev, v.size)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +278,10 @@ def oscillating_symbol(v):
 class Nonlinearity:
     """Smooth scalar function with derivatives, vanishing at 0."""
 
-    def __init__(self, h, dh, d2h=None, name="H"):
+    def __init__(self, h, dh, d2h=None):
         self.h = h
         self.dh = dh
         self.d2h = d2h
-        self.name = name
 
     def __call__(self, u):
         return self.h(u)
@@ -319,8 +291,7 @@ def nonlinearity_power(p):
     """H(u) = u^p."""
     return Nonlinearity(lambda u: u ** p,
                         lambda u: p * u ** (p - 1),
-                        (lambda u: p * (p - 1) * u ** (p - 2)) if p >= 2 else (lambda u: 0.0 * u),
-                        name=f"u^{p}")
+                        (lambda u: p * (p - 1) * u ** (p - 2)) if p >= 2 else (lambda u: 0.0 * u))
 
 
 class LinearizedSymbol(Symbol):
@@ -338,10 +309,12 @@ class LinearizedSymbol(Symbol):
         self.f = f
         self.sys = sys
         self.J = int(J)
-        self.t_points = int(t_points)
+        # Gauss-Legendre nodes and weights on [0, 1] for the t integral
+        t, wt = roots_legendre(int(t_points))
+        self.t, self.wt = 0.5 * (t + 1.0), 0.5 * wt
         self.bands = [apply_lp(sys, j, f) for j in range(J + 1)]
         self._cache = {}
-        super().__init__(self._evaluate, f.dim, name="linearized")
+        super().__init__(self._evaluate, f.dim)
 
     def _band_values(self, pts):
         key = (pts.shape, pts.tobytes())
@@ -353,15 +326,12 @@ class LinearizedSymbol(Symbol):
         """m_j on the points, all j <= J, via Gauss-Legendre in t."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         bands = self._band_values(pts)
-        t, wt = roots_legendre(self.t_points)
-        t = 0.5 * (t + 1.0)
-        wt = 0.5 * wt
         out = []
         prev = np.zeros(pts.shape[0])
         for j in range(self.J + 1):
             bj = bands[j]
             mj = np.zeros(pts.shape[0])
-            for ti, wi in zip(t, wt):
+            for ti, wi in zip(self.t, self.wt):
                 mj += wi * np.asarray(self.H.dh(prev + ti * bj), dtype=float)
             out.append(mj)
             prev = prev + bj
@@ -386,9 +356,6 @@ class LinearizedSymbol(Symbol):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         bands = self._band_values(pts)
         dbands = [np.real(b.derivative(axis).eval_points(pts)) for b in self.bands]
-        t, wt = roots_legendre(self.t_points)
-        t = 0.5 * (t + 1.0)
-        wt = 0.5 * wt
         u = math.sqrt(max(float(xi), 0.0))
         acc = np.zeros(pts.shape[0])
         prev = np.zeros(pts.shape[0])
@@ -397,7 +364,7 @@ class LinearizedSymbol(Symbol):
             w = float(self.sys.window(j, u))
             if w != 0.0:
                 mj = np.zeros(pts.shape[0])
-                for ti, wi in zip(t, wt):
+                for ti, wi in zip(self.t, self.wt):
                     mj += wi * np.asarray(self.H.d2h(prev + ti * bands[j]), dtype=float) \
                         * (dprev + ti * dbands[j])
                 acc += w * mj
@@ -455,7 +422,12 @@ def compile_expression(expr, dim):
       name    = "x1" | ... | "xn" | "absx" | "xi" ;
       func    = "exp" | "sin" | "cos" | "sqrt" | "log" | "abs" ;
     """
-    tree = ast.parse(expr, mode="eval")
+    if not isinstance(expr, str):
+        raise ValueError(f"expression must be a string, got {expr!r}")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as e:
+        raise ValueError(f"bad expression {expr!r}: {e.msg}") from None
 
     def ev(pts, xi):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -469,23 +441,25 @@ def compile_expression(expr, dim):
 
 
 def symbol_from_descriptor(d, sys=None):
-    """Build a Symbol from its JSON descriptor dict."""
-    kind = d.get("kind")
-    dim = int(d.get("dim", 1))
+    """Build a Symbol from its JSON descriptor dict; ValueError for a malformed one."""
+    kind = json_field(d, "kind", "symbol")
+    dim = json_int(d.get("dim", 1), "symbol dim")
     if kind == "multiplier":
-        ev = compile_expression(d["expression"], dim)
+        ev = compile_expression(json_field(d, "expression", "multiplier symbol"), dim)
         return hermite_multiplier(lambda xi: complex(ev(np.zeros((1, dim)), xi)[0]), dim)
     if kind == "separable":
-        return separable_symbol(dim, d.get("x_scale", 2.0), d.get("xi_scale", 8.0))
+        return separable_symbol(dim, json_float(d.get("x_scale", 2.0), "x_scale"),
+                                json_float(d.get("xi_scale", 8.0), "xi_scale"))
     if kind == "annulus":
-        return annulus_symbol(dim, d.get("j_max", 6))
+        return annulus_symbol(dim, json_int(d.get("j_max", 6), "j_max"))
     if kind == "band-sum":
         if sys is None:
             from .lp import default_system
             sys = default_system()
-        return band_sum_symbol(sys, dim, d.get("beta", -1.0))
+        return band_sum_symbol(sys, dim, json_float(d.get("beta", -1.0), "beta"))
     if kind == "custom-expression":
-        return Symbol(compile_expression(d["expression"], dim), dim, name="expression")
+        return Symbol(compile_expression(json_field(d, "expression", "expression symbol"), dim),
+                      dim)
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import christoffel_many, gauss_hermite, tensor_points
+from .core import christoffel, gauss_hermite, tensor_points, tensor_product
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class TileSet:
         self.edges = np.concatenate(([-outer], mids, [outer]))
         # the Christoffel sum to degree 2N_j - 1 gives the Gauss weights and
         # the full exactness degree
-        self.tau1d = christoffel_many(m - 1, self.zeros)
+        self.tau1d = christoffel(m - 1, self.zeros)
         self.widths = np.diff(self.edges)
 
     @property
@@ -86,6 +86,11 @@ class TileSet:
     @property
     def nodes_per_axis(self):
         return self.zeros.size
+
+    @property
+    def shape(self):
+        """Shape of the level's node grid, one axis per dimension."""
+        return (self.zeros.size,) * self.dim
 
     @property
     def count(self):
@@ -120,16 +125,10 @@ class TileSet:
         return tensor_points([self.zeros] * self.dim)
 
     def weight_array(self):
-        w = self.tau1d
-        for _ in range(self.dim - 1):
-            w = np.multiply.outer(w, self.tau1d)
-        return w.ravel()
+        return tensor_product([self.tau1d] * self.dim)
 
     def measure_array(self):
-        w = self.widths
-        for _ in range(self.dim - 1):
-            w = np.multiply.outer(w, self.widths)
-        return w.ravel()
+        return tensor_product([self.widths] * self.dim)
 
     def locate(self, x):
         """Tile containing x, or None outside the outer box.
@@ -139,26 +138,22 @@ class TileSet:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size != self.dim:
             raise ValueError("point dimension mismatch")
-        idx = []
-        for xd in x:
-            i = int(np.searchsorted(self.edges, xd, side="left")) - 1
-            if xd == self.edges[0]:
-                i = 0
-            if i < 0 or i >= self.zeros.size:
-                return None
-            idx.append(i)
-        return self.tile(tuple(idx))
+        flat = int(self.locate_many(x[None, :])[0])
+        return None if flat < 0 else self.tile(np.unravel_index(flat, self.shape))
 
-    def locate_indices(self, pts):
-        """Vectorized per-axis tile indices for points, -1 where outside."""
+    def locate_many(self, pts):
+        """Row-major node index of the tile holding each point of an (m, dim) array.
+
+        -1 marks a point outside the outer box; boundary points are assigned
+        to the lower tile.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty(pts.shape, dtype=np.int64)
-        for d in range(self.dim):
-            i = np.searchsorted(self.edges, pts[:, d], side="left") - 1
-            i[pts[:, d] == self.edges[0]] = 0
-            i[(i < 0) | (i >= self.zeros.size)] = -1
-            out[:, d] = i
-        return out
+        idx = np.searchsorted(self.edges, pts, side="left") - 1
+        idx[pts == self.edges[0]] = 0
+        inside = np.all((idx >= 0) & (idx < self.zeros.size), axis=1)
+        flat = np.full(pts.shape[0], -1, dtype=np.int64)
+        flat[inside] = np.ravel_multi_index(tuple(idx[inside].T), self.shape)
+        return flat
 
 
 _cache = {}
@@ -166,13 +161,7 @@ _cache = {}
 
 def build_level(j, cfg):
     """Construct (and memoize) the level-j tile set."""
-    # the budget is not part of the cache key, so enforce it here too:
-    # a cached tile set must not satisfy a stricter budget by accident
-    m = 2 * level_degree(j, cfg.delta_star)
-    if m ** cfg.dim > cfg.node_budget:
-        raise ValueError(f"level {j} needs {m ** cfg.dim} nodes in dimension "
-                         f"{cfg.dim}; budget is {cfg.node_budget}")
-    key = (j, cfg.dim, cfg.delta_star)
+    key = (j, cfg)
     if key not in _cache:
         _cache[key] = TileSet(j, cfg)
     return _cache[key]
@@ -183,16 +172,13 @@ def cubature(ts, f_vals, g_vals=None):
 
     Exact for f in V_k, g in V_l with k + l <= 4 N_j - 1 (classical weights).
     """
-    f_vals = np.asarray(f_vals).ravel()
-    if f_vals.size != ts.count:
+    vals = [np.asarray(v).ravel() for v in (f_vals, g_vals) if v is not None]
+    if any(v.size != ts.count for v in vals):
         raise ValueError("sample count does not match node count")
-    w = ts.weight_array()
-    if g_vals is None:
-        return np.sum(w * f_vals)
-    g_vals = np.asarray(g_vals).ravel()
-    if g_vals.size != ts.count:
-        raise ValueError("sample count does not match node count")
-    return np.sum(w * f_vals * g_vals)
+    out = ts.weight_array()
+    for v in vals:
+        out = out * v
+    return np.sum(out)
 
 
 def write_nodes_csv(ts, fh):
@@ -231,7 +217,6 @@ def tile_geometry_constants(ts):
     central = np.abs(z) <= (1.0 + 4.0 * ds) * 2.0 ** (j + 1)
     c0 = float(np.max(half_out[central]) * 2.0 ** j)
     c1 = float(np.min(half_in) * 2.0 ** j)
-    c2 = float(np.max(half_out[1:-1]) * 2.0 ** (j / 3.0)) if z.size > 2 else \
-        float(np.max(half_out) * 2.0 ** (j / 3.0))
     c2_all = float(np.max(half_out) * 2.0 ** (j / 3.0))
+    c2 = float(np.max(half_out[1:-1]) * 2.0 ** (j / 3.0)) if z.size > 2 else c2_all
     return c0, c1, c2, c2_all

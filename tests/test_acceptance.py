@@ -205,7 +205,7 @@ def test_criterion_13_negative_controls(sys, cfg):
 
     bad_phi = SmoothProfile(
         lambda u: smoothstep((u - 0.1) / 0.2) * smoothstep((1.0 - u) / 0.2),
-        support=(0.1, 1.0), name="bad-support")
+        support=(0.1, 1.0))
     import dataclasses
     adm_fails = not check_admissible(dataclasses.replace(sys, phi=bad_phi))["pass"]
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from hermband import estimates
-from hermband.cli import main
+from hermband.cli import _tile_config, build_parser, main
 from hermband.core import SpectralFunction, random_spectral
 from hermband.norms import QuadratureBox
+from hermband.tiles import TileConfig
 
 
 @pytest.fixture()
@@ -27,6 +28,15 @@ def test_nodes_csv(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["level", "node_index", "x1", "tau", "measure", "lo1", "hi1"]
     assert len(rows) == 1 + 10
+
+
+def test_cli_tile_config_is_the_default_up_to_level_8():
+    # tile sets are cached per (level, config), so levels built under
+    # TileConfig(dim=1) are the ones these commands read
+    parser = build_parser()
+    for argv in (["nodes", "--level", "8"], ["analyze", "--in", "f.json", "--levels", "4"],
+                 ["synthesize", "--in", "c.json"], ["verify", "tiles", "--levels", "4"]):
+        assert _tile_config(parser.parse_args(argv)) == TileConfig(dim=1)
 
 
 def test_windows_csv(tmp_path):
@@ -129,6 +139,27 @@ def test_bad_symbol_exits_1(tmp_path, v10_file):
     assert main(["apply", "--symbol", str(sym), "--in", str(fpath)]) == 1
 
 
+# symbol descriptors with a missing key, a wrong-typed value, no object or
+# an expression that does not parse
+BAD_SYMBOLS = {
+    "no-expression": {"kind": "multiplier"},
+    "null-dim": {"kind": "separable", "dim": None},
+    "string-x-scale": {"kind": "separable", "x_scale": "a"},
+    "array-document": [1],
+    "unparsable-expression": {"kind": "multiplier", "expression": "xi("},
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SYMBOLS))
+def test_bad_symbol_descriptor_exits_1(tmp_path, v10_file, capsys, bad):
+    fpath, _ = v10_file
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps(BAD_SYMBOLS[bad]))
+    assert main(["apply", "--symbol", str(sym), "--in", str(fpath),
+                 "--out", str(tmp_path / "g.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_suite_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert main(["verify", "hoppe", "--out", str(out)]) == 0
@@ -140,6 +171,17 @@ def test_verify_suite_exit_codes(tmp_path, monkeypatch):
     assert main(["verify", "hoppe"]) == 2
 
 
+@pytest.mark.parametrize("suite", ["ao", "synthesis", "boundedness", "hoppe", "qq", "maximal",
+                                   "embeddings", "linearize"])
+def test_verify_levels_exits_1_where_ignored(monkeypatch, capsys, suite):
+    def run(*args, **kwargs):
+        raise AssertionError(f"verify {suite} ran")
+
+    monkeypatch.setattr(estimates, f"verify_{suite}", run)
+    assert main(["verify", suite, "--levels", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
@@ -149,7 +191,7 @@ _FUNCTION = ('{"dim": 1, "max_degree": 1, "coeffs": '
              '[{"xi": [0], "re": 1.0, "im": 0.0}, {"xi": [1], "re": %s, "im": 0.0}]}')
 
 # (command reading the file, file text): non-finite values, missing keys,
-# documents that are not objects and fractional indices
+# documents that are not objects, fractional indices and wrong-typed values
 BAD_FILES = {
     "NaN": ("norm", _FUNCTION % "NaN"),
     "Infinity": ("norm", _FUNCTION % "Infinity"),
@@ -161,6 +203,17 @@ BAD_FILES = {
     "fractional-max-degree": ("norm",
                               '{"dim": 1, "max_degree": 2.9, "coeffs": [{"xi": [1], "re": 1.0}]}'),
     "fractional-dim": ("norm", '{"dim": 1.5, "max_degree": 1, "coeffs": []}'),
+    "string-re": ("norm", _FUNCTION % '"abc"'),
+    "huge-integer-re": ("norm", _FUNCTION % ("1" + "0" * 400)),
+    "null-im": ("norm",
+                '{"dim": 1, "max_degree": 1, "coeffs": [{"xi": [0], "re": 1.0, "im": null}]}'),
+    "number-coeffs": ("norm", '{"dim": 1, "max_degree": 1, "coeffs": 5}'),
+    "number-xi": ("norm", '{"dim": 1, "max_degree": 1, "coeffs": [{"xi": 0, "re": 1.0}]}'),
+    "number-levels": ("synthesize", '{"levels": 5}'),
+    "number-entries": ("synthesize", '{"levels": [{"j": 0, "entries": 5}]}'),
+    "number-node": ("synthesize", '{"levels": [{"j": 0, "entries": [{"node": 1, "re": 1.0}]}]}'),
+    "string-entry-re": ("synthesize",
+                        '{"levels": [{"j": 0, "entries": [{"node": [1], "re": "abc"}]}]}'),
     "no-levels": ("synthesize", '{}'),
     "no-entries": ("synthesize", '{"levels": [{"j": 0}]}'),
     "sequence-array": ("synthesize", "[]"),

@@ -96,7 +96,7 @@ def test_analyze_matches_quadrature_oracle(sys, cfg):
 
 def test_synthesize_single_coefficient_gives_dual_needlet(sys, cfg):
     ts = build_level(2, cfg)
-    s = CoefficientSequence(cfg, 2)
+    s = CoefficientSequence(cfg)
     arr = np.zeros(ts.count, dtype=complex)
     arr[11] = 1.0
     s.levels[2] = arr

@@ -85,7 +85,7 @@ def test_f22_comparable_to_l2(sys):
 
 def test_seq_besov_single_entry(cfg):
     ts = build_level(2, cfg)
-    s = CoefficientSequence(cfg, 2)
+    s = CoefficientSequence(cfg)
     arr = np.zeros(ts.count, dtype=complex)
     arr[4] = 1.0
     s.levels = {2: arr}
@@ -98,7 +98,7 @@ def test_seq_besov_single_entry(cfg):
 
 def test_seq_tl_single_entry(cfg):
     ts = build_level(1, cfg)
-    s = CoefficientSequence(cfg, 1)
+    s = CoefficientSequence(cfg)
     arr = np.zeros(ts.count, dtype=complex)
     i = ts.nodes_per_axis // 2
     arr[i] = 1.0
@@ -111,7 +111,7 @@ def test_seq_tl_single_entry(cfg):
 
 
 def test_seq_norm_zero(cfg):
-    s = CoefficientSequence(cfg, 2)
+    s = CoefficientSequence(cfg)
     assert seq_besov_norm(s, SpaceParams("B", 0.0, 2.0, 2.0)) == 0.0
 
 

@@ -1,0 +1,73 @@
+"""Property tests: JSON round trips and the point-to-tile lookup."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hermband.core import SpectralFunction, multi_indices, random_spectral
+from hermband.frames import CoefficientSequence, analyze
+from hermband.lp import default_system
+from hermband.tiles import TileConfig, build_level
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_complex = st.builds(complex, _finite, _finite)
+
+
+def _through_json(d):
+    return json.loads(json.dumps(d))
+
+
+@st.composite
+def spectral_functions(draw):
+    dim = draw(st.integers(1, 2))
+    K = draw(st.integers(0, 8))
+    coeffs = draw(st.dictionaries(st.sampled_from(multi_indices(dim, K)), _complex))
+    return SpectralFunction(dim, K, coeffs)
+
+
+@SETTINGS
+@given(spectral_functions())
+def test_spectral_function_json_roundtrip(f):
+    g = SpectralFunction.from_json_dict(_through_json(f.to_json_dict()))
+    assert (g.dim, g.max_degree) == (f.dim, f.max_degree)
+    assert np.array_equal(g.array, f.array)
+
+
+@SETTINGS
+@given(st.integers(1, 2), st.integers(0, 8), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_coefficient_sequence_json_roundtrip(dim, K, J, seed):
+    cfg = TileConfig(dim=dim)
+    f = random_spectral(dim, K, np.random.default_rng(seed))
+    s = analyze(default_system(), f, J, cfg)
+    t = CoefficientSequence.from_json_dict(_through_json(s.to_json_dict()), cfg)
+    assert sorted(t.levels) == sorted(s.levels)
+    for j, arr in s.levels.items():
+        assert np.array_equal(t.levels[j], arr)
+
+
+def _brute_force_tile(ts, p):
+    """Row-major node index from a scan of every tile's [lo, hi] per axis; the
+    lower tile wins on a shared edge, -1 outside the outer box."""
+    flat = 0
+    for x in p:
+        hits = [i for i in range(ts.nodes_per_axis) if ts.edges[i] <= x <= ts.edges[i + 1]]
+        if not hits:
+            return -1
+        flat = flat * ts.nodes_per_axis + hits[0]
+    return flat
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 2), st.integers(0, 2))
+def test_locate_many_matches_brute_force(data, dim, j):
+    ts = build_level(j, TileConfig(dim=dim))
+    hw = ts.outer_halfwidth
+    # points on the tile edges, inside and outside the outer box
+    coord = st.one_of(st.sampled_from(ts.edges.tolist()), st.floats(-hw - 1.0, hw + 1.0))
+    pts = np.array(data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=20)))
+    got = ts.locate_many(pts)
+    assert got.tolist() == [_brute_force_tile(ts, p) for p in pts]

@@ -149,14 +149,6 @@ def test_contraction_multiplier_bounded():
     assert fK.norm2() <= f.norm2() * (1.0 + 1e-12)
 
 
-def test_xi_difference_conventions():
-    sig = hermite_multiplier(lambda xi: xi * xi, 1)
-    pts = np.array([[0.0]])
-    # second forward difference of xi^2 is exactly 2 (index) and 8 (lambda)
-    assert float(np.real(sig.xi_difference(pts, 5.0, 2, "index")[0])) == pytest.approx(2.0)
-    assert float(np.real(sig.xi_difference(pts, 5.0, 2, "lambda")[0])) == pytest.approx(8.0)
-
-
 def test_linearize_identity_nonlinearity(sys):
     rng = np.random.default_rng(4)
     f = random_spectral(1, 8, rng, real=True)

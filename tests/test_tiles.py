@@ -149,13 +149,13 @@ def test_locate_indices_vectorized_agrees():
     ts = build_level(1, cfg)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-ts.outer_halfwidth - 0.5, ts.outer_halfwidth + 0.5, size=(500, 2))
-    idx = ts.locate_indices(pts)
-    for p, row in zip(pts, idx):
+    flat = ts.locate_many(pts)
+    for p, i in zip(pts, flat):
         t = ts.locate(p)
         if t is None:
-            assert np.any(row < 0)
+            assert i == -1
         else:
-            assert tuple(row) == t.index
+            assert np.unravel_index(i, ts.shape) == t.index
 
 
 def test_tau_positive_and_tau_close_to_measure():
