@@ -17,7 +17,7 @@ import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_hermite
 
 _LN2 = math.log(2.0)
 _RESCALE = 2.0 ** 500
@@ -92,51 +92,31 @@ def hermite_functions(k_max, t):
     return out[:, 0] if scalar else out
 
 
-def hermite_polys_orthonormal(k_max, t):
-    """Orthonormal polynomials for weight e^{-t^2} (h_k without the Gaussian).
-
-    Used in quadrature inner products: <h_j, h_k> = sum_i w_i p_j(x_i) p_k(x_i)
-    with (x_i, w_i) from gauss_hermite.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((k_max + 1,) + t.shape)
-    out[0] = math.pi ** -0.25
-    if k_max >= 1:
-        out[1] = math.sqrt(2.0) * t * out[0]
-    for k in range(1, k_max):
-        out[k + 1] = t * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
-
-
+@functools.lru_cache(maxsize=64)
 def gauss_hermite(q):
-    """Gauss-Hermite nodes/weights for weight e^{-x^2}, from the Jacobi matrix.
+    """The q-point Gauss-Hermite rule: increasing nodes x_i and lifted weights tau_i.
 
-    Off-diagonals sqrt(k/2); weights are sqrt(pi) times the squared first
-    components of the eigenvectors.  Exact for polynomials of degree 2q-1.
+    The nodes are the zeros of H_q (SciPy's roots_hermite, symmetrized about
+    the origin); tau_i = christoffel(q - 1, x_i) is the Gauss weight times
+    e^{x_i^2}, so sum_i tau_i f(x_i) = integral f(x) dx exactly when
+    f(x) = e^{-x^2} p(x) with p a polynomial of degree <= 2q - 1.  Both arrays
+    are cached and read-only.
     """
     if q < 1:
         raise ValueError("need at least one node")
-    if q == 1:
-        return np.array([0.0]), np.array([math.sqrt(math.pi)])
-    off = np.sqrt(np.arange(1, q) / 2.0)
-    try:
-        # the QR driver keeps the tiny first eigenvector components that the
-        # default MRRR driver flushes to zero; those carry the edge weights
-        nodes, vecs = eigh_tridiagonal(np.zeros(q), off, lapack_driver="stev")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - diagnostic path
-        raise RuntimeError(f"Jacobi eigensolver failed for q={q}") from exc
-    weights = math.sqrt(math.pi) * vecs[0] ** 2
-    # enforce exact symmetry about the origin
+    nodes = roots_hermite(q)[0]
     nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return nodes, weights
+    tau = christoffel(q - 1, nodes)
+    nodes.flags.writeable = False
+    tau.flags.writeable = False
+    return nodes, tau
 
 
 def hermite_inner_products(k_max, q=128):
     """Gram matrix <h_j, h_k> for j,k <= k_max via q-point quadrature."""
-    nodes, weights = gauss_hermite(q)
-    p = hermite_polys_orthonormal(k_max, nodes)
-    return (p * weights) @ p.T
+    nodes, tau = gauss_hermite(q)
+    h = hermite_functions(k_max, nodes)
+    return (h * tau) @ h.T
 
 
 def _axis_products(k, x, y):
@@ -182,7 +162,7 @@ def qq_kernel(N, x, y, n=None):
 def christoffel(N, t):
     """1 / sum_{k<=N} h_k(t)^2 (one-dimensional), elementwise over t."""
     h = hermite_functions(N, np.asarray(t, dtype=float))
-    return 1.0 / np.sum(h * h, axis=0)
+    return 1.0 / np.einsum("k...,k...->...", h, h)
 
 
 def hermite_derivative_1d(k, t):
@@ -244,20 +224,20 @@ def lifted_gauss_hermite(sample, q, dim, s=1.0, axis_factor=None):
 
     sample(y) returns F on the tensor grid of the axis nodes y = sqrt(s) u,
     shape (q,) * dim.  F must carry the Gaussian e^{-|y|^2/s} (s = 2 for one
-    Hermite function, s = 1 for a product of two); the lift e^{u^2} of the
-    weights cancels it, so the rule is exact when the rest is a polynomial of
-    degree <= 2q - 1 per axis.  axis_factor(d, y) gives a_d at the nodes, of
-    shape (q,) or (q, r); a (q, r) factor appends an output axis of length r.
+    Hermite function, s = 1 for a product of two); the lifted weights of
+    gauss_hermite take it in, so the rule is exact when the rest is a
+    polynomial of degree <= 2q - 1 per axis.  axis_factor(d, y) gives a_d at
+    the nodes, of shape (q,) or (q, r); a (q, r) factor appends an output axis
+    of length r.
     """
-    u, w = gauss_hermite(q)
+    u, tau = gauss_hermite(q)
     y = math.sqrt(s) * u
-    lift = w * np.exp(u * u)
     T = sample(y)
     for d in range(dim):
-        W = lift
+        W = tau
         if axis_factor is not None:
             a = np.asarray(axis_factor(d, y))
-            W = a * lift.reshape((-1,) + (1,) * (a.ndim - 1))
+            W = a * tau.reshape((-1,) + (1,) * (a.ndim - 1))
         T = np.tensordot(T, W, axes=([0], [0]))
     return T * s ** (dim / 2.0)
 

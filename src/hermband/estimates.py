@@ -430,7 +430,6 @@ def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=
     n = cfg.dim
     axes = [np.linspace(-12.0, 12.0, grid_points)] * n
     pts = tensor_points(axes)
-    absx2 = np.sum(pts ** 2, axis=1)
 
     best = None
     for kappa in (0.0, 0.25, 0.5):
@@ -439,8 +438,7 @@ def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=
             per_level = {}
             for j in range(levels + 1):
                 ts = build_level(j, cfg)
-                env = np.where(absx2 < eps * 4.0 ** j, 1.0,
-                               np.exp(-_CONSTANTS.vartheta * absx2)) ** (1.0 - kappa)
+                env = e_function(eps * 4.0 ** j, pts, _CONSTANTS) ** (1.0 - kappa)
                 lev = 0.0
                 for tile in sample_tiles(ts, tiles_per_level, rng):
                     parts = list(needlet(sys, tile).degree_slices().items())

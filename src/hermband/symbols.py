@@ -393,8 +393,10 @@ def _eval_node(node, env):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, env)
     if isinstance(node, ast.Constant):
+        # floats, so a power such as 10**10**7 overflows at once instead of
+        # running integer arithmetic on a bignum
         if isinstance(node.value, (int, float)):
-            return node.value
+            return float(node.value)
         raise ValueError("only numeric constants allowed")
     if isinstance(node, ast.Name):
         if node.id in env:
@@ -434,7 +436,10 @@ def compile_expression(expr, dim):
         env = {f"x{i + 1}": pts[:, i] for i in range(dim)}
         env["absx"] = np.sqrt(np.sum(pts ** 2, axis=1))
         env["xi"] = float(xi)
-        val = _eval_node(tree, env)
+        try:
+            val = _eval_node(tree, env)
+        except ArithmeticError as e:
+            raise ValueError(f"expression {expr!r} at xi = {xi}: {e}") from None
         return np.broadcast_to(np.asarray(val, dtype=complex), (pts.shape[0],)).copy()
 
     return ev
@@ -448,8 +453,12 @@ def symbol_from_descriptor(d, sys=None):
         ev = compile_expression(json_field(d, "expression", "multiplier symbol"), dim)
         return hermite_multiplier(lambda xi: complex(ev(np.zeros((1, dim)), xi)[0]), dim)
     if kind == "separable":
-        return separable_symbol(dim, json_float(d.get("x_scale", 2.0), "x_scale"),
-                                json_float(d.get("xi_scale", 8.0), "xi_scale"))
+        x_scale = json_float(d.get("x_scale", 2.0), "x_scale")
+        xi_scale = json_float(d.get("xi_scale", 8.0), "xi_scale")
+        if not all(math.isfinite(v) and v > 0 for v in (x_scale, xi_scale)):
+            raise ValueError("separable scales must be positive and finite, got "
+                             f"x_scale {x_scale} and xi_scale {xi_scale}")
+        return separable_symbol(dim, x_scale, xi_scale)
     if kind == "annulus":
         return annulus_symbol(dim, json_int(d.get("j_max", 6), "j_max"))
     if kind == "band-sum":

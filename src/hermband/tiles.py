@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import christoffel, gauss_hermite, tensor_points, tensor_product
+from .core import gauss_hermite, tensor_points, tensor_product
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,6 @@ class TileConfig:
 def level_degree(j, delta_star=1.0 / 40.0):
     """N_j = floor((1 + 11 delta_star) (4/pi)^2 4^j) + 3."""
     return int(math.floor((1.0 + 11.0 * delta_star) * (4.0 / math.pi) ** 2 * 4.0 ** j)) + 3
-
-
-def hermite_zeros(m):
-    """Zeros of the physicists' Hermite polynomial H_m, increasing."""
-    if m < 1:
-        raise ValueError("degree must be >= 1")
-    nodes, _ = gauss_hermite(m)
-    return np.sort(nodes)
 
 
 @dataclass(frozen=True)
@@ -70,13 +62,12 @@ class TileSet:
             raise ValueError(
                 f"level {level} in dimension {cfg.dim} needs {m ** cfg.dim} nodes, "
                 f"budget is {cfg.node_budget}")
-        self.zeros = hermite_zeros(m)
+        # the m-point Gauss-Hermite rule: its lifted weights are the
+        # Christoffel weights tau_R, exact to degree 2m - 1 = 4N_j - 1
+        self.zeros, self.tau1d = gauss_hermite(m)
         mids = 0.5 * (self.zeros[:-1] + self.zeros[1:])
         outer = self.zeros[-1] + 2.0 ** (-level / 6.0)
         self.edges = np.concatenate(([-outer], mids, [outer]))
-        # the Christoffel sum to degree 2N_j - 1 gives the Gauss weights and
-        # the full exactness degree
-        self.tau1d = christoffel(m - 1, self.zeros)
         self.widths = np.diff(self.edges)
 
     @property

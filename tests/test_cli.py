@@ -147,6 +147,10 @@ BAD_SYMBOLS = {
     "string-x-scale": {"kind": "separable", "x_scale": "a"},
     "array-document": [1],
     "unparsable-expression": {"kind": "multiplier", "expression": "xi("},
+    "zero-x-scale": {"kind": "separable", "x_scale": 0},
+    "zero-xi-scale": {"kind": "separable", "xi_scale": 0},
+    "division-by-zero": {"kind": "multiplier", "expression": "1/0"},
+    "overflowing-power": {"kind": "multiplier", "expression": "10**10**5"},
 }
 
 

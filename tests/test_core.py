@@ -17,6 +17,7 @@ from hermband.core import (
     hermite_derivative_1d,
     hermite_functions,
     hermite_inner_products,
+    lifted_gauss_hermite,
     projector_kernel,
     qq_kernel,
     random_spectral,
@@ -46,8 +47,19 @@ def test_recurrence_against_direct_polynomials():
     assert np.max(np.abs(vals - polys)) < 1e-11
 
 
+def hermite_polys_orthonormal(k_max, t):
+    """Orthonormal polynomials for the weight e^{-t^2}: h_k without the Gaussian."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((k_max + 1,) + t.shape)
+    out[0] = math.pi ** -0.25
+    if k_max >= 1:
+        out[1] = math.sqrt(2.0) * t * out[0]
+    for k in range(1, k_max):
+        out[k + 1] = t * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
+    return out
+
+
 def _poly_oracle(k_max, t):
-    from hermband.core import hermite_polys_orthonormal
     return hermite_polys_orthonormal(k_max, t) * np.exp(-t * t / 2.0)
 
 
@@ -111,12 +123,14 @@ def test_christoffel_many_matches_scalar():
 
 
 def test_gauss_hermite_small_rules():
+    # lifted weights tau_i = w_i e^{x_i^2}
     nodes, weights = gauss_hermite(1)
     assert nodes[0] == pytest.approx(0.0, abs=1e-15)
     assert weights[0] == pytest.approx(math.sqrt(math.pi), rel=1e-14)
     nodes, weights = gauss_hermite(2)
     assert sorted(nodes) == pytest.approx([-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], rel=1e-13)
-    assert list(weights) == pytest.approx([math.sqrt(math.pi) / 2.0] * 2, rel=1e-13)
+    assert list(weights) == pytest.approx([math.sqrt(math.pi) / 2.0 * math.exp(0.5)] * 2,
+                                          rel=1e-13)
 
 
 def test_gauss_hermite_against_scipy():
@@ -126,7 +140,14 @@ def test_gauss_hermite_against_scipy():
         n2, w2 = roots_hermite(q)
         order = np.argsort(n1)
         assert np.max(np.abs(np.sort(n1) - n2)) < 1e-11
-        assert np.max(np.abs(w1[order] - w2) / w2) < 1e-10
+        assert np.max(np.abs(w1[order] * np.exp(-n1[order] ** 2) - w2) / w2) < 1e-10
+
+
+@pytest.mark.parametrize("q", [400, 600])
+def test_lifted_gauss_hermite_large_rules(q):
+    # the raw Gauss weights underflow here, so only the lifted weights are finite
+    val = lifted_gauss_hermite(lambda y: hermite_functions(0, y)[0] ** 2, q, 1)
+    assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orthonormality_degree_100():
@@ -220,7 +241,7 @@ def test_spectral_function_parseval_and_eval():
     # Parseval norm against quadrature
     nodes, weights = gauss_hermite(40)
     vals = np.real(f.eval_points(nodes[:, None]))
-    quad = math.sqrt(float(np.sum(weights * np.exp(nodes ** 2) * vals ** 2)))
+    quad = math.sqrt(float(np.sum(weights * vals ** 2)))
     assert f.norm2() == pytest.approx(quad, rel=1e-12)
 
 

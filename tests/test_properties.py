@@ -1,12 +1,13 @@
-"""Property tests: JSON round trips and the point-to-tile lookup."""
+"""Property tests: JSON round trips, the point-to-tile lookup and cubature exactness."""
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermband.core import SpectralFunction, multi_indices, random_spectral
+from hermband.core import SpectralFunction, hermite_functions, multi_indices, random_spectral
 from hermband.frames import CoefficientSequence, analyze
 from hermband.lp import default_system
 from hermband.tiles import TileConfig, build_level
@@ -71,3 +72,28 @@ def test_locate_many_matches_brute_force(data, dim, j):
     pts = np.array(data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=20)))
     got = ts.locate_many(pts)
     assert got.tolist() == [_brute_force_tile(ts, p) for p in pts]
+
+
+def _cubature_error(ts, k, l):
+    """|sum_R tau_R h_k(x_R) h_l(x_R) - delta_kl| on a 1-D level."""
+    h = hermite_functions(max(k, l), ts.zeros)
+    return abs(float(np.sum(ts.tau1d * h[k] * h[l])) - (k == l))
+
+
+@SETTINGS
+@given(st.data(), st.integers(0, 4))
+def test_cubature_exact_to_degree_4n_minus_1(data, j):
+    ts = build_level(j, TileConfig())
+    dmax = 4 * ts.degree - 1
+    k = data.draw(st.integers(0, dmax))
+    l = data.draw(st.integers(0, dmax - k))
+    assert _cubature_error(ts, k, l) <= 1e-12
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_cubature_fails_past_its_degree(j):
+    # negative control: h_{2N_j} vanishes at every node, so the rule gives
+    # 0 for its square where the integral is 1
+    ts = build_level(j, TileConfig())
+    m = 2 * ts.degree
+    assert _cubature_error(ts, m, m) > 0.5

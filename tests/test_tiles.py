@@ -11,7 +11,6 @@ from hermband.tiles import (
     TileConfig,
     build_level,
     cubature,
-    hermite_zeros,
     level_degree,
     tile_geometry_constants,
     write_nodes_csv,
@@ -51,14 +50,14 @@ def test_node_budget_enforced():
 
 
 def test_hermite_zeros_small():
-    assert list(hermite_zeros(1)) == pytest.approx([0.0], abs=1e-14)
-    assert list(hermite_zeros(2)) == pytest.approx(
+    assert list(gauss_hermite(1)[0]) == pytest.approx([0.0], abs=1e-14)
+    assert list(gauss_hermite(2)[0]) == pytest.approx(
         [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], rel=1e-13)
 
 
 def test_hermite_zeros_sign_changes():
     # each returned zero of H_10 has the polynomial changing sign across it
-    z = hermite_zeros(10)
+    z = gauss_hermite(10)[0]
     coeff = np.zeros(11)
     coeff[10] = 1.0
     H10 = np.polynomial.hermite.Hermite(coeff)
@@ -170,13 +169,13 @@ def test_tau_positive_and_tau_close_to_measure():
 
 
 def test_gauss_weight_consistency():
-    # classical Christoffel weights at the zeros reproduce the Gauss weights
+    # Christoffel weights at the zeros, times e^{-x^2}, are SciPy's Gauss weights
+    from scipy.special import roots_hermite
     cfg = TileConfig()
     ts = build_level(1, cfg)
-    nodes, weights = gauss_hermite(2 * ts.degree)
-    order = np.argsort(nodes)
-    lifted = weights[order] * np.exp(np.sort(nodes) ** 2)
-    assert np.max(np.abs(ts.tau1d - lifted) / lifted) < 1e-9
+    nodes, weights = roots_hermite(2 * ts.degree)
+    assert np.max(np.abs(ts.zeros - nodes)) < 1e-12
+    assert np.max(np.abs(ts.tau1d * np.exp(-ts.zeros ** 2) - weights) / weights) < 1e-9
 
 
 def test_geometry_constants_stable():
