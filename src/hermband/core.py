@@ -173,11 +173,11 @@ def hermite_derivative_1d(k, t):
 
 
 def finite_difference(seq, order):
-    """Iterated forward differences of an integer-indexed sequence."""
+    """Iterated forward differences of an integer-indexed sequence, along the last axis."""
     seq = np.asarray(seq)
     if order < 0:
         raise ValueError("order must be >= 0")
-    if seq.shape[0] <= order and order > 0:
+    if seq.shape[-1] <= order and order > 0:
         raise ValueError("sequence too short for requested difference order")
     return np.diff(seq, n=order) if order else seq.copy()
 

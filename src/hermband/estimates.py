@@ -405,16 +405,15 @@ def tsigma_derivative_on_points(sigma, sys, tile, gamma, pts, n,
     if not parts:
         return acc
     tables = axis_tables(parts[0][1].max_degree + sum(gamma), pts)
+    lams = np.array([2.0 * k + n for k, _ in parts])
     for beta in itertools.product(*(range(g + 1) for g in gamma)):
         rest = tuple(g - bq for g, bq in zip(gamma, beta))
         coef = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
-        for k, qk in parts:
-            lam = 2.0 * k + n
+        ds = sigma.x_derivative(pts, lams, beta)
+        for i, (k, qk) in enumerate(parts):
             dq = np.real(qk.derivative_multi(rest).eval_points(pts, tables))
-            if not np.any(dq):
-                continue
-            ds = np.asarray(sigma.x_derivative(pts, lam, beta))
-            acc += coef * ds * dq
+            if np.any(dq):
+                acc += coef * ds[:, i] * dq
     return acc
 
 
@@ -422,42 +421,37 @@ def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=
     """Smoothness of T_sigma on needlets: decay in x and growth 2^{j(m+|gamma|)},
     for |gamma| <= 2 and decay orders N <= 3 on [-12, 12]^n.
 
-    The (kappa, eps) pair is an existential output; the scan reports the
-    pair minimizing the measured sup.
+    The (kappa, eps) pair is an existential output, and the least sup over
+    the scanned pairs kappa <= 1/2, eps <= 16.5 is at the largest of each:
+    the envelope E(eps 4^j)^{1-kappa} grows with eps, and with kappa since
+    E <= 1.  The factor (1 + 2^j |x - x_R|)^{-N} is smallest at N = 3, so
+    that order gives the sup over N <= 3.  The scan therefore measures that
+    one pair at N = 3, on tiles sampled once per level.
     """
-    gamma_max, N_max = 2, 3
+    gamma_max, N_max, kappa, eps = 2, 3, 0.5, 16.5
     rng = np.random.default_rng(seed)
     n = cfg.dim
     axes = [np.linspace(-12.0, 12.0, grid_points)] * n
     pts = tensor_points(axes)
 
-    best = None
-    for kappa in (0.0, 0.25, 0.5):
-        for eps in (4.5, 4.84, 16.5):
-            worst = 0.0
-            per_level = {}
-            for j in range(levels + 1):
-                ts = build_level(j, cfg)
-                env = e_function(eps * 4.0 ** j, pts, _CONSTANTS) ** (1.0 - kappa)
-                lev = 0.0
-                for tile in sample_tiles(ts, tiles_per_level, rng):
-                    parts = list(needlet(sys, tile).degree_slices().items())
-                    if not parts:
-                        continue
-                    dist = np.sqrt(np.sum((pts - tile.node) ** 2, axis=1))
-                    rinv = tile.measure ** -0.5
-                    for gamma in multi_indices(n, gamma_max):
-                        vals = np.abs(tsigma_derivative_on_points(
-                            sigma, sys, tile, gamma, pts, n, parts))
-                        for N in range(1, N_max + 1):
-                            rhs = rinv * 2.0 ** (j * (m + sum(gamma))) \
-                                * (1.0 + 2.0 ** j * dist) ** -N * np.maximum(env, 1e-300)
-                            lev = max(lev, float(np.max(vals / rhs)))
-                per_level[j] = lev
-                worst = max(worst, lev)
-            if best is None or worst < best[0]:
-                best = (worst, kappa, eps, per_level)
-    worst, kappa, eps, per_level = best
+    per_level = {}
+    for j in range(levels + 1):
+        ts = build_level(j, cfg)
+        env = e_function(eps * 4.0 ** j, pts, _CONSTANTS) ** (1.0 - kappa)
+        lev = 0.0
+        for tile in sample_tiles(ts, tiles_per_level, rng):
+            parts = list(needlet(sys, tile).degree_slices().items())
+            if not parts:
+                continue
+            dist = np.sqrt(np.sum((pts - tile.node) ** 2, axis=1))
+            rinv = tile.measure ** -0.5
+            for gamma in multi_indices(n, gamma_max):
+                vals = np.abs(tsigma_derivative_on_points(sigma, sys, tile, gamma, pts, n, parts))
+                rhs = rinv * 2.0 ** (j * (m + sum(gamma))) \
+                    * (1.0 + 2.0 ** j * dist) ** -N_max * np.maximum(env, 1e-300)
+                lev = max(lev, float(np.max(vals / rhs)))
+        per_level[j] = lev
+    worst = max(per_level.values())
     return EstimateReport("tsigma-smoothness", worst,
                           scan={"levels": levels, "gamma_max": gamma_max, "N_max": N_max,
                                 "grid_points": grid_points},

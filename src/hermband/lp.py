@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom
 
 from .core import (SpectralFunction, degree_array, finite_difference, kernel_expansion,
                    lifted_gauss_hermite, projector_kernel_sequence)
@@ -62,7 +61,7 @@ class SmoothProfile:
         def fd(step):
             acc = 0.0
             for i in range(order + 1):
-                acc = acc + (-1.0) ** i * binom(order, i) * self(np.asarray(u) + (order / 2.0 - i) * step)
+                acc = acc + (-1.0) ** i * math.comb(order, i) * self(np.asarray(u) + (order / 2.0 - i) * step)
             return acc / step ** order
 
         if order > 4:
@@ -232,7 +231,7 @@ def support_set(sys, j, n):
 
 def spectral_window(sys, j, k, n):
     """phi_j(sqrt(lambda_k))."""
-    return float(sys.window(j, math.sqrt(2.0 * k + n)))
+    return sys.window(j, math.sqrt(2.0 * k + n)).item()
 
 
 def lp_kernel(sys, j, x, y, n):

@@ -1,8 +1,10 @@
 """Pseudo-multipliers T_sigma f = sum_k sigma(x, lambda_k) P_k f and their
 symbol-class diagnostics.
 
-A Symbol evaluates sigma(x, xi) for points x and a scalar spectral argument
-xi >= 0; the operator passes xi = lambda_k = 2k + n.  Class checks measure
+A Symbol evaluates sigma(x, xi) on a table: m points x down the rows and an
+array of spectral arguments xi >= 0 along the columns, so each consumer
+makes one call for all the xi it needs; the operator passes
+xi = lambda_k = 2k + n for k = 0..K.  Class checks measure
 sup |d^nu_x Delta^kappa_xi sigma| / [g(x, xi) (1 + sqrt(xi))^{m - 2 rho kappa
 + delta |nu|}]; the cancellation check averages scaled derivatives over the
 critical balls B(x, rho(x)), rho(x) = 1/(1 + |x|).
@@ -16,10 +18,11 @@ import math
 import operator
 
 import numpy as np
-from scipy.special import binom, roots_legendre
+from scipy.special import roots_legendre
 
-from .core import (GridFunction, SpectralFunction, hermite_functions, json_field, json_float,
-                   json_int, lifted_gauss_hermite, multi_indices, tensor_points, tensor_product)
+from .core import (GridFunction, SpectralFunction, finite_difference, hermite_functions,
+                   json_field, json_float, json_int, lifted_gauss_hermite, multi_indices,
+                   tensor_points, tensor_product)
 from .lp import apply_lp
 
 
@@ -31,10 +34,13 @@ def rho(x):
 
 
 class Symbol:
-    """Evaluator sigma(pts, xi) with optional analytic x-derivatives.
+    """sigma(x, xi) on a table of points and spectral arguments.
 
-    pts is an (m, n) array, xi a non-negative scalar; x_derivatives maps a
-    derivative multi-index to an evaluator with the same signature.
+    evaluator(pts, xi) takes an (m, n) point array and a 1-D array xi of
+    non-negative spectral arguments and returns the (m, len(xi)) table;
+    x_derivatives maps a derivative multi-index to an evaluator, and growth
+    is a function of (pts, xi), each with the same contract.  Calling the
+    symbol or x_derivative with a scalar xi gives the (m,) column.
     """
 
     def __init__(self, evaluator, dim, x_derivatives=None, growth=None):
@@ -44,21 +50,23 @@ class Symbol:
         self.growth = growth
 
     def __call__(self, pts, xi):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self.evaluator(pts, xi))
+        return self.x_derivative(pts, xi, ())
 
     def x_derivative(self, pts, xi, nu):
         """d^nu_x sigma: analytic when supplied, otherwise Richardson
         central differences with step 1e-4*(1+|x|) per axis."""
-        nu = tuple(int(v) for v in nu)
-        if sum(nu) == 0:
-            return self(pts, xi)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        xi = np.asarray(xi, dtype=float)
+        table = self._table(pts, np.atleast_1d(xi), tuple(int(v) for v in nu))
+        return table[:, 0] if xi.ndim == 0 else table
+
+    def _table(self, pts, xi, nu):
+        if sum(nu) == 0:
+            return np.asarray(self.evaluator(pts, xi))
         if nu in self.x_derivatives:
             return np.asarray(self.x_derivatives[nu](pts, xi))
         axis = next(i for i, v in enumerate(nu) if v > 0)
-        lower = list(nu)
-        lower[axis] -= 1
+        lower = nu[:axis] + (nu[axis] - 1,) + nu[axis + 1:]
         h = 1e-4 * (1.0 + np.sqrt(np.sum(pts ** 2, axis=1)))
 
         def d(step):
@@ -66,11 +74,21 @@ class Symbol:
             dn = pts.copy()
             up[:, axis] += step
             dn[:, axis] -= step
-            return (self.x_derivative(up, xi, lower)
-                    - self.x_derivative(dn, xi, lower)) / (2.0 * step)
+            return (self._table(up, xi, lower)
+                    - self._table(dn, xi, lower)) / (2.0 * step[:, None])
 
         a1, a2 = d(h), d(h / 2.0)
         return (4.0 * a2 - a1) / 3.0
+
+
+def window_sum(sys, factors, xi):
+    """sum_j m_j(x) phi_j(sqrt(xi)) as an (m, len(xi)) table, summed in j order;
+    factors[j] holds m_j at the m points."""
+    u = np.sqrt(np.maximum(xi, 0.0))
+    acc = np.zeros((len(factors[0]), len(u)))
+    for j, mj in enumerate(factors):
+        acc += np.multiply.outer(mj, np.asarray(sys.window(j, u), dtype=float))
+    return acc
 
 
 def apply_pseudomultiplier(sigma, f, axes=None, pts=None):
@@ -81,9 +99,10 @@ def apply_pseudomultiplier(sigma, f, axes=None, pts=None):
         pts_arr = tensor_points(axes)
     else:
         pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
+    table = sigma(pts_arr, 2.0 * np.arange(f.max_degree + 1) + f.dim)
     out = np.zeros(pts_arr.shape[0], dtype=complex)
     for k, part in f.eval_degrees(pts_arr):
-        out += np.asarray(sigma(pts_arr, 2.0 * k + f.dim)) * part
+        out += table[:, k] * part
     if axes is not None:
         return GridFunction(axes, out.reshape([len(a) for a in axes]))
     return out
@@ -97,19 +116,23 @@ def reproject(evalfn, dim, K_prime):
     (SpectralFunction, relative residual of the discarded part).
     """
     q = max(64, 2 * K_prime + 16)
-    g = None
+    g = pts = None
 
     def sample(y):
-        nonlocal g
-        g = np.asarray(evalfn(tensor_points([y] * dim))).reshape([q] * dim)
+        nonlocal g, pts
+        pts = tensor_points([y] * dim)
+        g = np.asarray(evalfn(pts)).reshape([q] * dim)
         return g
 
     # c_xi = <g, h_xi>: g and h_xi each carry a half-Gaussian
     G = lifted_gauss_hermite(sample, q, dim,
                              axis_factor=lambda d, y: hermite_functions(K_prime, y).T)
-    norm_g2 = float(np.real(lifted_gauss_hermite(lambda y: np.abs(g) ** 2, q, dim)))
     fK = SpectralFunction(dim, K_prime, G).prune(1e-300)
-    resid2 = max(norm_g2 - fK.norm2() ** 2, 0.0)
+    # the discarded part g - f_K is summed at the nodes: ||g||^2 - ||f_K||^2
+    # would cancel the leading digits of a small residual
+    rest = g - fK.eval_points(pts).reshape([q] * dim)
+    norm_g2 = float(np.real(lifted_gauss_hermite(lambda y: np.abs(g) ** 2, q, dim)))
+    resid2 = float(np.real(lifted_gauss_hermite(lambda y: np.abs(rest) ** 2, q, dim)))
     residual = math.sqrt(resid2 / norm_g2) if norm_g2 > 0 else 0.0
     return fK, residual
 
@@ -122,26 +145,20 @@ def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid):
     no-growth variant of the class) when it has none.
     """
     pts = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    g = sigma.growth
     xis = np.unique(np.concatenate([np.arange(0, 16), np.geomspace(16, 64, 12).astype(int)]))
+    xis = xis.astype(float)
+    # sigma at xi + i, i <= K_fd, with the steps i along the last axis
+    lam = (xis[:, None] + np.arange(K_fd + 1)).ravel()
+    g = 1.0
+    if sigma.growth is not None:
+        g = np.maximum(np.asarray(sigma.growth(pts, xis), dtype=float), 1e-300)
     report = {}
     for nu in multi_indices(sigma.dim, N_der):
+        vals = sigma.x_derivative(pts, lam, nu).reshape(len(pts), len(xis), K_fd + 1)
         for kappa in range(K_fd + 1):
-            best = 0.0
-            for xi in xis:
-                xi = int(xi)
-                if kappa == 0:
-                    val = sigma.x_derivative(pts, xi, nu)
-                else:
-                    val = 0.0
-                    for i in range(kappa + 1):
-                        val = val + (-1.0) ** (kappa - i) * binom(kappa, i) \
-                            * sigma.x_derivative(pts, xi + i, nu)
-                denom = (1.0 + math.sqrt(xi)) ** (m - 2.0 * rho_par * kappa + delta * sum(nu))
-                if g is not None:
-                    denom = denom * np.maximum(np.asarray(g(pts, xi), dtype=float), 1e-300)
-                best = max(best, float(np.max(np.abs(val) / denom)))
-            report[(nu, kappa)] = best
+            diff = finite_difference(vals[..., :kappa + 1], kappa)[..., 0]
+            denom = (1.0 + np.sqrt(xis)) ** (m - 2.0 * rho_par * kappa + delta * sum(nu)) * g
+            report[(nu, kappa)] = float(np.max(np.abs(diff) / denom))
     return report
 
 
@@ -156,38 +173,35 @@ def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9,
     n = sigma.dim
     order = 2 * ((n + M) // 2) + 2
     nodes, weights = roots_legendre(12)
-    report = {}
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    for gamma in multi_indices(n, order):
-        best = 0.0
-        for x in pts:
-            r = float(rho(x))
-            axes = [x[d] + r * nodes for d in range(n)]
-            ball = tensor_points(axes)
-            wgt = tensor_product([weights] * n)
-            inside = np.sum((ball - x) ** 2, axis=1) <= r * r
-            if not inside.any():
-                continue
-            win = wgt * inside
-            vol = float(np.sum(win))
-            rr = rho(ball)
-            for xi in xi_samples:
-                d = sigma.x_derivative(ball, int(xi), gamma)
-                avg = float(np.sum(win * np.abs(rr ** sum(gamma) * d) ** 2) / vol)
-                val = math.sqrt(avg) / (1.0 + math.sqrt(xi)) ** m
-                best = max(best, val)
-        report[gamma] = best
+    xi = np.asarray(xi_samples, dtype=float)
+    scale = (1.0 + np.sqrt(xi)) ** m
+    report = {gamma: 0.0 for gamma in multi_indices(n, order)}
+    for x in np.atleast_2d(np.asarray(sample_points, dtype=float)):
+        r = float(rho(x))
+        ball = tensor_points([x[d] + r * nodes for d in range(n)])
+        inside = np.sum((ball - x) ** 2, axis=1) <= r * r
+        if not inside.any():
+            continue
+        win = tensor_product([weights] * n) * inside
+        vol = float(np.sum(win))
+        rr = rho(ball)
+        for gamma in report:
+            d = sigma.x_derivative(ball, xi, gamma)
+            avg = win @ np.abs((rr ** sum(gamma))[:, None] * d) ** 2 / vol
+            report[gamma] = max(report[gamma], float(np.max(np.sqrt(avg) / scale)))
     return report
 
 
 def hermite_multiplier(seq, dim=1):
-    """x-independent symbol from a spectral sequence xi -> complex."""
+    """x-independent symbol from a spectral sequence xi -> complex, called once
+    per xi; the table is a read-only broadcast of that row, not a copy per point."""
 
     def ev(pts, xi):
-        return np.full(np.atleast_2d(pts).shape[0], complex(seq(xi)))
+        row = np.array([complex(seq(v)) for v in xi.tolist()], dtype=complex)
+        return np.broadcast_to(row, (len(pts), len(row)))
 
     def zero(pts, xi):
-        return np.zeros(np.atleast_2d(pts).shape[0], dtype=complex)
+        return np.broadcast_to(0j, (len(pts), len(xi)))
 
     return Symbol(ev, dim, {nu: zero for nu in multi_indices(dim, 4) if sum(nu) > 0})
 
@@ -214,9 +228,9 @@ def separable_symbol(dim=1, x_scale=2.0, xi_scale=8.0):
     """Compactly supported spatial bump times a Schwartz spectral factor."""
 
     def ev(pts, xi):
-        pts = np.atleast_2d(pts)
         r = np.sqrt(np.sum(pts ** 2, axis=1)) / x_scale
-        return _radial_bump(r) * math.exp(-xi / xi_scale)
+        # libm's exp, one per xi: NumPy's vector exp may differ in the last bit
+        return np.multiply.outer(_radial_bump(r), [math.exp(-v / xi_scale) for v in xi.tolist()])
 
     return Symbol(ev, dim)
 
@@ -226,20 +240,12 @@ def band_sum_symbol(sys, dim=1, beta=-1.0):
     sigma_j(x) = (1 + |x|^2/4^j)^{beta/2} (smooth, dyadically scaled)."""
 
     def ev(pts, xi):
-        pts = np.atleast_2d(pts)
         r2 = np.sum(pts ** 2, axis=1)
-        u = math.sqrt(max(xi, 0.0))
-        acc = np.zeros(pts.shape[0])
-        for j in range(9):
-            w = float(sys.window(j, u))
-            if w != 0.0:
-                acc += w * (1.0 + r2 / 4.0 ** j) ** (beta / 2.0)
-        return acc
+        return window_sum(sys, [(1.0 + r2 / 4.0 ** j) ** (beta / 2.0) for j in range(9)], xi)
 
     def growth(pts, xi):
-        pts = np.atleast_2d(pts)
-        r = np.sqrt(np.sum(pts ** 2, axis=1))
-        return (1.0 + r / (1.0 + math.sqrt(max(xi, 0.0)))) ** beta
+        r = np.sqrt(np.sum(np.atleast_2d(pts) ** 2, axis=1))
+        return (1.0 + np.divide.outer(r, 1.0 + np.sqrt(np.maximum(xi, 0.0)))) ** beta
 
     return Symbol(ev, dim, growth=growth)
 
@@ -248,13 +254,12 @@ def annulus_symbol(dim=1, j_max=6):
     """sigma_j supported in the dyadic annulus 2^j <= |x| < 2^{j+1}, summed."""
 
     def ev(pts, xi):
-        pts = np.atleast_2d(pts)
         r = np.sqrt(np.sum(pts ** 2, axis=1))
         acc = _radial_bump(r)          # central piece
         for j in range(j_max + 1):
             c = 1.5 * 2.0 ** j
             acc = acc + _radial_bump(np.abs(r - c) / (0.5 * 2.0 ** j))
-        return acc
+        return np.broadcast_to(acc[:, None], (len(acc), len(xi)))
 
     return Symbol(ev, dim)
 
@@ -264,8 +269,7 @@ def oscillating_symbol(v):
     v = np.atleast_1d(np.asarray(v, dtype=float))
 
     def ev(pts, xi):
-        pts = np.atleast_2d(pts)
-        return np.exp(1j * pts @ v)
+        return np.broadcast_to(np.exp(1j * pts @ v)[:, None], (len(pts), len(xi)))
 
     return Symbol(ev, v.size)
 
@@ -294,89 +298,51 @@ def nonlinearity_power(p):
                         (lambda u: p * (p - 1) * u ** (p - 2)) if p >= 2 else (lambda u: 0.0 * u))
 
 
-class LinearizedSymbol(Symbol):
+def linearize_nonlinearity(H, f, sys, J, t_points=16):
     """sigma_f(x, xi) = sum_j m_j(x) phi_j(sqrt(xi)) with
     m_j(x) = int_0^1 H'(f_{j-1}(x) + t (phi_j(sqrt L) f)(x)) dt.
 
-    f_j is the partial sum of the band projections of f; by telescoping,
-    T_{sigma_f} f = H(f) up to the t-quadrature error alone.
+    f_j is the partial sum of the band projections b_j of f; by telescoping,
+    T_{sigma_f} f = H(f) up to the t-quadrature error alone.  When H has a
+    second derivative the first x-derivatives are analytic:
+    d_i m_j = int_0^1 H''(f_{j-1} + t b_j) (d_i f_{j-1} + t d_i b_j) dt.
     """
-
-    def __init__(self, H, f, sys, J, t_points=16):
-        if abs(H(0.0)) > 1e-14:
-            raise ValueError("nonlinearity must vanish at 0")
-        self.H = H
-        self.f = f
-        self.sys = sys
-        self.J = int(J)
-        # Gauss-Legendre nodes and weights on [0, 1] for the t integral
-        t, wt = roots_legendre(int(t_points))
-        self.t, self.wt = 0.5 * (t + 1.0), 0.5 * wt
-        self.bands = [apply_lp(sys, j, f) for j in range(J + 1)]
-        self._cache = {}
-        super().__init__(self._evaluate, f.dim)
-
-    def _band_values(self, pts):
-        key = (pts.shape, pts.tobytes())
-        if key not in self._cache:
-            self._cache[key] = [np.real(b.eval_points(pts)) for b in self.bands]
-        return self._cache[key]
-
-    def m_values(self, pts):
-        """m_j on the points, all j <= J, via Gauss-Legendre in t."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        bands = self._band_values(pts)
-        out = []
-        prev = np.zeros(pts.shape[0])
-        for j in range(self.J + 1):
-            bj = bands[j]
-            mj = np.zeros(pts.shape[0])
-            for ti, wi in zip(self.t, self.wt):
-                mj += wi * np.asarray(self.H.dh(prev + ti * bj), dtype=float)
-            out.append(mj)
-            prev = prev + bj
-        return out
-
-    def _evaluate(self, pts, xi):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        u = math.sqrt(max(float(xi), 0.0))
-        ms = self.m_values(pts)
-        acc = np.zeros(pts.shape[0])
-        for j in range(self.J + 1):
-            w = float(self.sys.window(j, u))
-            if w != 0.0:
-                acc += w * ms[j]
-        return acc
-
-    def x_derivative(self, pts, xi, nu):
-        nu = tuple(int(v) for v in nu)
-        if sum(nu) != 1 or self.H.d2h is None:
-            return super().x_derivative(pts, xi, nu)
-        axis = nu.index(1)
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        bands = self._band_values(pts)
-        dbands = [np.real(b.derivative(axis).eval_points(pts)) for b in self.bands]
-        u = math.sqrt(max(float(xi), 0.0))
-        acc = np.zeros(pts.shape[0])
-        prev = np.zeros(pts.shape[0])
-        dprev = np.zeros(pts.shape[0])
-        for j in range(self.J + 1):
-            w = float(self.sys.window(j, u))
-            if w != 0.0:
-                mj = np.zeros(pts.shape[0])
-                for ti, wi in zip(self.t, self.wt):
-                    mj += wi * np.asarray(self.H.d2h(prev + ti * bands[j]), dtype=float) \
-                        * (dprev + ti * dbands[j])
-                acc += w * mj
-            prev = prev + bands[j]
-            dprev = dprev + dbands[j]
-        return acc
-
-
-def linearize_nonlinearity(H, f, sys, J, t_points=16):
     if not f.is_real(1e-10):
         raise ValueError("linearization requires a real function")
-    return LinearizedSymbol(H, f, sys, J, t_points)
+    if abs(H(0.0)) > 1e-14:
+        raise ValueError("nonlinearity must vanish at 0")
+    # Gauss-Legendre nodes and weights on [0, 1] for the t integral
+    t, wt = roots_legendre(int(t_points))
+    t, wt = 0.5 * (t + 1.0), 0.5 * wt
+    bands = [apply_lp(sys, j, f) for j in range(J + 1)]
+
+    def factors(pts, axis=None):
+        """m_j on the points, all j <= J, or their axis-derivatives."""
+        vals = [np.real(b.eval_points(pts)) for b in bands]
+        dvals = vals if axis is None else \
+            [np.real(b.derivative(axis).eval_points(pts)) for b in bands]
+        out = []
+        prev = np.zeros(pts.shape[0])
+        dprev = np.zeros(pts.shape[0])
+        for bj, dbj in zip(vals, dvals):
+            mj = np.zeros(pts.shape[0])
+            for ti, wi in zip(t, wt):
+                if axis is None:
+                    mj += wi * np.asarray(H.dh(prev + ti * bj), dtype=float)
+                else:
+                    mj += wi * np.asarray(H.d2h(prev + ti * bj), dtype=float) \
+                        * (dprev + ti * dbj)
+            out.append(mj)
+            prev = prev + bj
+            dprev = dprev + dbj
+        return out
+
+    first = {}
+    if H.d2h is not None:
+        for axis in range(f.dim):
+            nu = tuple(int(i == axis) for i in range(f.dim))
+            first[nu] = lambda pts, xi, axis=axis: window_sum(sys, factors(pts, axis), xi)
+    return Symbol(lambda pts, xi: window_sum(sys, factors(pts), xi), f.dim, first)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +399,19 @@ def compile_expression(expr, dim):
 
     def ev(pts, xi):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        env = {f"x{i + 1}": pts[:, i] for i in range(dim)}
-        env["absx"] = np.sqrt(np.sum(pts ** 2, axis=1))
-        env["xi"] = float(xi)
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        # points down the rows, xi along the columns
+        env = {f"x{i + 1}": pts[:, i:i + 1] for i in range(dim)}
+        env["absx"] = np.sqrt(np.sum(pts ** 2, axis=1, keepdims=True))
+        env["xi"] = xi
         try:
-            val = _eval_node(tree, env)
+            # an inf or NaN from the arrays is an error, as Python floats raise
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                val = _eval_node(tree, env)
         except ArithmeticError as e:
-            raise ValueError(f"expression {expr!r} at xi = {xi}: {e}") from None
-        return np.broadcast_to(np.asarray(val, dtype=complex), (pts.shape[0],)).copy()
+            raise ValueError(f"expression {expr!r} for xi in [{xi.min():g}, {xi.max():g}]: "
+                             f"{e}") from None
+        return np.broadcast_to(np.asarray(val, dtype=complex), (pts.shape[0], xi.size))
 
     return ev
 
@@ -451,7 +422,7 @@ def symbol_from_descriptor(d, sys=None):
     dim = json_int(d.get("dim", 1), "symbol dim")
     if kind == "multiplier":
         ev = compile_expression(json_field(d, "expression", "multiplier symbol"), dim)
-        return hermite_multiplier(lambda xi: complex(ev(np.zeros((1, dim)), xi)[0]), dim)
+        return hermite_multiplier(lambda xi: ev(np.zeros((1, dim)), xi)[0, 0], dim)
     if kind == "separable":
         x_scale = json_float(d.get("x_scale", 2.0), "x_scale")
         xi_scale = json_float(d.get("xi_scale", 8.0), "xi_scale")

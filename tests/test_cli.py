@@ -151,6 +151,9 @@ BAD_SYMBOLS = {
     "zero-xi-scale": {"kind": "separable", "xi_scale": 0},
     "division-by-zero": {"kind": "multiplier", "expression": "1/0"},
     "overflowing-power": {"kind": "multiplier", "expression": "10**10**5"},
+    "pole-on-spectrum": {"kind": "multiplier", "expression": "1/(xi-3)"},
+    "negative-sqrt-multiplier": {"kind": "multiplier", "expression": "sqrt(xi-5)"},
+    "negative-sqrt-expression": {"kind": "custom-expression", "expression": "sqrt(xi-5)"},
 }
 
 

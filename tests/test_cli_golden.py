@@ -8,8 +8,9 @@ unless their bytes agree they are compared within 1e-13 relative: JSON
 numbers one by one, CSV values against the largest magnitude in their
 column.
 
-Regenerate (only when an output is meant to change) with
-    PYTHONPATH=src python tests/test_cli_golden.py
+Regenerate the outputs that are meant to change, and only those, with
+    PYTHONPATH=src python tests/test_cli_golden.py OUTPUT [OUTPUT ...]
+(for example verify-boundedness.json); with no names it rewrites all of them.
 """
 
 import gzip
@@ -151,12 +152,18 @@ def test_cli_output_matches_golden(outputs, name, exact):
         f"{name}: max deviation {np.max(np.abs(a - b)):.3e}"
 
 
-def _regenerate():
+def _regenerate(names=()):
+    """Rewrite the golden files of the named outputs, or all of them when none is named."""
     import tempfile
+    unknown = set(names) - {out for out, _, _ in CASES}
+    if unknown:
+        raise SystemExit(f"unknown outputs: {', '.join(sorted(unknown))}")
     with tempfile.TemporaryDirectory() as workdir:
         _prepare(workdir)
         _run_all(workdir)
         for out, _, _ in CASES:
+            if names and out not in names:
+                continue
             with open(os.path.join(workdir, out), "rb") as src:
                 data = src.read()
             # mtime=0 keeps the compressed files themselves reproducible
@@ -166,5 +173,5 @@ def _regenerate():
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1:])
     sys.exit(0)

@@ -200,6 +200,13 @@ def test_finite_difference_basics():
     assert finite_difference(k * k, 2)[0] == pytest.approx(2.0)
 
 
+def test_finite_difference_checks_the_differenced_axis():
+    # differences run along the last axis, so its length must exceed the order
+    with pytest.raises(ValueError):
+        finite_difference(np.ones((3, 2)), 2)
+    assert finite_difference(np.ones((2, 3)), 2).shape == (2, 1)
+
+
 def test_finite_difference_leibniz():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(10)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hermband import estimates
 from hermband.core import SpectralFunction
 from hermband.estimates import (
     Molecule,
@@ -20,9 +21,10 @@ from hermband.estimates import (
     verify_almost_orthogonality,
     verify_maximal,
     verify_synthesis,
+    verify_tsmooth,
 )
 from hermband.lp import default_system
-from hermband.symbols import identity_symbol
+from hermband.symbols import band_sum_symbol, identity_symbol
 from hermband.tiles import TileConfig, build_level
 
 
@@ -115,6 +117,24 @@ def test_tsigma_identity_matches_needlet_derivatives(sys, cfg):
         got = np.real(tsigma_derivative_on_points(sig, sys, tile, gamma, pts, 1))
         expect = mol.deriv_eval(gamma, pts)
         assert np.max(np.abs(got - expect)) < 1e-11
+
+
+def test_tsmooth_samples_tiles_once_per_level(sys, cfg, monkeypatch):
+    # every (kappa, eps) pair is measured on the same tiles, where the largest
+    # pair gives the least sup, so that pair is the one reported
+    sample = estimates.sample_tiles
+    levels_sampled = []
+
+    def counted(ts, count, rng):
+        levels_sampled.append(ts.level)
+        return sample(ts, count, rng)
+
+    monkeypatch.setattr(estimates, "sample_tiles", counted)
+    rep = verify_tsmooth(band_sum_symbol(sys, 1), sys, cfg, m=0, levels=2, tiles_per_level=1,
+                         grid_points=51)
+    assert levels_sampled == [0, 1, 2]
+    assert (rep.details["kappa"], rep.details["epsilon"]) == (0.5, 16.5)
+    assert rep.passed and rep.constant == max(rep.per_level.values())
 
 
 def test_tsigma_moment_identity_oracle(sys, cfg):

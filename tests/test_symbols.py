@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hermband.core import basis_function, random_spectral
+from hermband.core import SpectralFunction, basis_function, random_spectral
 from hermband.lp import apply_lp, default_system, spectral_window
 from hermband.symbols import (
     Symbol,
@@ -83,9 +83,18 @@ def test_reproject_multiplier_output_exact():
     fK, resid = reproject(lambda pts: apply_pseudomultiplier(sig, f, pts=pts), 1, 8)
     assert resid < 1e-6
     expect_coeffs = {xi: c / (1.0 + (2 * xi[0] + 1)) for xi, c in f.coeffs.items()}
-    from hermband.core import SpectralFunction
     expect = SpectralFunction(1, 8, expect_coeffs)
     assert fK.sub(expect).norm2() < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7])
+def test_reproject_residual_of_a_small_tail(eps):
+    # g = h_0 + eps h_9 on V_8 leaves eps h_9: relative residual eps / sqrt(1 + eps^2)
+    coeffs = np.zeros(10)
+    coeffs[0], coeffs[9] = 1.0, eps
+    g = SpectralFunction(1, 9, coeffs)
+    fK, resid = reproject(g.eval_points, 1, 8)
+    assert resid == pytest.approx(eps / math.sqrt(1.0 + eps * eps), rel=1e-9)
 
 
 def test_reproject_zero():
@@ -189,8 +198,11 @@ def test_linearize_rejects_complex(sys):
 
 def test_compile_expression_basic():
     ev = compile_expression("exp(-xi) * (1 + x1**2)", 1)
-    pts = np.array([[2.0]])
-    assert complex(ev(pts, 1.0)[0]) == pytest.approx(math.exp(-1.0) * 5.0, rel=1e-14)
+    pts = np.array([[2.0], [0.0]])
+    xi = np.array([1.0, 3.0])
+    expect = np.outer([5.0, 1.0], np.exp(-xi))
+    assert ev(pts, xi).shape == (2, 2)
+    assert np.allclose(ev(pts, xi), expect, rtol=1e-14, atol=0.0)
 
 
 def test_compile_expression_rejects_calls():
@@ -230,8 +242,40 @@ def test_band_sum_symbol_growth_attached(sys):
 
 def test_numeric_x_derivative_matches_analytic():
     # sin(x) e^{-xi}: compare Richardson FD against the exact derivative
-    sig = Symbol(lambda pts, xi: np.sin(pts[:, 0]) * math.exp(-xi), 1)
+    sig = Symbol(lambda pts, xi: np.sin(pts) * np.exp(-xi), 1)
     pts = np.array([[0.3], [1.1]])
-    got = np.real(sig.x_derivative(pts, 2.0, (1,)))
-    expect = np.cos(pts[:, 0]) * math.exp(-2.0)
+    xi = np.array([0.0, 2.0, 5.0])
+    got = np.real(sig.x_derivative(pts, xi, (1,)))
+    expect = np.cos(pts) * np.exp(-xi)
+    assert got.shape == (2, 3)
     assert np.max(np.abs(got - expect)) < 1e-8
+
+
+SYMBOL_KINDS = {
+    "multiplier": lambda sys: symbol_from_descriptor(
+        {"kind": "multiplier", "expression": "1/(1+xi)"}),
+    "separable": lambda sys: separable_symbol(1),
+    "band-sum": lambda sys: band_sum_symbol(sys, 1),
+    "annulus": lambda sys: annulus_symbol(1),
+    "oscillating": lambda sys: oscillating_symbol(3.0),
+    "expression": lambda sys: symbol_from_descriptor(
+        {"kind": "custom-expression", "expression": "exp(-xi/8)*cos(x1)"}),
+    "linearized": lambda sys: linearize_nonlinearity(
+        nonlinearity_power(2), random_spectral(1, 6, np.random.default_rng(7), real=True), sys,
+        sys.coverage_level(13.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(SYMBOL_KINDS))
+def test_symbol_table_columns_match_scalar_calls(sys, kind):
+    sig = SYMBOL_KINDS[kind](sys)
+    pts = np.linspace(-3.0, 3.0, 7)[:, None]
+    lams = 2.0 * np.arange(12) + 1.0
+    for nu in ((0,), (1,), (2,)):
+        table = sig.x_derivative(pts, lams, nu)
+        assert table.shape == (7, 12)
+        for i, lam in enumerate(lams):
+            assert np.array_equal(table[:, i], sig.x_derivative(pts, lam, nu))
+    table = sig(pts, lams)
+    for i, lam in enumerate(lams):
+        assert np.array_equal(table[:, i], sig(pts, lam))
