@@ -2,7 +2,8 @@
 
 Subcommands: nodes, windows, needlet, analyze, synthesize, norm, apply,
 linearize, verify.  Exit codes: 0 success, 1 precondition or input error,
-2 a verification suite failed its stability criterion.  CSV floats use 17
+2 a verification suite failed its stability criterion.  Without --out a
+command writes to stdout what it would write to the file.  CSV floats use 17
 significant digits and JSON floats Python's shortest round-trip repr; both
 read back exactly, and identical configurations produce byte-identical
 output.
@@ -85,6 +86,8 @@ def cmd_nodes(args):
 
 
 def cmd_windows(args):
+    if args.levels < 0 or args.kmax < 0:
+        raise PreconditionError("--levels and --kmax must be >= 0")
     sys = _system(args)
     with _output(args.out) as out:
         out.write("j,k,lambda,phi,psi\n")
@@ -105,15 +108,21 @@ def cmd_needlet(args):
     index = tuple(int(v) for v in args.index.split(","))
     tile = ts.tile(index)
     f = frames.needlet(sys, tile, dual=args.dual)
-    f.save(args.out) if args.out else print(json.dumps(f.to_json_dict()))
+    with _output(args.out) as out:
+        f.write(out)
     return 0
 
 
 def cmd_analyze(args):
+    if args.levels < 0:
+        raise PreconditionError("--levels must be >= 0")
+    if not 0.0 <= args.prune < math.inf:
+        raise PreconditionError("--prune must be finite and >= 0")
     sys = _system(args)
     f = _load_function(args)
     s = frames.analyze(sys, f, args.levels, _tile_config(args))
-    s.save(args.out, tol=args.prune)
+    with _output(args.out) as out:
+        s.write(out, tol=args.prune)
     return 0
 
 
@@ -122,7 +131,8 @@ def cmd_synthesize(args):
     cfg = _tile_config(args)
     s = frames.CoefficientSequence.load(args.infile, cfg)
     g = frames.synthesize(sys, s)
-    g.save(args.out)
+    with _output(args.out) as out:
+        g.write(out)
     return 0
 
 
@@ -161,7 +171,9 @@ def cmd_linearize(args):
 def _apply_on_box(sigma, f, out):
     """Write T_sigma f on the quadrature box of f as grid CSV."""
     axes = norms.QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
-    symbols.apply_pseudomultiplier(sigma, f, axes=axes).save_csv(out)
+    g = symbols.apply_pseudomultiplier(sigma, f, axes=axes)
+    with _output(out) as fh:
+        g.write_csv(fh)
     return 0
 
 

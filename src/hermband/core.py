@@ -17,7 +17,6 @@ import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 _LN2 = math.log(2.0)
 _RESCALE = 2.0 ** 500
@@ -104,6 +103,8 @@ def gauss_hermite(q):
     """
     if q < 1:
         raise ValueError("need at least one node")
+    # imported here so that commands which build no tiles never load SciPy
+    from scipy.special import roots_hermite
     nodes = roots_hermite(q)[0]
     nodes = 0.5 * (nodes - nodes[::-1])
     tau = christoffel(q - 1, nodes)
@@ -472,9 +473,12 @@ class SpectralFunction:
         return cls(json_int(json_field(d, "dim", "function"), "dim"),
                    json_int(json_field(d, "max_degree", "function"), "max_degree"), coeffs)
 
+    def write(self, fh):
+        json.dump(self.to_json_dict(), fh, indent=1)
+
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=1)
+        with open(path, "w") as fh:
+            self.write(fh)
 
     @classmethod
     def load(cls, path):
@@ -593,12 +597,11 @@ class GridFunction:
     def dim(self):
         return len(self.axes)
 
-    def save_csv(self, path):
+    def write_csv(self, fh):
         pts = tensor_points(self.axes)
         flat = self.samples.ravel()
-        with open(path, "w") as f:
-            cols = [f"x{i + 1}" for i in range(self.dim)]
-            f.write(",".join(cols + ["re", "im"]) + "\n")
-            for p, v in zip(pts, flat):
-                coords = ",".join("%.17g" % c for c in p)
-                f.write(f"{coords},{'%.17g' % np.real(v)},{'%.17g' % np.imag(v)}\n")
+        cols = [f"x{i + 1}" for i in range(self.dim)]
+        fh.write(",".join(cols + ["re", "im"]) + "\n")
+        for p, v in zip(pts, flat):
+            coords = ",".join("%.17g" % c for c in p)
+            fh.write(f"{coords},{'%.17g' % np.real(v)},{'%.17g' % np.imag(v)}\n")

@@ -75,9 +75,12 @@ class CoefficientSequence:
             out.levels[j] = arr
         return out
 
+    def write(self, fh, tol=0.0):
+        json.dump(self.to_json_dict(tol), fh)
+
     def save(self, path, tol=0.0):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(tol), f)
+        with open(path, "w") as fh:
+            self.write(fh, tol)
 
     @classmethod
     def load(cls, path, cfg):

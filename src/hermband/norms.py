@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter, uniform_filter
 
 from .core import GridFunction, SpectralFunction, tensor_points
 from .lp import apply_lp
@@ -29,6 +28,8 @@ class SpaceParams:
     def __post_init__(self):
         if self.family not in ("B", "F"):
             raise ValueError("family must be 'B' or 'F'")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if not self.p > 0 or not self.q > 0:
             raise ValueError("p and q must be positive")
         if self.family == "F" and math.isinf(self.p):
@@ -180,6 +181,8 @@ def maximal(g, s):
     """
     if s <= 0:
         raise ValueError("s must be positive")
+    # imported here so that only the maximal function loads scipy.ndimage
+    from scipy.ndimage import maximum_filter, uniform_filter
     a = np.abs(np.asarray(g.samples)) ** s
     n = a.ndim
     m_max = int(math.floor(math.log2(min(a.shape)))) if min(a.shape) > 1 else 0

@@ -18,7 +18,7 @@ import math
 import operator
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .core import (GridFunction, SpectralFunction, finite_difference, hermite_functions,
                    json_field, json_float, json_int, lifted_gauss_hermite, multi_indices,
@@ -172,7 +172,7 @@ def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9,
     """
     n = sigma.dim
     order = 2 * ((n + M) // 2) + 2
-    nodes, weights = roots_legendre(12)
+    nodes, weights = leggauss(12)
     xi = np.asarray(xi_samples, dtype=float)
     scale = (1.0 + np.sqrt(xi)) ** m
     report = {gamma: 0.0 for gamma in multi_indices(n, order)}
@@ -312,7 +312,7 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
     if abs(H(0.0)) > 1e-14:
         raise ValueError("nonlinearity must vanish at 0")
     # Gauss-Legendre nodes and weights on [0, 1] for the t integral
-    t, wt = roots_legendre(int(t_points))
+    t, wt = leggauss(int(t_points))
     t, wt = 0.5 * (t + 1.0), 0.5 * wt
     bands = [apply_lp(sys, j, f) for j in range(J + 1)]
 

@@ -189,6 +189,32 @@ def test_verify_levels_exits_1_where_ignored(monkeypatch, capsys, suite):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# numeric flags outside their domain, each of which used to be accepted and
+# write a meaningless (or, for a non-finite alpha, non-JSON) result
+BAD_FLAGS = {
+    "norm-alpha-nan": ["norm", "--alpha", "nan"],
+    "norm-alpha-inf": ["norm", "--alpha", "inf"],
+    "norm-B-alpha-inf": ["norm", "--space", "B", "--alpha=-inf"],
+    "analyze-prune-nan": ["analyze", "--levels", "2", "--prune", "nan"],
+    "analyze-prune-inf": ["analyze", "--levels", "2", "--prune", "inf"],
+    "analyze-prune-negative": ["analyze", "--levels", "2", "--prune", "-1"],
+    "analyze-levels-negative": ["analyze", "--levels", "-1"],
+    "windows-levels-negative": ["windows", "--levels", "-1"],
+    "windows-kmax-negative": ["windows", "--kmax", "-1"],
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_FLAGS))
+def test_bad_numeric_flag_exits_1(tmp_path, v10_file, capsys, bad):
+    argv = BAD_FLAGS[bad]
+    if argv[0] != "windows":
+        argv = argv + ["--in", str(v10_file[0])]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()

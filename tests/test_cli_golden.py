@@ -17,13 +17,16 @@ import gzip
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hermband
 from hermband.cli import main
 
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hermband.__file__)))
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 REL_TOL = 1e-13
 
@@ -150,6 +153,80 @@ def test_cli_output_matches_golden(outputs, name, exact):
     scale = np.abs(b) if b.ndim == 1 else np.max(np.abs(b), axis=0)
     assert np.all(np.abs(a - b) <= REL_TOL * scale), \
         f"{name}: max deviation {np.max(np.abs(a - b)):.3e}"
+
+
+@pytest.mark.parametrize("name,argv", [(c[0], c[1]) for c in CASES if c[1][0] != "verify"],
+                         ids=[c[0] for c in CASES if c[1][0] != "verify"])
+def test_stdout_matches_out_file(outputs, capsys, monkeypatch, name, argv):
+    monkeypatch.chdir(outputs)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (outputs / name).read_bytes()
+
+
+def test_analyze_to_stdout_feeds_synthesize(tmp_path, capsys, monkeypatch):
+    """analyze and synthesize without --out write the golden bytes to stdout."""
+    _prepare(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--in", "f1.json", "--levels", "3"]) == 0
+    coeffs = capsys.readouterr().out.encode()
+    assert coeffs == _golden_bytes("analyze-1d.json")
+    (tmp_path / "c.json").write_bytes(coeffs)
+    assert main(["synthesize", "--in", "c.json"]) == 0
+    assert capsys.readouterr().out.encode() == _golden_bytes("synthesize-1d.json")
+
+
+# Runs CLI commands in one process in which importing SciPy fails, and
+# prints their exit codes as the last line of stdout.
+_NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from hermband.cli import main
+cases = json.loads(sys.argv[1])
+print(json.dumps({name: main(argv) for name, argv in cases.items()}))
+"""
+
+# the commands that build no tiles and run no SciPy-backed suite
+NO_SCIPY_CASES = {
+    "help": ["--help"],
+    "windows": ["windows", "--out", "w.csv"],
+    "norm-B": ["norm", "--in", "f1.json", "--space", "B", "--out", "nb.json"],
+    "norm-F": ["norm", "--in", "f1.json", "--space", "F", "--p", "1", "--out", "nf.json"],
+    **{f"apply-{kind}": ["apply", "--symbol", f"sym-{kind}.json", "--in", "f1.json",
+                         "--out", f"apply-{kind}.csv"] for kind in SYMBOLS},
+    "linearize": ["linearize", "--in", "f1.json", "--power", "2", "--out", "lin.csv"],
+    **{f"verify-{suite}": ["verify", suite, "--out", f"verify-{suite}.json"]
+       for suite in ("linearize", "hoppe", "qq")},
+}
+
+
+def _run_without_scipy(workdir, cases):
+    # the child imports hermband from where this process did
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(cases)], cwd=workdir,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def no_scipy_codes(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("noscipy")
+    _prepare(workdir)
+    proc = _run_without_scipy(workdir, NO_SCIPY_CASES)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", list(NO_SCIPY_CASES))
+def test_command_runs_without_scipy(no_scipy_codes, case):
+    assert no_scipy_codes[case] == 0
+
+
+def test_tile_build_needs_scipy(tmp_path):
+    """Negative control: the block is real, so a command that builds tiles fails."""
+    proc = _run_without_scipy(tmp_path, {"nodes": ["nodes", "--level", "2", "--out", "n.csv"]})
+    assert proc.returncode != 0
+    last = proc.stderr.rstrip().splitlines()[-1]
+    assert last.startswith("ModuleNotFoundError") and "scipy" in last, proc.stderr
 
 
 def _regenerate(names=()):
