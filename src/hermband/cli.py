@@ -60,9 +60,7 @@ def _config(args):
 
 
 def _tile_config(args):
-    return tiles.TileConfig(delta_star=args.delta_star, dim=args.dim,
-                            max_level=max(getattr(args, "level", 0) or 0,
-                                          getattr(args, "levels", 0) or 0, 8))
+    return tiles.TileConfig(args.delta_star, args.dim)
 
 
 def _system(args):
@@ -114,13 +112,17 @@ def cmd_needlet(args):
 
 
 def cmd_analyze(args):
-    if args.levels < 0:
-        raise PreconditionError("--levels must be >= 0")
+    cfg = _tile_config(args)
+    tiles.check_level(args.levels, cfg)
     if not 0.0 <= args.prune < math.inf:
         raise PreconditionError("--prune must be finite and >= 0")
     sys = _system(args)
     f = _load_function(args)
-    s = frames.analyze(sys, f, args.levels, _tile_config(args))
+    J = sys.coverage_level(2.0 * f.max_degree + f.dim)
+    if args.levels < J:
+        print(f"warning: --levels {args.levels} is below the coverage level {J} of f; "
+              f"the bands above level {args.levels} are dropped", file=_sys.stderr)
+    s = frames.analyze(sys, f, args.levels, cfg)
     with _output(args.out) as out:
         s.write(out, tol=args.prune)
     return 0
@@ -190,8 +192,12 @@ def cmd_verify(args):
     sys = _system(args)
     cfg = _tile_config(args)
     n = cfg.dim
-    levels = args.levels if args.levels is not None else (4 if n == 1 else 3)
     suite = args.suite
+    if args.levels is None:
+        levels = 3 if n > 1 or suite in ("tsmooth", "tcanc") else 4
+    else:
+        levels = args.levels
+        tiles.check_level(levels, cfg)
     if suite == "molecule":
         rep = estimates.verify_molecules(sys, cfg, estimates.MoleculeParams(1, 0.5, 2, 0.5, n + 2),
                                          levels=levels, seed=args.seed)
@@ -199,10 +205,10 @@ def cmd_verify(args):
         rep = estimates.verify_ao(sys, cfg, seed=args.seed)
     elif suite == "tsmooth":
         sigma = symbols.band_sum_symbol(sys, n)
-        rep = estimates.verify_tsmooth(sigma, sys, cfg, m=0, levels=min(levels, 3), seed=args.seed)
+        rep = estimates.verify_tsmooth(sigma, sys, cfg, m=0, levels=levels, seed=args.seed)
     elif suite == "tcanc":
         sigma = symbols.separable_symbol(n)
-        rep = estimates.verify_tcanc(sigma, sys, cfg, m=0, levels=min(levels, 3), seed=args.seed)
+        rep = estimates.verify_tcanc(sigma, sys, cfg, m=0, levels=levels, seed=args.seed)
     elif suite == "synthesis":
         rep = estimates.verify_synthesis(sys, cfg, seed=args.seed)
     elif suite == "boundedness":

@@ -49,29 +49,19 @@ def _ldexp_clipped(mant, e):
     return np.ldexp(mant, e)
 
 
-def hermite_functions(k_max, t):
-    """Evaluate h_0..h_{k_max} at t (scalar or array).
-
-    Returns an array of shape (k_max + 1,) + shape(t).  Values are finite for
-    any finite t; in the far tail they underflow cleanly to 0.
-    """
+def _hermite_rows(k_max, t):
+    """Yield h_0(t), ..., h_{k_max}(t), each of shape(t), one row at a time."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("non-finite evaluation point")
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-
     # seed h_0 = pi^{-1/4} exp(-t^2/2) in scaled form
     log_h0 = -0.25 * math.log(math.pi) - 0.5 * t * t
     e = np.floor(log_h0 / _LN2)
     mant = np.exp(log_h0 - e * _LN2)
-
-    out = np.empty((k_max + 1,) + t.shape)
-    out[0] = _ldexp_clipped(mant, e)
-    prev = np.zeros_like(mant)
-    cur = mant
+    yield _ldexp_clipped(mant, e)
+    prev, cur = np.zeros_like(mant), mant
     for k in range(k_max):
         a = math.sqrt(2.0 / (k + 1))
         b = math.sqrt(k / (k + 1.0))
@@ -87,8 +77,19 @@ def hermite_functions(k_max, t):
             prev = np.where(big, prev * _RESCALE_INV, prev)
             cur = np.where(big, cur * _RESCALE_INV, cur)
             e = np.where(big, e + 500, e)
-        out[k + 1] = _ldexp_clipped(cur, e)
-    return out[:, 0] if scalar else out
+        yield _ldexp_clipped(cur, e)
+
+
+def hermite_functions(k_max, t):
+    """Evaluate h_0..h_{k_max} at t (scalar or array).
+
+    Returns an array of shape (k_max + 1,) + shape(t).  Values are finite for
+    any finite t; in the far tail they underflow cleanly to 0.
+    """
+    out = np.empty((max(k_max, 0) + 1,) + np.shape(t))   # _hermite_rows rejects k_max < 0
+    for k, row in enumerate(_hermite_rows(k_max, t)):
+        out[k] = row
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,9 +162,8 @@ def qq_kernel(N, x, y, n=None):
 
 
 def christoffel(N, t):
-    """1 / sum_{k<=N} h_k(t)^2 (one-dimensional), elementwise over t."""
-    h = hermite_functions(N, np.asarray(t, dtype=float))
-    return 1.0 / np.einsum("k...,k...->...", h, h)
+    """1 / sum_{k<=N} h_k(t)^2 (one-dimensional), elementwise over t, in O(len t) memory."""
+    return 1.0 / sum(row * row for row in _hermite_rows(N, t))
 
 
 def hermite_derivative_1d(k, t):

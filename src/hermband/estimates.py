@@ -42,7 +42,7 @@ class EstimateReport:
     def to_json_dict(self):
         return {
             "estimate": self.estimate_id,
-            "constant": self.constant,
+            "constant": _plain(self.constant),
             "passed": bool(self.passed),
             "scan": _plain(self.scan),
             "per_level": _plain(self.per_level),
@@ -55,12 +55,10 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+    if isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        return _plain(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)     # "inf", "-inf" or "nan": JSON has no such number
     return obj
 
 

@@ -17,13 +17,14 @@ import numpy as np
 
 from .core import gauss_hermite, tensor_points, tensor_product
 
+AXIS_NODES_MAX = 20_000     # m = 2 N_j nodes per axis; the weights cost O(m^2) flops
+NODES_MAX = 2_000_000       # m^n nodes in all
+
 
 @dataclass(frozen=True)
 class TileConfig:
     delta_star: float = 1.0 / 40.0
     dim: int = 1
-    max_level: int = 8
-    node_budget: int = 2_000_000
 
     def __post_init__(self):
         if not (0 < self.delta_star < 1.0 / 37.0):
@@ -35,6 +36,14 @@ class TileConfig:
 def level_degree(j, delta_star=1.0 / 40.0):
     """N_j = floor((1 + 11 delta_star) (4/pi)^2 4^j) + 3."""
     return int(math.floor((1.0 + 11.0 * delta_star) * (4.0 / math.pi) ** 2 * 4.0 ** j)) + 3
+
+
+def check_level(j, cfg):
+    """N_j of level j; ValueError unless it is buildable (1-D levels 0-6, 2-D 0-4, 3-D 0-2)."""
+    m = 2 * level_degree(min(j, 16), cfg.delta_star)   # every j >= 16 is past both caps
+    if j < 0 or m > AXIS_NODES_MAX or m ** cfg.dim > NODES_MAX:
+        raise ValueError(f"level {j} is not buildable in dimension {cfg.dim}")
+    return m // 2
 
 
 @dataclass(frozen=True)
@@ -54,17 +63,10 @@ class TileSet:
     def __init__(self, level, cfg):
         self.level = int(level)
         self.cfg = cfg
-        if not (0 <= level <= cfg.max_level):
-            raise ValueError(f"level {level} outside [0, {cfg.max_level}]")
-        self.degree = level_degree(level, cfg.delta_star)
-        m = 2 * self.degree
-        if m ** cfg.dim > cfg.node_budget:
-            raise ValueError(
-                f"level {level} in dimension {cfg.dim} needs {m ** cfg.dim} nodes, "
-                f"budget is {cfg.node_budget}")
-        # the m-point Gauss-Hermite rule: its lifted weights are the
+        self.degree = check_level(self.level, cfg)
+        # the m-point Gauss-Hermite rule, m = 2N_j: its lifted weights are the
         # Christoffel weights tau_R, exact to degree 2m - 1 = 4N_j - 1
-        self.zeros, self.tau1d = gauss_hermite(m)
+        self.zeros, self.tau1d = gauss_hermite(2 * self.degree)
         mids = 0.5 * (self.zeros[:-1] + self.zeros[1:])
         outer = self.zeros[-1] + 2.0 ** (-level / 6.0)
         self.edges = np.concatenate(([-outer], mids, [outer]))

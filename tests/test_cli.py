@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ def test_cli_tile_config_is_the_default_up_to_level_8():
     # tile sets are cached per (level, config), so levels built under
     # TileConfig(dim=1) are the ones these commands read
     parser = build_parser()
-    for argv in (["nodes", "--level", "8"], ["analyze", "--in", "f.json", "--levels", "4"],
+    for argv in (["nodes", "--level", "8"], ["nodes", "--level", "6"],
+                 ["analyze", "--in", "f.json", "--levels", "4"],
                  ["synthesize", "--in", "c.json"], ["verify", "tiles", "--levels", "4"]):
         assert _tile_config(parser.parse_args(argv)) == TileConfig(dim=1)
 
@@ -175,7 +177,13 @@ def test_verify_suite_exit_codes(tmp_path, monkeypatch):
 
     failing = estimates.EstimateReport("hoppe", float("inf"), passed=False)
     monkeypatch.setattr(estimates, "verify_hoppe", lambda *a, **k: failing)
-    assert main(["verify", "hoppe"]) == 2
+    assert main(["verify", "hoppe", "--out", str(out)]) == 2
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    rep = json.loads(out.read_text(), parse_constant=no_constant)
+    assert rep["constant"] == "inf" and rep["passed"] is False
 
 
 @pytest.mark.parametrize("suite", ["ao", "synthesis", "boundedness", "hoppe", "qq", "maximal",
@@ -187,6 +195,36 @@ def test_verify_levels_exits_1_where_ignored(monkeypatch, capsys, suite):
     monkeypatch.setattr(estimates, f"verify_{suite}", run)
     assert main(["verify", suite, "--levels", "2"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("suite", ["molecule", "tsmooth", "tcanc", "kernel", "tiles"])
+@pytest.mark.parametrize("levels", ["-1", "7"])
+def test_verify_levels_outside_the_buildable_range_exit_1(monkeypatch, capsys, suite, levels):
+    def run(*args, **kwargs):
+        raise AssertionError(f"verify {suite} ran")
+
+    monkeypatch.setattr(estimates, "verify_molecules" if suite == "molecule" else f"verify_{suite}",
+                        run)
+    assert main(["verify", suite, "--levels", levels]) == 1
+    assert capsys.readouterr().err.startswith(f"error: level {levels} is not buildable")
+
+
+def test_verify_tcanc_scans_the_levels_asked_for(capsys):
+    assert main(["verify", "tcanc", "--levels", "4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["scan"]["levels"] == rep["config"]["levels"] == 4
+    assert sorted(rep["per_level"]) == ["0", "1", "2", "3", "4"]
+
+
+def test_analyze_below_coverage_warns(tmp_path, capsys):
+    # f1 has K = 10, so lambda_max = 21 and its coverage level is 4
+    f1 = str(Path(__file__).parent / "golden" / "f1.json")
+    out = str(tmp_path / "c.json")
+    assert main(["analyze", "--in", f1, "--levels", "2", "--out", out]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and "coverage level 4" in err and err.count("\n") == 1
+    assert main(["analyze", "--in", f1, "--levels", "4", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # numeric flags outside their domain, each of which used to be accepted and

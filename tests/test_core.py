@@ -22,6 +22,7 @@ from hermband.core import (
     qq_kernel,
     random_spectral,
 )
+from hermband.tiles import level_degree
 
 
 def test_h0_at_zero():
@@ -120,6 +121,20 @@ def test_christoffel_many_matches_scalar():
     many = christoffel(9, ts)
     for t, v in zip(ts, many):
         assert v == pytest.approx(christoffel(9, float(t)), rel=1e-13)
+
+
+def test_christoffel_streamed_sum_is_the_table_sum():
+    # oracle: the whole (N+1, len t) Hermite table, summed over k by einsum
+    def oracle(N, t):
+        h = hermite_functions(N, t)
+        return 1.0 / np.einsum("k...,k...->...", h, h)
+
+    for j in range(5):
+        m = 2 * level_degree(j)
+        x = gauss_hermite(m)[0]
+        assert np.array_equal(christoffel(m - 1, x), oracle(m - 1, x))
+    xs = np.linspace(-1.5, 1.5, 801) * math.sqrt(4.0 * 64 + 2.0)   # the verify qq grid
+    assert np.array_equal(christoffel(64, xs), oracle(64, xs))
 
 
 def test_gauss_hermite_small_rules():

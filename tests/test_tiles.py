@@ -2,14 +2,21 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from hermband.cli import main
 from hermband.core import basis_function, gauss_hermite
 from hermband.tiles import (
     TileConfig,
+    TileSet,
     build_level,
+    check_level,
     cubature,
     level_degree,
     tile_geometry_constants,
@@ -43,10 +50,43 @@ def test_config_validation():
         TileConfig(dim=0)
 
 
-def test_node_budget_enforced():
-    cfg = TileConfig(dim=2, node_budget=100)
+def test_buildable_levels_per_dimension():
+    for dim, top in ((1, 6), (2, 4), (3, 2)):
+        cfg = TileConfig(dim=dim)
+        assert [check_level(j, cfg) for j in range(top + 1)] == \
+            [level_degree(j) for j in range(top + 1)]
+        for j in (-1, top + 1, 10 ** 6):
+            with pytest.raises(ValueError, match=f"level {j} is not buildable"):
+                check_level(j, cfg)
+
+
+def test_unbuildable_levels_are_rejected_before_building(capsys):
+    # level 7 in 1-D would need a 67734-point rule, and 2-D level 5 has 18 M
+    # nodes: each must fail at once, not after (or while) allocating
+    for argv in (["nodes", "--level", "7"], ["nodes", "--dim", "2", "--level", "5"],
+                 ["verify", "tiles", "--levels", "7"]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err.startswith("error: level")
+    start = time.perf_counter()
     with pytest.raises(ValueError):
-        build_level(2, cfg)
+        TileSet(-1, TileConfig())
+    assert time.perf_counter() - start < 2.0
+
+
+def test_level_5_builds_in_linear_memory():
+    # the Christoffel weights are summed row by row, so the 4238-point rule
+    # needs no (4238, 4238) Hermite table (144 MB)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import resource\n"
+            "from hermband.tiles import TileConfig, build_level\n"
+            "build_level(5, TileConfig())\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) / 1024 < 120      # ru_maxrss is in KiB on Linux
 
 
 def test_hermite_zeros_small():
