@@ -74,7 +74,10 @@ CASES = [
 ] + [
     (f"verify-{suite}.json", ["verify", suite], False)
     for suite in ("tcanc", "synthesis", "boundedness", "kernel", "hoppe", "qq", "maximal",
-                  "embeddings")
+                  "embeddings", "ao", "linearize")
+] + [
+    (f"verify-{suite}.json", ["verify", suite, "--levels", levels], False)
+    for suite, levels in (("molecule", "2"), ("tsmooth", "2"), ("tiles", "3"))
 ]
 
 
