@@ -84,8 +84,8 @@ def cmd_nodes(args):
 
 
 def cmd_windows(args):
-    if args.levels < 0 or args.kmax < 0:
-        raise PreconditionError("--levels and --kmax must be >= 0")
+    if args.levels < 0 or args.kmax < 0 or args.dim < 1:
+        raise PreconditionError("--levels and --kmax must be >= 0, --dim >= 1")
     sys = _system(args)
     with _output(args.out) as out:
         out.write("j,k,lambda,phi,psi\n")
@@ -179,59 +179,50 @@ def _apply_on_box(sigma, f, out):
     return 0
 
 
-_SUITES = ("molecule", "ao", "tsmooth", "tcanc", "synthesis", "boundedness",
-           "kernel", "hoppe", "qq", "tiles", "maximal", "embeddings", "linearize")
-# the suites whose scan range --levels sets
-_LEVEL_SUITES = ("molecule", "tsmooth", "tcanc", "kernel", "tiles")
+# suite -> (default --levels in 1-D, None for a suite without --levels;
+# runner(sys, cfg, levels, seed), which looks estimates.verify_* up when it runs)
+_SUITES = {
+    "molecule": (4, lambda sys, cfg, levels, seed: estimates.verify_molecules(
+        sys, cfg, estimates.MoleculeParams(1, 0.5, 2, 0.5, cfg.dim + 2), levels=levels,
+        seed=seed)),
+    "ao": (None, lambda sys, cfg, levels, seed: estimates.verify_ao(sys, cfg, seed=seed)),
+    "tsmooth": (3, lambda sys, cfg, levels, seed: estimates.verify_tsmooth(
+        symbols.band_sum_symbol(sys, cfg.dim), sys, cfg, m=0, levels=levels, seed=seed)),
+    "tcanc": (3, lambda sys, cfg, levels, seed: estimates.verify_tcanc(
+        symbols.separable_symbol(cfg.dim), sys, cfg, m=0, levels=levels, seed=seed)),
+    "synthesis": (None, lambda sys, cfg, levels, seed: estimates.verify_synthesis(
+        sys, cfg, seed=seed)),
+    "boundedness": (None, lambda sys, cfg, levels, seed: estimates.verify_boundedness(
+        symbols.band_sum_symbol(sys, cfg.dim), 0.0, [norms.SpaceParams("F", 0.0, 2.0, 2.0)],
+        sys, cfg, seed=seed)),
+    "kernel": (4, lambda sys, cfg, levels, seed: estimates.verify_kernel(sys, cfg, levels=levels)),
+    "hoppe": (None, lambda sys, cfg, levels, seed: estimates.verify_hoppe(sys, n=cfg.dim)),
+    "qq": (None, lambda sys, cfg, levels, seed: estimates.verify_qq(n=cfg.dim)),
+    "tiles": (4, lambda sys, cfg, levels, seed: estimates.verify_tiles(
+        cfg, levels=levels, seed=seed)),
+    "maximal": (None, lambda sys, cfg, levels, seed: estimates.verify_maximal(cfg, seed=seed)),
+    "embeddings": (None, lambda sys, cfg, levels, seed: estimates.verify_embeddings(
+        sys, cfg, seed=seed)),
+    "linearize": (None, lambda sys, cfg, levels, seed: estimates.verify_linearize(
+        sys, cfg, n_funcs=5, seed=seed)),
+}
 
 
 def cmd_verify(args):
-    if args.levels is not None and args.suite not in _LEVEL_SUITES:
+    default, run = _SUITES[args.suite]
+    if args.levels is not None and default is None:
         raise PreconditionError(f"verify {args.suite} takes no --levels; only "
-                                f"{', '.join(_LEVEL_SUITES)} do")
+                                f"{', '.join(s for s, (d, _) in _SUITES.items() if d)} do")
     sys = _system(args)
     cfg = _tile_config(args)
-    n = cfg.dim
-    suite = args.suite
-    if args.levels is None:
-        levels = 3 if n > 1 or suite in ("tsmooth", "tcanc") else 4
-    else:
-        levels = args.levels
+    levels = args.levels
+    if default is not None:
+        if levels is None:
+            # 3 levels above 1-D, fewer where check_level admits fewer
+            levels = next((j for j in range(default if cfg.dim == 1 else 3, 0, -1)
+                           if tiles.buildable(j, cfg)), 0)
         tiles.check_level(levels, cfg)
-    if suite == "molecule":
-        rep = estimates.verify_molecules(sys, cfg, estimates.MoleculeParams(1, 0.5, 2, 0.5, n + 2),
-                                         levels=levels, seed=args.seed)
-    elif suite == "ao":
-        rep = estimates.verify_ao(sys, cfg, seed=args.seed)
-    elif suite == "tsmooth":
-        sigma = symbols.band_sum_symbol(sys, n)
-        rep = estimates.verify_tsmooth(sigma, sys, cfg, m=0, levels=levels, seed=args.seed)
-    elif suite == "tcanc":
-        sigma = symbols.separable_symbol(n)
-        rep = estimates.verify_tcanc(sigma, sys, cfg, m=0, levels=levels, seed=args.seed)
-    elif suite == "synthesis":
-        rep = estimates.verify_synthesis(sys, cfg, seed=args.seed)
-    elif suite == "boundedness":
-        sigma = symbols.band_sum_symbol(sys, n)
-        rep = estimates.verify_boundedness(sigma, 0.0,
-                                           [norms.SpaceParams("F", 0.0, 2.0, 2.0)],
-                                           sys, cfg, seed=args.seed)
-    elif suite == "kernel":
-        rep = estimates.verify_kernel(sys, cfg, levels=levels)
-    elif suite == "hoppe":
-        rep = estimates.verify_hoppe(sys, n=n)
-    elif suite == "qq":
-        rep = estimates.verify_qq(n=n)
-    elif suite == "tiles":
-        rep = estimates.verify_tiles(cfg, levels=levels, seed=args.seed)
-    elif suite == "maximal":
-        rep = estimates.verify_maximal(cfg, seed=args.seed)
-    elif suite == "embeddings":
-        rep = estimates.verify_embeddings(sys, cfg, seed=args.seed)
-    elif suite == "linearize":
-        rep = estimates.verify_linearize(sys, cfg, n_funcs=5, seed=args.seed)
-    else:
-        raise PreconditionError(f"unknown suite {suite!r}")
+    rep = run(sys, cfg, levels, args.seed)
     out = rep.to_json_dict()
     out["config"] = _config(args)
     _dump_report(out, args.out)

@@ -38,12 +38,17 @@ def level_degree(j, delta_star=1.0 / 40.0):
     return int(math.floor((1.0 + 11.0 * delta_star) * (4.0 / math.pi) ** 2 * 4.0 ** j)) + 3
 
 
-def check_level(j, cfg):
-    """N_j of level j; ValueError unless it is buildable (1-D levels 0-6, 2-D 0-4, 3-D 0-2)."""
+def buildable(j, cfg):
+    """Whether level j can be built: 1-D levels 0-6, 2-D 0-4, 3-D 0-2."""
     m = 2 * level_degree(min(j, 16), cfg.delta_star)   # every j >= 16 is past both caps
-    if j < 0 or m > AXIS_NODES_MAX or m ** cfg.dim > NODES_MAX:
+    return j >= 0 and m <= AXIS_NODES_MAX and m ** cfg.dim <= NODES_MAX
+
+
+def check_level(j, cfg):
+    """N_j of level j; ValueError unless it is buildable."""
+    if not buildable(j, cfg):
         raise ValueError(f"level {j} is not buildable in dimension {cfg.dim}")
-    return m // 2
+    return level_degree(j, cfg.delta_star)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,22 @@ def test_verify_tcanc_scans_the_levels_asked_for(capsys):
     assert sorted(rep["per_level"]) == ["0", "1", "2", "3", "4"]
 
 
+def test_verify_3d_defaults_to_the_top_buildable_level(capsys):
+    # 3-D admits levels 0-2, so the default of 3 levels comes down to 2
+    assert main(["verify", "tcanc", "--dim", "3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["scan"]["levels"] == 2 and rep["config"]["levels"] is None
+
+
+@pytest.mark.parametrize("suite", ["tsmooth", "molecule", "linearize", "maximal"])
+def test_verify_3d_grid_past_the_cap_exits_1(capsys, suite):
+    # their 401^3 and 801^3 evaluation grids exceed tiles.NODES_MAX points
+    start = time.perf_counter()
+    assert main(["verify", suite, "--dim", "3"]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_analyze_below_coverage_warns(tmp_path, capsys):
     # f1 has K = 10, so lambda_max = 21 and its coverage level is 4
     f1 = str(Path(__file__).parent / "golden" / "f1.json")
@@ -239,6 +256,8 @@ BAD_FLAGS = {
     "analyze-levels-negative": ["analyze", "--levels", "-1"],
     "windows-levels-negative": ["windows", "--levels", "-1"],
     "windows-kmax-negative": ["windows", "--kmax", "-1"],
+    "windows-dim-zero": ["windows", "--dim", "0"],
+    "windows-dim-negative": ["windows", "--dim", "-3"],
 }
 
 

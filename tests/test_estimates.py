@@ -19,12 +19,16 @@ from hermband.estimates import (
     tsigma_derivative_on_points,
     tsigma_moment,
     verify_almost_orthogonality,
+    verify_ao,
     verify_maximal,
+    verify_molecules,
     verify_synthesis,
+    verify_tcanc,
     verify_tsmooth,
 )
+from hermband.frames import needlet
 from hermband.lp import default_system
-from hermband.symbols import band_sum_symbol, identity_symbol
+from hermband.symbols import band_sum_symbol, identity_symbol, separable_symbol
 from hermband.tiles import TileConfig, build_level
 
 
@@ -113,15 +117,37 @@ def test_tsigma_identity_matches_needlet_derivatives(sys, cfg):
     mol = needlet_molecule(sys, tile)
     pts = np.linspace(-6, 6, 41)[:, None]
     sig = identity_symbol(1)
+    parts = list(needlet(sys, tile).degree_slices().items())
     for gamma in ((0,), (1,), (2,)):
-        got = np.real(tsigma_derivative_on_points(sig, sys, tile, gamma, pts, 1))
+        got = np.real(tsigma_derivative_on_points(sig, parts, gamma, pts, 1))
         expect = mol.deriv_eval(gamma, pts)
         assert np.max(np.abs(got - expect)) < 1e-11
 
 
-def test_tsmooth_samples_tiles_once_per_level(sys, cfg, monkeypatch):
+# each tile-sampling suite at a small size, the levels its scan samples in
+# order, and details its report must carry
+SCANS = {
+    "molecules": (lambda sys, cfg: verify_molecules(
+        sys, cfg, MoleculeParams(1, 0.5, 2, 0.5, 3.0), levels=2, tiles_per_level=1,
+        grid_points=51), [0, 1, 2], {}),
+    "ao": (lambda sys, cfg: verify_ao(sys, cfg, k_levels=(1, 2), tiles_per_level=1,
+                                      grid_points=51), [1, 2], {}),
     # every (kappa, eps) pair is measured on the same tiles, where the largest
     # pair gives the least sup, so that pair is the one reported
+    "tsmooth": (lambda sys, cfg: verify_tsmooth(
+        band_sum_symbol(sys, 1), sys, cfg, m=0, levels=2, tiles_per_level=1, grid_points=51),
+        [0, 1, 2], {"kappa": 0.5, "epsilon": 16.5}),
+    "tcanc": (lambda sys, cfg: verify_tcanc(
+        separable_symbol(1), sys, cfg, m=0, levels=2, tiles_per_level=1), [0, 1, 2], {}),
+    # one scan per random sequence
+    "synthesis": (lambda sys, cfg: verify_synthesis(sys, cfg, J=1, n_sequences=2, per_level=2),
+                  [0, 1, 0, 1], {}),
+}
+
+
+@pytest.mark.parametrize("suite", list(SCANS))
+def test_scan_samples_tiles_once_per_level(sys, cfg, monkeypatch, suite):
+    run, levels, details = SCANS[suite]
     sample = estimates.sample_tiles
     levels_sampled = []
 
@@ -130,11 +156,12 @@ def test_tsmooth_samples_tiles_once_per_level(sys, cfg, monkeypatch):
         return sample(ts, count, rng)
 
     monkeypatch.setattr(estimates, "sample_tiles", counted)
-    rep = verify_tsmooth(band_sum_symbol(sys, 1), sys, cfg, m=0, levels=2, tiles_per_level=1,
-                         grid_points=51)
-    assert levels_sampled == [0, 1, 2]
-    assert (rep.details["kappa"], rep.details["epsilon"]) == (0.5, 16.5)
-    assert rep.passed and rep.constant == max(rep.per_level.values())
+    rep = run(sys, cfg)
+    assert levels_sampled == levels
+    assert rep.passed and details.items() <= rep.details.items()
+    if rep.per_level:
+        assert sorted(rep.per_level) == levels
+        assert rep.constant == max(rep.per_level.values())
 
 
 def test_tsigma_moment_identity_oracle(sys, cfg):
