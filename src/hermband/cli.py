@@ -211,8 +211,8 @@ _SUITES = {
 def cmd_verify(args):
     default, run = _SUITES[args.suite]
     if args.levels is not None and default is None:
-        raise PreconditionError(f"verify {args.suite} takes no --levels; only "
-                                f"{', '.join(s for s, (d, _) in _SUITES.items() if d)} do")
+        takes = ", ".join(s for s, (d, _) in _SUITES.items() if d is not None)
+        raise PreconditionError(f"verify {args.suite} takes no --levels; only {takes} do")
     sys = _system(args)
     cfg = _tile_config(args)
     levels = args.levels

@@ -36,7 +36,7 @@ class EstimateReport:
     constant: float
     scan: dict = field(default_factory=dict)
     per_level: dict = field(default_factory=dict)
-    passed: bool = None     # None: the constant is finite
+    passed: bool | None = None      # None: passed when the constant is finite
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
