@@ -31,14 +31,6 @@ def _fmt(x):
     return "%.17g" % x
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
-
-
 def _output(path):
     """The file at path opened for writing, or stdout (left open) when path is None."""
     return open(path, "w") if path else contextlib.nullcontext(_sys.stdout)
@@ -46,7 +38,7 @@ def _output(path):
 
 def _dump_report(obj, out_path=None):
     with _output(out_path) as fh:
-        fh.write(json.dumps(obj, indent=1, sort_keys=True, default=_json_default) + "\n")
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def _config(args):

@@ -409,6 +409,14 @@ class SpectralFunction:
                 acc += term
             yield k, acc
 
+    def moment(self, center, gamma):
+        """integral of (y - center)^gamma Re f(y) dy, exact by the lifted
+        Gauss-Hermite rule with (max_degree + |gamma|)//2 + 7 nodes per axis."""
+        q = (self.max_degree + sum(gamma)) // 2 + 7
+        return float(lifted_gauss_hermite(
+            lambda y: np.real(self.eval_grid([y] * self.dim)), q, self.dim, s=2.0,
+            axis_factor=lambda d, y: (y - center[d]) ** gamma[d]))
+
     # -- ladder operators --------------------------------------------------
 
     def apply_creation_axis(self, i):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Constants, GridFunction, axis_tables, christoffel, e_function,
-                   kernel_expansion, lifted_gauss_hermite, multi_indices, random_spectral,
-                   tensor_points)
+                   hermite_functions, kernel_expansion, lifted_gauss_hermite, multi_indices,
+                   projector_kernel_sequence, random_spectral, tensor_points)
 from .frames import CoefficientSequence, needlet, synthesize
 from .lp import apply_lp, lp_delta, lp_moment, support_set, hoppe_check
 from .norms import QuadratureBox, SpaceParams, maximal, seq_tl_norm, space_norm
@@ -90,6 +90,15 @@ def level_tiles(cfg, levels, count, rng):
         yield j, sample_tiles(build_level(j, cfg), count, rng)
 
 
+def frame_elements(sys, tiles):
+    """(tile, phi_R) for each tile whose needlet phi_R, built once, does not vanish
+    (every 1-D level-0 one does); lazy, so a caller that stops early builds no more."""
+    for tile in tiles:
+        phi_R = needlet(sys, tile)
+        if phi_R.array.any():
+            yield tile, phi_R
+
+
 def sup_per_level(levels, values):
     """{j: sup of the values at level j} over (j, value) pairs, each sup
     folded from 0.0 in the order the pairs come."""
@@ -150,21 +159,11 @@ class Molecule:
 
     def moment(self, gamma):
         """integral of (y - x_R)^gamma m(y) dy, exact Gauss-Hermite."""
-        gamma = tuple(int(g) for g in gamma)
-        q = (self.f.max_degree + sum(gamma)) // 2 + 7
-        n = self.dim
-        return float(lifted_gauss_hermite(
-            lambda y: np.real(self.f.eval_grid([y] * n)), q, n, s=2.0,
-            axis_factor=lambda d, y: (y - self.center[d]) ** gamma[d]))
+        return self.f.moment(self.center, gamma)
 
 
 def needlet_molecule(sys, tile):
     return Molecule(needlet(sys, tile), tile.level, tile.node, tile.measure)
-
-
-def _nonzero_molecules(sys, tiles):
-    """The needlet molecules of the tiles, less those whose needlet vanishes."""
-    return (mol for mol in (needlet_molecule(sys, t) for t in tiles) if mol.f.array.any())
 
 
 def spectral_bump_molecule(weight_fn, level, center, cfg):
@@ -210,37 +209,29 @@ def check_molecule(mol, params, grid_axes, rng=None):
     loc = (1.0 + two_j * dist) ** -params.mu
     tail = (1.0 + absx / two_j) ** -(params.N + params.delta)
 
-    size_const = 0.0
+    size_const = holder_const = 0.0
     per_gamma = {}
     for gamma in multi_indices(n, params.N):
-        vals = np.abs(mol.deriv_eval(gamma, pts))
-        rhs = rinv * two_j ** sum(gamma) * loc * tail
-        c = float(np.max(vals / rhs))
+        a = mol.deriv_eval(gamma, pts)
+        c = float(np.max(np.abs(a) / (rinv * two_j ** sum(gamma) * loc * tail)))
         per_gamma[str(gamma)] = c
         size_const = max(size_const, c)
-
-    holder_const = 0.0
-    for gamma in multi_indices(n, params.N):
-        if sum(gamma) != params.N:
+        if sum(gamma) < params.N:
             continue
-        a = mol.deriv_eval(gamma, pts)
         for _ in range(8):
             h = rng.uniform(-1.0, 1.0, size=n)
             h *= rng.uniform(0.05, 1.0) * 2.0 ** -j / max(np.linalg.norm(h), 1e-12)
             b = mol.deriv_eval(gamma, pts + h)
-            num = np.abs(a - b)
             rhs = rinv * two_j ** params.N * (two_j * np.linalg.norm(h)) ** params.delta * loc
-            holder_const = max(holder_const, float(np.max(num / rhs)))
+            holder_const = max(holder_const, float(np.max(np.abs(a - b) / rhs)))
 
-    moment_const = 0.0
-    moments = {}
-    if params.M >= 0:
-        cen = 1.0 + float(np.linalg.norm(mol.center))
-        for gamma in multi_indices(n, params.M):
-            mval = abs(mol.moment(gamma))
-            rhs = rinv * two_j ** -(n + sum(gamma)) * (cen / two_j) ** (params.M + params.theta - sum(gamma))
-            moments[str(gamma)] = mval / rhs
-            moment_const = max(moment_const, mval / rhs)
+    moment_const, moments = 0.0, {}
+    cen = 1.0 + float(np.linalg.norm(mol.center))
+    for gamma in multi_indices(n, params.M):        # none when M = -1
+        mval = abs(mol.moment(gamma))
+        rhs = rinv * two_j ** -(n + sum(gamma)) * (cen / two_j) ** (params.M + params.theta - sum(gamma))
+        moments[str(gamma)] = mval / rhs
+        moment_const = max(moment_const, mval / rhs)
 
     constant = max(size_const, holder_const, moment_const)
     return EstimateReport(
@@ -278,8 +269,9 @@ def verify_molecules(sys, cfg, params, levels=4, tiles_per_level=20, grid_points
     half_width = 14.0
     grids = [eval_axes(half_width, p, cfg.dim) for p in (grid_points, 2 * grid_points - 1)]
     rng = np.random.default_rng(seed)
-    mols = [mol for _, tiles in level_tiles(cfg, range(levels + 1), tiles_per_level, rng)
-            for mol in _nonzero_molecules(sys, tiles)]
+    mols = [Molecule(phi_R, j, t.node, t.measure)
+            for j, tiles in level_tiles(cfg, range(levels + 1), tiles_per_level, rng)
+            for t, phi_R in frame_elements(sys, tiles)]
 
     def scan(axes):
         return sup_per_level(range(levels + 1), (
@@ -383,8 +375,9 @@ def verify_ao(sys, cfg, k_levels=(1, 2, 3, 4), tiles_per_level=3, grid_points=80
     mols = []
     for _, tiles in level_tiles(cfg, k_levels, 8 * tiles_per_level, rng):
         # keep tiles whose node lies well inside the measurement window
-        inside = [t for t in tiles if np.max(np.abs(t.node)) <= 0.5 * half_width]
-        mols += itertools.islice(_nonzero_molecules(sys, inside), tiles_per_level)
+        inside = (t for t in tiles if np.max(np.abs(t.node)) <= 0.5 * half_width)
+        mols += (Molecule(phi_R, t.level, t.node, t.measure)
+                 for t, phi_R in itertools.islice(frame_elements(sys, inside), tiles_per_level))
     j_range = range(max(0, min(k_levels) - 3), max(k_levels) + 4)
     rep = verify_almost_orthogonality(sys, mols, MoleculeParams(1, 0.5, 2, 0.5, n + 2), j_range,
                                       n + 1, axes)
@@ -407,12 +400,10 @@ def tsigma_derivative_on_points(sigma, parts, gamma, pts, n):
 
     T_sigma phi_R(x) = sum_k sigma(x, lambda_k) q_k(x) with the degree parts
     q_k = P_k phi_R, whose derivatives are exact ladder derivatives; parts
-    is the list of (k, q_k) pairs, phi_R.degree_slices().items().
+    is the list of (k, q_k) pairs, phi_R.degree_slices().items(), of a nonzero phi_R.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     acc = np.zeros(pts.shape[0], dtype=complex)
-    if not parts:
-        return acc
     tables = axis_tables(parts[0][1].max_degree + sum(gamma), pts)
     lams = np.array([2.0 * k + n for k, _ in parts])
     for beta in itertools.product(*(range(g + 1) for g in gamma)):
@@ -445,10 +436,8 @@ def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=
     def ratios():
         for j, tiles in level_tiles(cfg, range(levels + 1), tiles_per_level, rng):
             env = np.maximum(e_function(eps * 4.0 ** j, pts, _CONSTANTS) ** (1.0 - kappa), 1e-300)
-            for tile in tiles:
-                parts = list(needlet(sys, tile).degree_slices().items())
-                if not parts:
-                    continue
+            for tile, phi_R in frame_elements(sys, tiles):
+                parts = list(phi_R.degree_slices().items())
                 dist = np.sqrt(np.sum((pts - tile.node) ** 2, axis=1))
                 for gamma in multi_indices(n, gamma_max):
                     vals = np.abs(tsigma_derivative_on_points(sigma, parts, gamma, pts, n))
@@ -464,15 +453,13 @@ def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=
                           details={"kappa": kappa, "epsilon": eps, "m": m})
 
 
-def tsigma_moment(sigma, sys, tile, gamma, n, extra=8):
-    """integral of (x - x_R)^gamma T_sigma phi_R dx by lifted Gauss-Hermite.
+def tsigma_moment(sigma, phi_R, node, gamma, extra=8):
+    """integral of (x - node)^gamma T_sigma phi_R dx, phi_R nonzero, by lifted Gauss-Hermite.
 
     Not exact (sigma need not be polynomial in x); the quadrature degree is
     oversampled and the caller can compare two degrees for a residual flag.
     """
-    phi_R = needlet(sys, tile)
-    if not phi_R.array.any():
-        return 0.0
+    n = phi_R.dim
     q = (int(np.max(phi_R.degrees[phi_R.array != 0])) + sum(gamma)) // 2 + 1 + extra
 
     def sample(y):
@@ -480,7 +467,7 @@ def tsigma_moment(sigma, sys, tile, gamma, n, extra=8):
         return apply_pseudomultiplier(sigma, phi_R, pts=pts).reshape([q] * n)
 
     return complex(lifted_gauss_hermite(sample, q, n, s=2.0,
-                                        axis_factor=lambda d, y: (y - tile.node[d]) ** gamma[d]))
+                                        axis_factor=lambda d, y: (y - node[d]) ** gamma[d]))
 
 
 def verify_tcanc(sigma, sys, cfg, m, levels=3, tiles_per_level=6, seed=0):
@@ -493,12 +480,12 @@ def verify_tcanc(sigma, sys, cfg, m, levels=3, tiles_per_level=6, seed=0):
     def ratios():
         nonlocal resid_flag
         for j, tiles in level_tiles(cfg, range(levels + 1), tiles_per_level, rng):
-            for tile in tiles:
+            for tile, phi_R in frame_elements(sys, tiles):
                 rinv = tile.measure ** -0.5
                 cen = 1.0 + float(np.linalg.norm(tile.node))
                 for gamma in multi_indices(n, M):
-                    mom = tsigma_moment(sigma, sys, tile, gamma, n)
-                    mom2 = tsigma_moment(sigma, sys, tile, gamma, n, extra=16)
+                    mom = tsigma_moment(sigma, phi_R, tile.node, gamma)
+                    mom2 = tsigma_moment(sigma, phi_R, tile.node, gamma, extra=16)
                     resid_flag = max(resid_flag, abs(mom - mom2) / max(abs(mom2), 1e-30))
                     rhs = rinv * 2.0 ** (j * (m - n - sum(gamma))) \
                         * (cen / 2.0 ** j) ** (M + theta - sum(gamma))
@@ -585,20 +572,18 @@ def verify_kernel(sys, cfg, levels=4):
     n = cfg.dim
     eps = _CONSTANTS.epsilon
     xs = np.linspace(-10.0, 10.0, 201)
-    details = {}
-    for eta in (2, 4):
-        c_eta = 0.0
-        for j in range(levels + 1):
-            ker = lp_delta(sys, j, np.zeros(n), n)
-            x0 = np.zeros(n)
-            pts = np.stack([xs] + [np.zeros_like(xs)] * (n - 1), axis=-1)
-            vals = np.abs(np.real(ker.eval_points(pts)))
-            e_x0 = float(e_function(eps * 4.0 ** j, x0[None, :])[0])
-            e_y = np.asarray(e_function(eps * 4.0 ** j, pts))
+    x0 = np.zeros(n)
+    pts = np.stack([xs] + [np.zeros_like(xs)] * (n - 1), axis=-1)
+    c_eta = {2: 0.0, 4: 0.0}
+    for j in range(levels + 1):
+        vals = np.abs(np.real(lp_delta(sys, j, x0, n).eval_points(pts)))
+        e_x0 = float(e_function(eps * 4.0 ** j, x0[None, :])[0])
+        e_y = np.asarray(e_function(eps * 4.0 ** j, pts))
+        for eta in c_eta:
             rhs = 2.0 ** (j * n) * (1.0 + 2.0 ** j * np.abs(xs)) ** -eta \
                 * e_x0 * np.maximum(e_y, 1e-300)
-            c_eta = max(c_eta, float(np.max(vals / rhs)))
-        details[f"phiest_A_eta{eta}"] = c_eta
+            c_eta[eta] = max(c_eta[eta], float(np.max(vals / rhs)))
+    details = {f"phiest_A_eta{eta}": c for eta, c in c_eta.items()}
 
     c_mom = 0.0
     for j in range(1, levels + 1):
@@ -623,9 +608,8 @@ def verify_hoppe(sys, n=1):
     rows = {}
     for j in range(1, levels + 1):
         for ell in (1, 2, 3):
-            N = ell + 1
             for k in support_set(sys, j, n):
-                r = hoppe_check(sys, ell, N, j, k, n)
+                r = hoppe_check(sys, ell, ell + 1, j, k, n)
                 rows[f"j{j}_ell{ell}_k{k}"] = r
                 worst = max(worst, r)
     return EstimateReport("hoppe", worst, scan={"levels": levels},
@@ -634,16 +618,20 @@ def verify_hoppe(sys, n=1):
 
 
 def verify_qq(n=1):
-    """Diagonal growth Q_N(x,x) <= C N^{n/2} and Gaussian tail decay, N = 64.
+    """Diagonal growth Q_N(x,x) <= C N^{n/2} and Gaussian tail decay, N = 64,
+    on the points x = (t, 0, ..., 0) of R^n.
 
     Also fits the tail exponent vartheta from the decay beyond sqrt(4N+2).
     """
     N = 64
     xs = np.linspace(-1.5, 1.5, 801) * math.sqrt(4.0 * N + 2.0)
-    diag = 1.0 / christoffel(N, xs)
+    if n == 1:
+        diag = 1.0 / christoffel(N, xs)
+    else:   # Q_N(x, x) = sum_k h_k(t)^2 Q'_{N-k}(0, 0), Q' the kernel of R^{n-1}
+        tails = np.cumsum(projector_kernel_sequence(N, np.zeros(n - 1), np.zeros(n - 1)))
+        diag = tails[::-1] @ hermite_functions(N, xs) ** 2
     c_growth = float(np.max(diag)) / N ** (n / 2.0)
-    edge = math.sqrt(4.0 * N + 2.0)
-    tail = np.abs(xs) >= edge * 1.02
+    tail = np.abs(xs) >= math.sqrt(4.0 * N + 2.0) * 1.02
     fitted = None
     if tail.any():
         y = np.log(np.maximum(diag[tail], 1e-290))
@@ -653,8 +641,8 @@ def verify_qq(n=1):
         fitted = float(-sol[0] / 2.0)   # diag ~ e^{-2 vartheta x^2}
     c_eb = 0.0
     for j in range(0, 5):
+        ev = np.asarray(e_function(_CONSTANTS.epsilon * 4.0 ** j, xs))
         for beta in (1.0, 3.0):
-            ev = np.asarray(e_function(_CONSTANTS.epsilon * 4.0 ** j, xs))
             rhs = (1.0 + np.abs(xs) / 2.0 ** j) ** -beta
             c_eb = max(c_eb, float(np.max(ev / rhs)))
     return EstimateReport("qq-growth", c_growth, scan={"N": N},
@@ -667,7 +655,7 @@ def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
     """Tile geometry constants, tile control, tau ~ |R|, cubature exactness."""
     rng = np.random.default_rng(seed)
     per_level = {}
-    ctrl = 0.0
+    ctrl = cub_err = 0.0
     ratio_lo, ratio_hi = math.inf, 0.0
     for j in range(levels + 1):
         ts = build_level(j, cfg)
@@ -675,28 +663,26 @@ def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
         per_level[j] = {"c0": c0, "c1": c1, "c2": c2, "c2_all": c2_all}
         meas = ts.measure_array()
         tau = ts.weight_array()
-        nodes = ts.node_array()
-        env = np.asarray(e_function(_CONSTANTS.epsilon * 4.0 ** j, nodes))
+        env = np.asarray(e_function(_CONSTANTS.epsilon * 4.0 ** j, ts.node_array()))
         ctrl = max(ctrl, float(np.max(meas * 2.0 ** (j * ts.dim) * env)))
         ratio_lo = min(ratio_lo, float(np.min(tau / meas)))
         ratio_hi = max(ratio_hi, float(np.max(tau / meas)))
-    # covering check at the finest level, the last one built
-    cover_err = abs(float(np.sum(ts.widths)) - 2.0 * ts.outer_halfwidth)
-    # cubature exactness on random band-limited pairs
-    cub_err = 0.0
-    for j in range(min(levels, 3) + 1):
-        ts = build_level(j, cfg)
+        if j > 3:
+            continue
+        # cubature exactness on random band-limited pairs
         dmax = 4 * ts.degree - 1
+        axes = [ts.zeros] * cfg.dim
         for _ in range(cubature_pairs):
             kf = int(rng.integers(0, dmax // 2 + 1))
             kg = int(rng.integers(0, dmax - kf + 1))
             f = random_spectral(cfg.dim, kf, rng, real=True)
             g = random_spectral(cfg.dim, kg, rng, real=True)
-            axes = [ts.zeros] * cfg.dim
             val = cubature(ts, np.real(f.eval_grid(axes)), np.real(g.eval_grid(axes)))
             exact = np.real(f.inner(g))
             scale = max(f.norm2() * g.norm2(), 1e-30)
             cub_err = max(cub_err, abs(val - exact) / scale)
+    # covering check at the finest level, the last one built
+    cover_err = abs(float(np.sum(ts.widths)) - 2.0 * ts.outer_halfwidth)
     return EstimateReport("tiles", ctrl, per_level=per_level,
                           scan={"levels": levels},
                           details={"tile_control": ctrl,

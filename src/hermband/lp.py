@@ -12,12 +12,12 @@ Windows act on sqrt(lambda_k), lambda_k = 2k + n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (SpectralFunction, degree_array, finite_difference, kernel_expansion,
-                   lifted_gauss_hermite, projector_kernel_sequence)
+                   projector_kernel_sequence)
 
 
 def _sigma(u):
@@ -46,6 +46,7 @@ class SmoothProfile:
 
     evaluator: object
     support: tuple
+    _sups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, u):
         return self.evaluator(np.asarray(u, dtype=float))
@@ -73,11 +74,13 @@ class SmoothProfile:
         return (16.0 * b2 - b1) / 15.0
 
     def sup_derivative(self, order):
-        """max |d^order profile| over a slightly enlarged support."""
-        lo, hi = self.support
-        pad = 0.05 * (hi - lo + 1.0)
-        grid = np.linspace(lo - pad, hi + pad, 2001)
-        return float(np.max(np.abs(self.derivative(grid, order))))
+        """max |d^order profile| over a slightly enlarged support, measured once per order."""
+        if order not in self._sups:
+            lo, hi = self.support
+            pad = 0.05 * (hi - lo + 1.0)
+            grid = np.linspace(lo - pad, hi + pad, 2001)
+            self._sups[order] = float(np.max(np.abs(self.derivative(grid, order))))
+        return self._sups[order]
 
 
 @dataclass
@@ -258,20 +261,10 @@ def lp_delta(sys, j, x, n, dual=False):
 
 
 def lp_moment(sys, j, x, gamma, n):
-    """integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy.
-
-    The integrand is polynomial times e^{-|y|^2/2}, which the lifted
-    Gauss-Hermite rule integrates exactly.
-    """
+    """integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy: (-1)^|gamma| times
+    the exact moment of the kernel column about x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    gamma = tuple(int(g) for g in gamma)
-    ks = support_set(sys, j, n)
-    if len(ks) == 0:
-        return 0.0
-    q = (ks[-1] + sum(gamma)) // 2 + 7
-    ker = lp_delta(sys, j, x, n)
-    return float(lifted_gauss_hermite(lambda y: np.real(ker.eval_grid([y] * n)), q, n, s=2.0,
-                                      axis_factor=lambda d, y: (x[d] - y) ** gamma[d]))
+    return (-1) ** sum(gamma) * lp_delta(sys, j, x, n).moment(x, gamma)
 
 
 def hoppe_check(sys, ell, N, j, k, n):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hermband import estimates
-from hermband.core import SpectralFunction
+from hermband.core import SpectralFunction, qq_kernel
 from hermband.estimates import (
     Molecule,
     MoleculeParams,
@@ -20,14 +20,16 @@ from hermband.estimates import (
     tsigma_moment,
     verify_almost_orthogonality,
     verify_ao,
+    verify_hoppe,
     verify_maximal,
     verify_molecules,
+    verify_qq,
     verify_synthesis,
     verify_tcanc,
     verify_tsmooth,
 )
 from hermband.frames import needlet
-from hermband.lp import default_system
+from hermband.lp import SmoothProfile, default_system
 from hermband.symbols import band_sum_symbol, identity_symbol, separable_symbol
 from hermband.tiles import TileConfig, build_level
 
@@ -164,13 +166,34 @@ def test_scan_samples_tiles_once_per_level(sys, cfg, monkeypatch, suite):
         assert rep.constant == max(rep.per_level.values())
 
 
+@pytest.mark.parametrize("suite", ["tsmooth", "tcanc"])
+def test_scan_builds_each_needlet_once(sys, cfg, monkeypatch, suite):
+    run = SCANS[suite][0]
+    sample, build = estimates.sample_tiles, estimates.needlet
+    sampled, built = [], []
+
+    def counted_sample(ts, count, rng):
+        tiles = sample(ts, count, rng)
+        sampled.extend((t.level, t.index) for t in tiles)
+        return tiles
+
+    def counted_build(sys_, tile):
+        built.append((tile.level, tile.index))
+        return build(sys_, tile)
+
+    monkeypatch.setattr(estimates, "sample_tiles", counted_sample)
+    monkeypatch.setattr(estimates, "needlet", counted_build)
+    run(sys, cfg)
+    assert built == sampled
+
+
 def test_tsigma_moment_identity_oracle(sys, cfg):
     ts = build_level(2, cfg)
     tile = ts.tile((ts.nodes_per_axis // 2,))
     mol = needlet_molecule(sys, tile)
     sig = identity_symbol(1)
     for gamma in ((0,), (1,)):
-        got = tsigma_moment(sig, sys, tile, gamma, 1)
+        got = tsigma_moment(sig, needlet(sys, tile), tile.node, gamma)
         assert abs(got - mol.moment(gamma)) < 1e-10
 
 
@@ -223,3 +246,27 @@ def test_estimate_report_json(sys, cfg):
     assert d["estimate"] == "synthesis"
     import json
     json.dumps(d)       # must be serializable as-is
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_qq_measures_the_kernel_of_rn(n):
+    # Q_N(x, x) of R^n peaks at the origin, a point of the scanned line, so
+    # the growth constant is the core.qq_kernel oracle there over N^{n/2}
+    rep = verify_qq(n)
+    oracle = qq_kernel(64, np.zeros(n), np.zeros(n), n) / 64.0 ** (n / 2.0)
+    assert rep.constant == pytest.approx(oracle, rel=1e-12)
+    assert 0.25 < rep.details["fitted_vartheta"] < 1.0
+
+
+def test_verify_hoppe_measures_each_profile_sup_once(monkeypatch):
+    # levels 1..5 use the band profile phi only, at the orders N = 2, 3, 4
+    derivative, orders = SmoothProfile.derivative, []
+
+    def counted(self, u, order):
+        orders.append(order)
+        return derivative(self, u, order)
+
+    monkeypatch.setattr(SmoothProfile, "derivative", counted)
+    rep = verify_hoppe(default_system())
+    assert sorted(orders) == [2, 3, 4]
+    assert rep.passed
