@@ -20,7 +20,7 @@ from .core import (Constants, GridFunction, axis_tables, christoffel, e_function
                    hermite_functions, kernel_expansion, lifted_gauss_hermite, multi_indices,
                    projector_kernel_sequence, random_spectral, tensor_points)
 from .frames import CoefficientSequence, needlet, synthesize
-from .lp import apply_lp, lp_delta, lp_moment, support_set, hoppe_check
+from .lp import apply_lp, lp_delta, support_set, hoppe_check
 from .norms import QuadratureBox, SpaceParams, maximal, seq_tl_norm, space_norm
 from .symbols import (apply_pseudomultiplier, linearize_nonlinearity, nonlinearity_power,
                       reproject)
@@ -590,8 +590,10 @@ def verify_kernel(sys, cfg, levels=4):
         for x0 in (0.0, 1.0, 2.0 ** j * 0.7):
             x = np.full(n, x0 / math.sqrt(n))
             e_x = float(e_function(eps * 4.0 ** j, x[None, :])[0])
+            column = lp_delta(sys, j, x, n)
             for gamma in multi_indices(n, 2):
-                mom = lp_moment(sys, j, x, gamma, n)
+                # integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy
+                mom = (-1) ** sum(gamma) * column.moment(x, gamma)
                 rhs = 2.0 ** (-j * sum(gamma)) \
                     * ((1.0 + np.linalg.norm(x)) / 2.0 ** j) ** (2 - sum(gamma)) \
                     * max(e_x, 1e-300)

@@ -260,13 +260,6 @@ def lp_delta(sys, j, x, n, dual=False):
     return kernel_expansion(sys.degree_windows(j, ks[-1], n, dual), x)
 
 
-def lp_moment(sys, j, x, gamma, n):
-    """integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy: (-1)^|gamma| times
-    the exact moment of the kernel column about x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return (-1) ** sum(gamma) * lp_delta(sys, j, x, n).moment(x, gamma)
-
-
 def hoppe_check(sys, ell, N, j, k, n):
     """Ratio of |Delta^ell phi_j(sqrt(lambda_k))| to its smoothness bound.
 

