@@ -151,6 +151,15 @@ def gauss_hermite(q):
     """
     if q < 1:
         raise ValueError("need at least one node")
+    nodes = _hermite_zeros(q)
+    tau = christoffel(q - 1, nodes)
+    nodes.flags.writeable = False
+    tau.flags.writeable = False
+    return nodes, tau
+
+
+def _hermite_zeros(q):
+    """The q zeros of H_q, increasing: the nodes of gauss_hermite(q)."""
     x = _hermite_zero_guesses(q)
     # Newton converges cubically here (h_q'' = (x^2 - 2q - 1) h_q vanishes at
     # the zeros), so after a step below 1e-10 the next would be round-off
@@ -161,11 +170,7 @@ def gauss_hermite(q):
             break
     else:
         raise ArithmeticError(f"Newton did not converge to the zeros of H_{q}")
-    nodes = np.concatenate([-x[::-1], np.zeros(q % 2), x])
-    tau = christoffel(q - 1, nodes)
-    nodes.flags.writeable = False
-    tau.flags.writeable = False
-    return nodes, tau
+    return np.concatenate([-x[::-1], np.zeros(q % 2), x])
 
 
 def hermite_inner_products(k_max, q=128):

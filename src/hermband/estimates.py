@@ -592,12 +592,10 @@ def verify_kernel(sys, cfg, levels=4):
             e_x = float(e_function(eps * 4.0 ** j, x[None, :])[0])
             column = lp_delta(sys, j, x, n)
             for gamma in multi_indices(n, 2):
-                # integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy
-                mom = (-1) ** sum(gamma) * column.moment(x, gamma)
                 rhs = 2.0 ** (-j * sum(gamma)) \
                     * ((1.0 + np.linalg.norm(x)) / 2.0 ** j) ** (2 - sum(gamma)) \
                     * max(e_x, 1e-300)
-                c_mom = max(c_mom, abs(mom) / rhs)
+                c_mom = max(c_mom, abs(column.moment(x, gamma)) / rhs)
     details["phiest_B"] = c_mom
     return EstimateReport("kernel-estimates", max(details.values()), scan={"levels": levels},
                           details=details)

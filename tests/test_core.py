@@ -8,6 +8,7 @@ import pytest
 from hermband.core import (
     Constants,
     SpectralFunction,
+    _hermite_zeros,
     apply_creation,
     basis_function,
     christoffel,
@@ -157,22 +158,23 @@ def _fresh_rule(q):
     return gauss_hermite.__wrapped__(q)
 
 
-def _newton_correction_longdouble(q, x):
-    """h_q(x) / h_q'(x) in long double at the double points x != 0: how far
-    each x is from the zero of H_q that Newton would move it to."""
-    x = np.asarray(x, dtype=np.longdouble)
-    r = np.sqrt(np.longdouble(2)) * x
+def _newton_correction(q, x, dtype=np.longdouble):
+    """h_q(x) / h_q'(x) in dtype at the double points x != 0: how far each x
+    is from the zero of H_q that Newton would move it to."""
+    x = np.asarray(x, dtype=dtype)
+    two = dtype(2)
+    r = np.sqrt(two) * x
     for k in range(2, q + 1):
-        r = np.sqrt(np.longdouble(2) / k) * x - np.sqrt(np.longdouble(k - 1) / k) / r
-    return (r / (np.sqrt(np.longdouble(2 * q)) - x * r)).astype(float)
+        r = np.sqrt(two / k) * x - np.sqrt(dtype(k - 1) / k) / r
+    return (r / (np.sqrt(two * q) - x * r)).astype(float)
 
 
-def _zero_error(q, x):
+def _zero_error(q, x, dtype=np.longdouble):
     """max over the nonzero nodes of |Newton correction| / max(1, |x|)."""
     x = x[x != 0]
     if x.size == 0:
         return 0.0
-    return float(np.max(np.abs(_newton_correction_longdouble(q, x)) / np.maximum(1.0, np.abs(x))))
+    return float(np.max(np.abs(_newton_correction(q, x, dtype)) / np.maximum(1.0, np.abs(x))))
 
 
 _NO_WIDE_LONGDOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17,
@@ -207,6 +209,28 @@ def test_gauss_hermite_against_scipy():
         assert np.all(np.abs(nodes - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
         if q <= 128:    # beyond, SciPy's Gauss weights underflow
             assert np.max(np.abs(tau * np.exp(-nodes ** 2) - w) / w) < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermite_zeros_sweep_against_scipy():
+    from scipy.special import roots_hermite
+    for q in range(1, 301):
+        nodes = _hermite_zeros(q)
+        want = roots_hermite(q)[0]
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all(np.abs(nodes - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermite_zeros_level_6_size_finds_every_zero():
+    # the 1-D level-6 rule, far past the sizes SciPy's nodes are compared at:
+    # q distinct nodes, each a zero of H_q to far below the node spacing
+    # (> 1e-2 here), so none went to a neighbouring zero and all q are found
+    q = 2 * level_degree(6)
+    nodes = _hermite_zeros(q)
+    assert nodes.size == q and np.all(np.diff(nodes) > 0)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert _zero_error(q, nodes, np.float64) <= 1e-14
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,15 +1,16 @@
 """Paired benchmark runs of a base revision against the working tree.
 
-    python tools/bench_pair.py --base REV [--pairs N] [--seconds S]
-                               [--workload NAME ...] [--out BENCH_<n>.json]
+    python tools/bench_pair.py --base REV [--out BENCH_<n>.json]
 
 Run from the root of a hermband checkout.  The base revision is exported
 with ``git archive`` and the working tree's files (tracked, and untracked
 but not ignored) are copied, each into its own temporary directory, so
 both sides start from a fresh checkout with nothing compiled.  For every
-workload, pair i runs ``perfbench/run.py --workload W --seed i --seconds S``
-on both sides, one after the other; the side that goes first alternates
-from pair to pair, so a drift in machine speed falls on both alike.
+workload of BENCHMARK.json, pair i of ten runs
+``perfbench/run.py --workload W --seed i --seconds S`` on both sides, one
+after the other, with S the benchmark's ``run_seconds``; the side that goes
+first alternates from pair to pair, so a drift in machine speed falls on
+both alike.
 
 The output holds the machine, the library versions, every run's result
 line, and per end-to-end metric (names and directions from
@@ -30,6 +31,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+PAIRS = 10
 
 
 def git(*args):
@@ -115,22 +118,19 @@ def summarize(runs, metrics):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="the revision to compare against")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, help="default: run_seconds of BENCHMARK.json")
-    p.add_argument("--workload", action="append", help="default: every workload")
-    p.add_argument("--out", default="BENCH.json")
+    p.add_argument("--out", default="BENCH.json", help="path of the report")
     args = p.parse_args(argv)
     with open("BENCHMARK.json") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     base_rev = git("rev-parse", args.base).strip()
     report = {"machine": machine(), "libraries": libraries(),
               "base": base_rev, "change": {"head": git("rev-parse", "HEAD").strip(),
                                            "dirty": bool(git("status", "--porcelain").strip())},
               "command": f"perfbench/run.py --workload W --seed PAIR --seconds {seconds}",
-              "pairs": args.pairs, "workloads": {}}
+              "pairs": PAIRS, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "change")}
         for root in roots.values():
@@ -139,7 +139,7 @@ def main(argv=None):
         copy_working_tree(roots["change"])
         for wl in workloads:
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for k, side in enumerate(order):
                     run = run_once(roots[side], wl, i, seconds)
