@@ -43,14 +43,17 @@ class Constants:
             raise ValueError("epsilon must exceed 4")
 
 
-def _ldexp_clipped(mant, e):
-    """mant * 2**e with graceful underflow to 0 and no overflow surprises."""
-    e = np.clip(e, -2098, 2098).astype(np.int64)
-    return np.ldexp(mant, e)
+def _clipped_exponent(e):
+    """The base-2 exponents e as int64, clipped to where ldexp saturates (no overflow surprises)."""
+    return np.clip(e, -2098, 2098).astype(np.int64)
 
 
 def _hermite_rows(k_max, t):
-    """Yield h_0(t), ..., h_{k_max}(t), each of shape(t), one row at a time."""
+    """Yield h_0(t), ..., h_{k_max}(t), each of shape(t), one row at a time.
+
+    A row is mantissa * 2**e, formed by ldexp with graceful underflow to 0;
+    the integer exponent is recomputed only in the steps that rescale.
+    """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     t = np.asarray(t, dtype=float)
@@ -60,24 +63,34 @@ def _hermite_rows(k_max, t):
     log_h0 = -0.25 * math.log(math.pi) - 0.5 * t * t
     e = np.floor(log_h0 / _LN2)
     mant = np.exp(log_h0 - e * _LN2)
-    yield _ldexp_clipped(mant, e)
+    ei = _clipped_exponent(e)
+    yield np.ldexp(mant, ei)
     prev, cur = np.zeros_like(mant), mant
+    acur = np.abs(cur)
     for k in range(k_max):
         a = math.sqrt(2.0 / (k + 1))
         b = math.sqrt(k / (k + 1.0))
         prev, cur = cur, t * a * cur - b * prev
-        amax = np.maximum(np.abs(prev), np.abs(cur))
-        small = (amax > 0) & (amax < _RESCALE_INV)
-        if small.any():
-            prev = np.where(small, prev * _RESCALE, prev)
-            cur = np.where(small, cur * _RESCALE, cur)
-            e = np.where(small, e - 500, e)
-        big = amax > _RESCALE
-        if big.any():
+        aprev, acur = acur, np.abs(cur)
+        amax = np.maximum(aprev, acur)
+        rescaled = False
+        if amax.min() < _RESCALE_INV:
+            small = (amax > 0) & (amax < _RESCALE_INV)
+            if small.any():
+                prev = np.where(small, prev * _RESCALE, prev)
+                cur = np.where(small, cur * _RESCALE, cur)
+                e = np.where(small, e - 500, e)
+                rescaled = True
+        if amax.max() > _RESCALE:
+            big = amax > _RESCALE
             prev = np.where(big, prev * _RESCALE_INV, prev)
             cur = np.where(big, cur * _RESCALE_INV, cur)
             e = np.where(big, e + 500, e)
-        yield _ldexp_clipped(cur, e)
+            rescaled = True
+        if rescaled:
+            ei = _clipped_exponent(e)
+            acur = np.abs(cur)
+        yield np.ldexp(cur, ei)
 
 
 def hermite_functions(k_max, t):
@@ -307,6 +320,16 @@ def axis_tables(k_max, pts):
     return [hermite_functions(k_max, pts[:, d]) for d in range(pts.shape[1])]
 
 
+def grid_tables(k_max, axes):
+    """Per-axis tables [h_0..h_{k_max}] on the axes of a tensor grid, one built per
+    distinct axis object, so [ax] * dim costs one table."""
+    built = {}
+    for ax in axes:
+        if id(ax) not in built:
+            built[id(ax)] = hermite_functions(k_max, np.asarray(ax, dtype=float))
+    return [built[id(ax)] for ax in axes]
+
+
 # ---------------------------------------------------------------------------
 # spectral functions (finite Hermite expansions)
 # ---------------------------------------------------------------------------
@@ -413,14 +436,19 @@ class SpectralFunction:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_grid(self, axes):
-        """Evaluate on a tensor grid (list of per-axis sorted 1D arrays)."""
+    def eval_grid(self, axes, tables=None):
+        """Evaluate on a tensor grid (list of per-axis sorted 1D arrays).
+
+        tables: per-axis Hermite tables on the axes (see grid_tables) of
+        degree >= max_degree, when the caller already has them.
+        """
         if len(axes) != self.dim:
             raise ValueError("grid dimension mismatch")
+        if tables is None:
+            tables = grid_tables(self.max_degree, axes)
         T = self.array
-        for ax in axes:
-            H = hermite_functions(self.max_degree, np.asarray(ax, dtype=float))
-            T = np.tensordot(T, H, axes=([0], [0]))
+        for H in tables:
+            T = np.tensordot(T, H[:self.max_degree + 1], axes=([0], [0]))
         return T
 
     def _points(self, pts):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Constants, GridFunction, axis_tables, christoffel, e_function,
+from .core import (Constants, GridFunction, axis_tables, christoffel, e_function, grid_tables,
                    hermite_functions, kernel_expansion, lifted_gauss_hermite, multi_indices,
                    projector_kernel_sequence, random_spectral, tensor_points)
 from .frames import CoefficientSequence, needlet, synthesize
@@ -140,6 +140,7 @@ class Molecule:
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.measure = float(measure)
         self._deriv_cache = {}
+        self._moments = {}
 
     @property
     def dim(self):
@@ -154,12 +155,12 @@ class Molecule:
             self._deriv_cache[gamma] = self.f.derivative_multi(gamma)
         return self._deriv_cache[gamma]
 
-    def deriv_eval(self, gamma, pts):
-        return np.real(self.derivative(gamma).eval_points(pts))
-
     def moment(self, gamma):
-        """integral of (y - x_R)^gamma m(y) dy, exact Gauss-Hermite."""
-        return self.f.moment(self.center, gamma)
+        """integral of (y - x_R)^gamma m(y) dy, exact Gauss-Hermite (memoized)."""
+        gamma = tuple(int(g) for g in gamma)
+        if gamma not in self._moments:
+            self._moments[gamma] = self.f.moment(self.center, gamma)
+        return self._moments[gamma]
 
 
 def needlet_molecule(sys, tile):
@@ -188,7 +189,7 @@ def spectral_bump_molecule(weight_fn, level, center, cfg):
     return Molecule(kernel_expansion(w[:k_max + 1], center), level, center, measure)
 
 
-def check_molecule(mol, params, grid_axes, rng=None):
+def check_molecule(mol, params, grid_axes, rng=None, store=None):
     """Clause-by-clause constants of the molecule definition.
 
     (i)  size:   |d^gamma m| against |R|^{-1/2} 2^{j|gamma|}
@@ -197,6 +198,11 @@ def check_molecule(mol, params, grid_axes, rng=None):
                  offsets |x-y| <= 2^{-j};
     (iii) moments of order <= M against
                  |R|^{-1/2} 2^{-j(n+|gamma|)} ((1+|x_R|)/2^j)^{M+theta-|gamma|}.
+
+    Every derivative is evaluated from the Hermite tables of degree
+    max_degree + N at the grid and at each offset grid.  store, a dict that
+    calls on the same grid_axes share, keeps those tables for the next
+    molecule of the same degree; it holds one degree at a time.
     """
     rng = rng or np.random.default_rng(0)
     j = mol.level
@@ -204,6 +210,17 @@ def check_molecule(mol, params, grid_axes, rng=None):
     two_j = 2.0 ** j
     rinv = mol.measure ** -0.5
     pts = tensor_points(grid_axes)
+    degree = mol.f.max_degree + params.N
+    store = {} if store is None else store
+    if any(key[0] != degree for key in store):
+        store.clear()
+
+    def deriv_eval(gamma, h=None):
+        key = (degree, None if h is None else h.tobytes())
+        if key not in store:
+            store[key] = axis_tables(degree, pts if h is None else pts + h)
+        return np.real(mol.derivative(gamma).eval_points(pts, store[key]))
+
     dist = np.sqrt(np.sum((pts - mol.center) ** 2, axis=1))
     absx = np.sqrt(np.sum(pts ** 2, axis=1))
     loc = (1.0 + two_j * dist) ** -params.mu
@@ -212,7 +229,7 @@ def check_molecule(mol, params, grid_axes, rng=None):
     size_const = holder_const = 0.0
     per_gamma = {}
     for gamma in multi_indices(n, params.N):
-        a = mol.deriv_eval(gamma, pts)
+        a = deriv_eval(gamma)
         c = float(np.max(np.abs(a) / (rinv * two_j ** sum(gamma) * loc * tail)))
         per_gamma[str(gamma)] = c
         size_const = max(size_const, c)
@@ -221,7 +238,7 @@ def check_molecule(mol, params, grid_axes, rng=None):
         for _ in range(8):
             h = rng.uniform(-1.0, 1.0, size=n)
             h *= rng.uniform(0.05, 1.0) * 2.0 ** -j / max(np.linalg.norm(h), 1e-12)
-            b = mol.deriv_eval(gamma, pts + h)
+            b = deriv_eval(gamma, h)
             rhs = rinv * two_j ** params.N * (two_j * np.linalg.norm(h)) ** params.delta * loc
             holder_const = max(holder_const, float(np.max(np.abs(a - b) / rhs)))
 
@@ -274,8 +291,11 @@ def verify_molecules(sys, cfg, params, levels=4, tiles_per_level=20, grid_points
             for t, phi_R in frame_elements(sys, tiles)]
 
     def scan(axes):
+        # every call draws the same Holder offsets, so one store serves a level
+        store = {}
         return sup_per_level(range(levels + 1), (
-            (mol.level, check_molecule(mol, params, axes, rng=np.random.default_rng(seed)).constant)
+            (mol.level, check_molecule(mol, params, axes, rng=np.random.default_rng(seed),
+                                       store=store).constant)
             for mol in mols))
 
     per_level, per_fine = scan(grids[0]), scan(grids[1])
@@ -311,6 +331,7 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta, grid_axes)
     """
     pts = tensor_points(grid_axes)
     n = molecules[0].dim
+    tables = axis_tables(max(mol.f.max_degree for mol in molecules), pts)
     a = n + params.M + params.theta
     b = params.N + params.delta
     constant = 0.0
@@ -325,7 +346,7 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta, grid_axes)
             if not support_set(sys, j, n):
                 # empty spectral band (can happen at j = 0): nothing to measure
                 continue
-            vals = np.abs(np.real(apply_lp(sys, j, mol.f).eval_points(pts)))
+            vals = np.abs(np.real(apply_lp(sys, j, mol.f).eval_points(pts, tables)))
             wsup = float(np.max(vals * (1.0 + 2.0 ** min(j, k) * dist) ** eta)) / rinv
             decay = 2.0 ** (-a * max(k - j, 0) - b * max(j - k, 0))
             ratio = wsup / decay
@@ -672,12 +693,14 @@ def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
         # cubature exactness on random band-limited pairs
         dmax = 4 * ts.degree - 1
         axes = [ts.zeros] * cfg.dim
+        tables = grid_tables(dmax, axes)
         for _ in range(cubature_pairs):
             kf = int(rng.integers(0, dmax // 2 + 1))
             kg = int(rng.integers(0, dmax - kf + 1))
             f = random_spectral(cfg.dim, kf, rng, real=True)
             g = random_spectral(cfg.dim, kg, rng, real=True)
-            val = cubature(ts, np.real(f.eval_grid(axes)), np.real(g.eval_grid(axes)))
+            val = cubature(ts, np.real(f.eval_grid(axes, tables)),
+                           np.real(g.eval_grid(axes, tables)))
             exact = np.real(f.inner(g))
             scale = max(f.norm2() * g.norm2(), 1e-30)
             cub_err = max(cub_err, abs(val - exact) / scale)
@@ -708,7 +731,7 @@ def verify_maximal(cfg, j_max=3, seed=0):
             pts = tensor_points(axes)
             a = rng.random(ts.count)
             nodes = ts.node_array()
-            lin = ts.locate_many(pts)
+            lin = ts.locate_grid(axes).ravel()
             ind = np.where(lin >= 0, a[lin], 0.0)
             gf = GridFunction(axes, ind.reshape([len(ax) for ax in axes]))
             for j in range(j_max + 1):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, SpectralFunction, tensor_points
+from .core import GridFunction, SpectralFunction, grid_tables
 from .lp import apply_lp
 from .tiles import build_level
 
@@ -90,14 +90,19 @@ def besov_norm(sys, f, params):
     """(sum_j (2^{j alpha} ||phi_j(sqrt L) f||_p)^q)^{1/q}.
 
     Bands past the coverage level of the occupied spectrum vanish, so the
-    sum stops there.
+    sum stops there.  For p != 2 every band is sampled on f's quadrature box,
+    from one set of Hermite tables.
     """
+    if params.p != 2:
+        axes = QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
+        tables = grid_tables(f.max_degree, axes)
     terms = []
     for j in range(sys.coverage_level(2.0 * f.max_degree + f.dim) + 1):
         fj = apply_lp(sys, j, f)
         if not fj.array.any():
             continue
-        terms.append(2.0 ** (j * params.alpha) * lp_norm(fj, params.p))
+        norm = fj.norm2() if params.p == 2 else _grid_lp(fj.eval_grid(axes, tables), axes, params.p)
+        terms.append(2.0 ** (j * params.alpha) * norm)
     return _combine_q(terms, params.q)
 
 
@@ -120,12 +125,13 @@ def _f_sum(bands, axes, params):
 def tl_norm(sys, f, params):
     """|| (sum_j (2^{j alpha} |phi_j(sqrt L) f|)^q)^{1/q} ||_p, bands up to the coverage level."""
     axes = QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
+    tables = grid_tables(f.max_degree, axes)
 
     def bands():
         for j in range(sys.coverage_level(2.0 * f.max_degree + f.dim) + 1):
             fj = apply_lp(sys, j, f)
             if fj.array.any():
-                yield 2.0 ** (j * params.alpha) * np.abs(fj.eval_grid(axes))
+                yield 2.0 ** (j * params.alpha) * np.abs(fj.eval_grid(axes, tables))
 
     return _f_sum(bands(), axes, params)
 
@@ -157,15 +163,14 @@ def seq_tl_norm(s, params, box=None):
         top = max((build_level(j, s.cfg).outer_halfwidth for j in s.levels), default=1.0)
         box = QuadratureBox(top + 0.5, 801 if n == 1 else 241)
     axes = box.axes(n)
-    pts = tensor_points(axes)
 
     def bands():
         for j in sorted(s.levels):
             ts = build_level(j, s.cfg)
-            lin = ts.locate_many(pts)
+            lin = ts.locate_grid(axes).ravel()
             inside = lin >= 0
+            flat = np.zeros(lin.size)
             lin = lin[inside]
-            flat = np.zeros(pts.shape[0])
             flat[inside] = ts.measure_array()[lin] ** -0.5 * np.abs(s.levels[j].ravel()[lin])
             yield 2.0 ** (j * params.alpha) * flat.reshape([len(a) for a in axes])
 

@@ -136,22 +136,28 @@ class TileSet:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.size != self.dim:
             raise ValueError("point dimension mismatch")
-        flat = int(self.locate_many(x[None, :])[0])
+        flat = int(self.locate_grid(x[:, None]).item())
         return None if flat < 0 else self.tile(np.unravel_index(flat, self.shape))
 
-    def locate_many(self, pts):
-        """Row-major node index of the tile holding each point of an (m, dim) array.
+    def locate_grid(self, axes):
+        """Row-major node index of the tile holding each point of the tensor grid
+        of per-axis arrays, shape (len(a) for a in axes).
 
-        -1 marks a point outside the outer box; boundary points are assigned
-        to the lower tile.
+        Each axis is located by one searchsorted on the edges.  -1 marks a
+        point outside the outer box; boundary points are assigned to the
+        lower tile.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx = np.searchsorted(self.edges, pts, side="left") - 1
-        idx[pts == self.edges[0]] = 0
-        inside = np.all((idx >= 0) & (idx < self.zeros.size), axis=1)
-        flat = np.full(pts.shape[0], -1, dtype=np.int64)
-        flat[inside] = np.ravel_multi_index(tuple(idx[inside].T), self.shape)
-        return flat
+        if len(axes) != self.dim:
+            raise ValueError("grid dimension mismatch")
+        m = self.zeros.size
+        flat, inside = np.zeros((), dtype=np.int64), np.ones((), dtype=bool)
+        for ax in axes:
+            ax = np.asarray(ax, dtype=float)
+            idx = np.searchsorted(self.edges, ax, side="left") - 1
+            idx[ax == self.edges[0]] = 0
+            flat = np.add.outer(m * flat, idx)
+            inside = np.logical_and.outer(inside, (idx >= 0) & (idx < m))
+        return np.where(inside, flat, -1)
 
 
 _cache = {}

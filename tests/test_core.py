@@ -15,6 +15,7 @@ from hermband.core import (
     e_function,
     finite_difference,
     gauss_hermite,
+    grid_tables,
     hermite_derivative_1d,
     hermite_functions,
     hermite_inner_products,
@@ -102,6 +103,78 @@ def test_projector_kernel_2d_sum_over_multiindices():
         acc += (hermite_functions(a, x[0])[a] * hermite_functions(b, x[1])[b]
                 * hermite_functions(a, y[0])[a] * hermite_functions(b, y[1])[b])
     assert projector_kernel(k, x, y, 2) == pytest.approx(acc, abs=1e-13)
+
+
+def _reference_hermite_rows(k_max, t):
+    """Oracle for core._hermite_rows: the same scaled recurrence, clipping and
+    casting the exponent and testing both rescale masks on every row."""
+    def ldexp_clipped(mant, e):
+        return np.ldexp(mant, np.clip(e, -2098, 2098).astype(np.int64))
+
+    t = np.asarray(t, dtype=float)
+    log_h0 = -0.25 * math.log(math.pi) - 0.5 * t * t
+    e = np.floor(log_h0 / math.log(2.0))
+    mant = np.exp(log_h0 - e * math.log(2.0))
+    yield ldexp_clipped(mant, e)
+    prev, cur = np.zeros_like(mant), mant
+    for k in range(k_max):
+        prev, cur = cur, t * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
+        amax = np.maximum(np.abs(prev), np.abs(cur))
+        small = (amax > 0) & (amax < 2.0 ** -500)
+        if small.any():
+            prev = np.where(small, prev * 2.0 ** 500, prev)
+            cur = np.where(small, cur * 2.0 ** 500, cur)
+            e = np.where(small, e - 500, e)
+        big = amax > 2.0 ** 500
+        if big.any():
+            prev = np.where(big, prev * 2.0 ** -500, prev)
+            cur = np.where(big, cur * 2.0 ** -500, cur)
+            e = np.where(big, e + 500, e)
+        yield ldexp_clipped(cur, e)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 40, 300, 1500])
+def test_hermite_rows_match_the_per_row_reference(K):
+    # at +-200, h_0 is 2^-28854, and at K = 1500 the big-value rescale runs in
+    # 1411 steps
+    for t in (np.linspace(-200.0, 200.0, 3001), 0.0, -0.0):
+        table, squares = hermite_functions(K, t), 0.0
+        for k, ref in enumerate(_reference_hermite_rows(K, t)):
+            assert _same_bits(table[k], ref), k
+            squares = squares + ref * ref
+        with np.errstate(divide="ignore", over="ignore"):
+            assert _same_bits(christoffel(K, t), 1.0 / squares)
+
+
+def test_eval_grid_from_shared_tables_is_byte_equal():
+    rng = np.random.default_rng(3)
+    x, y = np.linspace(-6.0, 6.0, 41), np.linspace(-5.0, 7.0, 37)
+    for axes in ([x], [x, x], [x, y]):
+        f = random_spectral(len(axes), 9, rng)
+        for extra in (0, 1, 7):
+            got = f.eval_grid(axes, grid_tables(9 + extra, axes))
+            assert got.tobytes() == f.eval_grid(axes).tobytes()
+
+
+def test_grid_tables_build_one_table_per_axis_object(monkeypatch):
+    import hermband.core as core
+    built = []
+    real = core.hermite_functions
+
+    def counted(k_max, t):
+        built.append(np.shape(t))
+        return real(k_max, t)
+
+    monkeypatch.setattr(core, "hermite_functions", counted)
+    x = np.linspace(-3.0, 3.0, 11)
+    tables = grid_tables(4, [x] * 3)
+    assert built == [(11,)] and tables[0] is tables[2]
+    grid_tables(4, [x, x.copy()])
+    assert len(built) == 3
 
 
 def test_christoffel_at_zero():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hermband import estimates
+from hermband import core, estimates
 from hermband.core import SpectralFunction, qq_kernel
 from hermband.estimates import (
     Molecule,
@@ -26,12 +26,13 @@ from hermband.estimates import (
     verify_qq,
     verify_synthesis,
     verify_tcanc,
+    verify_tiles,
     verify_tsmooth,
 )
 from hermband.frames import needlet
 from hermband.lp import SmoothProfile, default_system
 from hermband.symbols import band_sum_symbol, identity_symbol, separable_symbol
-from hermband.tiles import TileConfig, build_level
+from hermband.tiles import TileConfig, build_level, level_degree
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,60 @@ def test_check_molecule_needlet_finite(sys, cfg):
     assert set(rep.details) >= {"size", "holder", "moment"}
 
 
+def _count_table_builds(monkeypatch):
+    """The shapes of the points of every Hermite table built from here on."""
+    built = []
+    build = core.hermite_functions
+
+    def counted(k_max, t):
+        built.append(np.shape(t))
+        return build(k_max, t)
+
+    monkeypatch.setattr(core, "hermite_functions", counted)
+    return built
+
+
+def test_check_molecule_store_shares_tables_within_a_degree(sys, cfg, monkeypatch):
+    params = MoleculeParams(1, 0.5, 2, 0.5, 3.0)
+    axes = [np.linspace(-12, 12, 201)]
+    mols = [needlet_molecule(sys, build_level(j, cfg).tile((i,)))
+            for j, i in ((2, 10), (2, 11), (3, 30))]
+    alone = [check_molecule(mol, params, axes, rng=np.random.default_rng(0)).to_json_dict()
+             for mol in mols]
+    built = _count_table_builds(monkeypatch)
+    store, shared = {}, []
+    for mol in mols:
+        shared.append(check_molecule(mol, params, axes, rng=np.random.default_rng(0),
+                                     store=store).to_json_dict())
+        assert {key[0] for key in store} == {mol.f.max_degree + params.N}
+    assert shared == alone
+    # in 1-D with N = 2: the grid and the 8 offsets of gamma = (2,), once per level
+    assert built.count((201,)) == 2 * 9
+
+
+def test_verify_molecules_computes_each_moment_once(sys, cfg, monkeypatch):
+    moment, calls = SpectralFunction.moment, []
+
+    def counted(self, center, gamma):
+        calls.append(tuple(gamma))
+        return moment(self, center, gamma)
+
+    monkeypatch.setattr(SpectralFunction, "moment", counted)
+    rep = verify_molecules(sys, cfg, MoleculeParams(1, 0.5, 2, 0.5, 3))
+    # the default 1-D scan: 80 molecules and gamma = (0,), (1,), each moment
+    # computed once for both grids
+    assert len(calls) == 160 and set(calls) == {(0,), (1,)}
+    assert rep.passed
+
+
+def test_verify_tiles_builds_one_table_per_level(cfg, monkeypatch):
+    built = _count_table_builds(monkeypatch)
+    rep = verify_tiles(cfg, levels=4, cubature_pairs=4)
+    # cubature pairs are drawn on levels 0-3, each from one table of degree 4 N_j - 1
+    assert built == [(2 * level_degree(j),) for j in range(4)]
+    assert rep.passed
+
+
 def test_moment_cancellation_separates_controls(cfg):
     # order-(M+1) spectral vanishing kills the low moments; the plain
     # exponential profile does not
@@ -122,7 +177,7 @@ def test_tsigma_identity_matches_needlet_derivatives(sys, cfg):
     parts = list(needlet(sys, tile).degree_slices().items())
     for gamma in ((0,), (1,), (2,)):
         got = np.real(tsigma_derivative_on_points(sig, parts, gamma, pts, 1))
-        expect = mol.deriv_eval(gamma, pts)
+        expect = np.real(mol.derivative(gamma).eval_points(pts))
         assert np.max(np.abs(got - expect)) < 1e-11
 
 

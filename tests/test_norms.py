@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hermband import core
 from hermband.core import basis_function, random_spectral
 from hermband.frames import CoefficientSequence
 from hermband.lp import default_system, spectral_window
@@ -81,6 +82,24 @@ def test_f22_comparable_to_l2(sys):
         f = random_spectral(1, 10, rng, real=True)
         ratios.append(tl_norm(sys, f, params) / f.norm2())
     assert 0.5 < min(ratios) and max(ratios) < 2.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_norms_build_one_hermite_table_per_call(sys, dim, monkeypatch):
+    f = random_spectral(dim, 8, np.random.default_rng(dim), real=True)
+    build, built = core.hermite_functions, []
+
+    def counted(k_max, t):
+        built.append(k_max)
+        return build(k_max, t)
+
+    monkeypatch.setattr(core, "hermite_functions", counted)
+    tl_norm(sys, f, SpaceParams("F", 0.0, 1.0, 2.0))
+    assert built == [8]
+    besov_norm(sys, f, SpaceParams("B", -1.0, 0.5, 2.0))
+    assert built == [8, 8]
+    besov_norm(sys, f, SpaceParams("B", 0.0, 2.0, 2.0))     # Parseval: no table
+    assert built == [8, 8]
 
 
 def test_seq_besov_single_entry(cfg):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermband.core import SpectralFunction, hermite_functions, multi_indices, random_spectral
+from hermband.core import (SpectralFunction, hermite_functions, multi_indices, random_spectral,
+                           tensor_points)
 from hermband.frames import CoefficientSequence, analyze
 from hermband.lp import default_system
 from hermband.tiles import TileConfig, build_level
@@ -50,6 +51,19 @@ def test_coefficient_sequence_json_roundtrip(dim, K, J, seed):
         assert np.array_equal(t.levels[j], arr)
 
 
+def locate_many(ts, pts):
+    """Oracle for TileSet.locate_grid: the row-major node index of the tile
+    holding each point of an (m, dim) array, one searchsorted per point and
+    axis; -1 outside the outer box, boundary points in the lower tile."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    idx = np.searchsorted(ts.edges, pts, side="left") - 1
+    idx[pts == ts.edges[0]] = 0
+    inside = np.all((idx >= 0) & (idx < ts.zeros.size), axis=1)
+    flat = np.full(pts.shape[0], -1, dtype=np.int64)
+    flat[inside] = np.ravel_multi_index(tuple(idx[inside].T), ts.shape)
+    return flat
+
+
 def _brute_force_tile(ts, p):
     """Row-major node index from a scan of every tile's [lo, hi] per axis; the
     lower tile wins on a shared edge, -1 outside the outer box."""
@@ -70,8 +84,13 @@ def test_locate_many_matches_brute_force(data, dim, j):
     # points on the tile edges, inside and outside the outer box
     coord = st.one_of(st.sampled_from(ts.edges.tolist()), st.floats(-hw - 1.0, hw + 1.0))
     pts = np.array(data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=20)))
-    got = ts.locate_many(pts)
+    got = locate_many(ts, pts)
     assert got.tolist() == [_brute_force_tile(ts, p) for p in pts]
+    # the per-axis grid locator against the oracle on a tensor grid of such coordinates
+    axes = [np.array(data.draw(st.lists(coord, min_size=1, max_size=8))) for _ in range(dim)]
+    grid = ts.locate_grid(axes)
+    assert grid.shape == tuple(len(a) for a in axes)
+    assert grid.ravel().tolist() == locate_many(ts, tensor_points(axes)).tolist()
 
 
 def _cubature_error(ts, k, l):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hermband.cli import main
-from hermband.core import basis_function, gauss_hermite
+from hermband.core import basis_function, gauss_hermite, tensor_points
 from hermband.tiles import (
     TileConfig,
     TileSet,
@@ -77,16 +77,17 @@ def test_unbuildable_levels_are_rejected_before_building(capsys):
 
 def test_level_5_builds_in_linear_memory():
     # the Christoffel weights are summed row by row, so the 4238-point rule
-    # needs no (4238, 4238) Hermite table (144 MB)
+    # needs no (4238, 4238) Hermite table (144 MB).  The child reports VmHWM,
+    # its own peak RSS: its ru_maxrss would also hold this process's peak,
+    # which Linux carries across fork and exec
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = ("import resource\n"
-            "from hermband.tiles import TileConfig, build_level\n"
+    code = ("from hermband.tiles import TileConfig, build_level\n"
             "build_level(5, TileConfig())\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert int(out) / 1024 < 120      # ru_maxrss is in KiB on Linux
+    assert int(out) / 1024 < 120      # VmHWM is in kB
 
 
 def test_hermite_zeros_small():
@@ -187,9 +188,10 @@ def test_locate_indices_vectorized_agrees():
     cfg = TileConfig(dim=2)
     ts = build_level(1, cfg)
     rng = np.random.default_rng(1)
-    pts = rng.uniform(-ts.outer_halfwidth - 0.5, ts.outer_halfwidth + 0.5, size=(500, 2))
-    flat = ts.locate_many(pts)
-    for p, i in zip(pts, flat):
+    axes = [rng.uniform(-ts.outer_halfwidth - 0.5, ts.outer_halfwidth + 0.5, size=size)
+            for size in (25, 20)]
+    flat = ts.locate_grid(axes).ravel()
+    for p, i in zip(tensor_points(axes), flat):
         t = ts.locate(p)
         if t is None:
             assert i == -1
