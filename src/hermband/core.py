@@ -59,10 +59,22 @@ def _hermite_rows(k_max, t):
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("non-finite evaluation point")
+    # |h_k(t)| <= (2|t|)^k e^{-t^2/2} for |t| >= 1, so every row rounds to 0
+    # where t^2/2 - k_max ln(1 + 2|t|) > 746 (never for |t| <= 38): run those
+    # points at a stand-in beyond the zeros, sign(t) sqrt(2 k_max + 2), with
+    # exponent -inf, which flushes each row to a zero of the sign of h_k(t).
+    # The other points are small enough for an exact seed mantissa and a
+    # finite t * 2^500.
+    gone = False
+    if np.max(np.abs(t), initial=0.0) > 38.0:
+        a = np.minimum(np.abs(t), _RESCALE)
+        gone = 0.5 * a * a - k_max * np.log1p(2.0 * a) > 746.0
+        t = np.where(gone, np.copysign(math.sqrt(2.0 * k_max + 2.0), t), t)
     # seed h_0 = pi^{-1/4} exp(-t^2/2) in scaled form
     log_h0 = -0.25 * math.log(math.pi) - 0.5 * t * t
     e = np.floor(log_h0 / _LN2)
     mant = np.exp(log_h0 - e * _LN2)
+    e = np.where(gone, -np.inf, e)
     ei = _clipped_exponent(e)
     yield np.ldexp(mant, ei)
     prev, cur = np.zeros_like(mant), mant
@@ -425,14 +437,11 @@ class SpectralFunction:
     def is_real(self, tol=1e-12):
         return bool(np.all(np.abs(self.array.imag) <= tol))
 
-    def _present_degrees(self):
-        return np.unique(self.degrees[self.array != 0]).tolist()
-
     def degree_slices(self):
         """The nonzero degree parts P_k f: dict k -> SpectralFunction, increasing k."""
         return {k: SpectralFunction(self.dim, self.max_degree,
                                     np.where(self.degrees == k, self.array, 0))
-                for k in self._present_degrees()}
+                for k in np.unique(self.degrees[self.array != 0]).tolist()}
 
     # -- evaluation --------------------------------------------------------
 
@@ -451,19 +460,15 @@ class SpectralFunction:
             T = np.tensordot(T, H[:self.max_degree + 1], axes=([0], [0]))
         return T
 
-    def _points(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValueError("point dimension mismatch")
-        return pts
-
     def eval_points(self, pts, tables=None):
         """Evaluate at scattered points, array of shape (m, dim).
 
         tables: per-axis Hermite tables at the points (see axis_tables) of
         degree >= max_degree, when the caller already has them.
         """
-        pts = self._points(pts)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise ValueError("point dimension mismatch")
         if tables is None:
             tables = axis_tables(self.max_degree, pts)
         K1 = self.max_degree + 1
@@ -478,23 +483,6 @@ class SpectralFunction:
         if self.array.imag.any():
             val += 1j * contract(self.array.imag)
         return val
-
-    def eval_degrees(self, pts):
-        """Yield (k, (P_k f)(pts)) over the degrees k of the nonzero coefficients, increasing.
-
-        Each value sums c_xi h_xi(pts) over |xi| = k in lexicographic order,
-        one point vector at a time, so memory stays at the Hermite tables.
-        """
-        pts = self._points(pts)
-        tables = axis_tables(self.max_degree, pts)
-        for k in self._present_degrees():
-            acc = np.zeros(pts.shape[0], dtype=complex)
-            for xi in np.argwhere((self.degrees == k) & (self.array != 0)).tolist():
-                term = np.full(pts.shape[0], self.array[tuple(xi)])
-                for H, v in zip(tables, xi):
-                    term = term * H[v]
-                acc += term
-            yield k, acc
 
     def moment(self, center, gamma):
         """integral of (y - center)^gamma Re f(y) dy, exact by the lifted

@@ -416,28 +416,6 @@ def verify_ao(sys, cfg, k_levels=(1, 2, 3, 4), tiles_per_level=3, grid_points=80
 # ---------------------------------------------------------------------------
 
 
-def tsigma_derivative_on_points(sigma, parts, gamma, pts, n):
-    """d^gamma_x T_sigma phi_R at the points, via Leibniz.
-
-    T_sigma phi_R(x) = sum_k sigma(x, lambda_k) q_k(x) with the degree parts
-    q_k = P_k phi_R, whose derivatives are exact ladder derivatives; parts
-    is the list of (k, q_k) pairs, phi_R.degree_slices().items(), of a nonzero phi_R.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    acc = np.zeros(pts.shape[0], dtype=complex)
-    tables = axis_tables(parts[0][1].max_degree + sum(gamma), pts)
-    lams = np.array([2.0 * k + n for k, _ in parts])
-    for beta in itertools.product(*(range(g + 1) for g in gamma)):
-        rest = tuple(g - bq for g, bq in zip(gamma, beta))
-        coef = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
-        ds = sigma.x_derivative(pts, lams, beta)
-        for i, (k, qk) in enumerate(parts):
-            dq = np.real(qk.derivative_multi(rest).eval_points(pts, tables))
-            if np.any(dq):
-                acc += coef * ds[:, i] * dq
-    return acc
-
-
 def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=401, seed=0):
     """Smoothness of T_sigma on needlets: decay in x and growth 2^{j(m+|gamma|)},
     for |gamma| <= 2 and decay orders N <= 3 on [-12, 12]^n.
@@ -451,20 +429,20 @@ def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=
     """
     gamma_max, N_max, kappa, eps = 2, 3, 0.5, 16.5
     n = cfg.dim
-    pts = tensor_points(eval_axes(12.0, grid_points, n))
+    axes = eval_axes(12.0, grid_points, n)
+    pts = tensor_points(axes)
     rng = np.random.default_rng(seed)
 
     def ratios():
         for j, tiles in level_tiles(cfg, range(levels + 1), tiles_per_level, rng):
             env = np.maximum(e_function(eps * 4.0 ** j, pts, _CONSTANTS) ** (1.0 - kappa), 1e-300)
             for tile, phi_R in frame_elements(sys, tiles):
-                parts = list(phi_R.degree_slices().items())
                 dist = np.sqrt(np.sum((pts - tile.node) ** 2, axis=1))
                 for gamma in multi_indices(n, gamma_max):
-                    vals = np.abs(tsigma_derivative_on_points(sigma, parts, gamma, pts, n))
+                    vals = np.abs(apply_pseudomultiplier(sigma, phi_R, axes, gamma).samples)
                     rhs = tile.measure ** -0.5 * 2.0 ** (j * (m + sum(gamma))) \
                         * (1.0 + 2.0 ** j * dist) ** -N_max * env
-                    yield j, float(np.max(vals / rhs))
+                    yield j, float(np.max(vals.ravel() / rhs))
 
     per_level = sup_per_level(range(levels + 1), ratios())
     return EstimateReport("tsigma-smoothness", max(per_level.values()),
@@ -482,13 +460,9 @@ def tsigma_moment(sigma, phi_R, node, gamma, extra=8):
     """
     n = phi_R.dim
     q = (int(np.max(phi_R.degrees[phi_R.array != 0])) + sum(gamma)) // 2 + 1 + extra
-
-    def sample(y):
-        pts = tensor_points([y] * n)
-        return apply_pseudomultiplier(sigma, phi_R, pts=pts).reshape([q] * n)
-
-    return complex(lifted_gauss_hermite(sample, q, n, s=2.0,
-                                        axis_factor=lambda d, y: (y - node[d]) ** gamma[d]))
+    return complex(lifted_gauss_hermite(
+        lambda y: apply_pseudomultiplier(sigma, phi_R, [y] * n).samples, q, n, s=2.0,
+        axis_factor=lambda d, y: (y - node[d]) ** gamma[d]))
 
 
 def verify_tcanc(sigma, sys, cfg, m, levels=3, tiles_per_level=6, seed=0):
@@ -566,7 +540,7 @@ def verify_boundedness(sigma, m, space_list, sys, cfg, K=12, n_funcs=20, seed=0)
     for params in space_list:
         worst = 0.0
         for f in family:
-            g, resid = reproject(lambda pts: apply_pseudomultiplier(sigma, f, pts=pts),
+            g, resid = reproject(lambda axes: apply_pseudomultiplier(sigma, f, axes).samples,
                                  n, f.max_degree + 8)
             resid_max = max(resid_max, resid)
             src = SpaceParams(params.family, params.alpha + m, params.p, params.q)
@@ -783,7 +757,8 @@ def verify_linearize(sys, cfg, K=10, n_funcs=20, seed=0, grid_points=801, powers
     n = cfg.dim
     J = sys.coverage_level(2.0 * K + n)
     half_width = QuadratureBox.for_degree(K, n).half_width
-    pts = tensor_points(eval_axes(half_width, grid_points, n))
+    axes = eval_axes(half_width, grid_points, n)
+    pts = tensor_points(axes)
     worst = {p: 0.0 for p in powers}
     halving = {}
     for i in range(n_funcs):
@@ -793,12 +768,12 @@ def verify_linearize(sys, cfg, K=10, n_funcs=20, seed=0, grid_points=801, powers
         for p in powers:
             H = nonlinearity_power(p)
             sig = linearize_nonlinearity(H, f, sys, J)
-            tv = np.real(apply_pseudomultiplier(sig, f, pts=pts))
+            tv = np.real(apply_pseudomultiplier(sig, f, axes).samples.ravel())
             err = float(np.max(np.abs(tv - fv ** p)))
             worst[p] = max(worst[p], err)
             if i == 0:
                 sig32 = linearize_nonlinearity(H, f, sys, J, t_points=32)
-                tv32 = np.real(apply_pseudomultiplier(sig32, f, pts=pts))
+                tv32 = np.real(apply_pseudomultiplier(sig32, f, axes).samples.ravel())
                 halving[p] = (err, float(np.max(np.abs(tv32 - fv ** p))))
     constant = max(worst.values())
     return EstimateReport("linearize", constant,

@@ -4,7 +4,7 @@ symbol-class diagnostics.
 A Symbol evaluates sigma(x, xi) on a table: m points x down the rows and an
 array of spectral arguments xi >= 0 along the columns, so each consumer
 makes one call for all the xi it needs; the operator passes
-xi = lambda_k = 2k + n for k = 0..K.  Class checks measure
+xi = lambda_k = 2k + n for the degrees k present in f.  Class checks measure
 sup |d^nu_x Delta^kappa_xi sigma| / [g(x, xi) (1 + sqrt(xi))^{m - 2 rho kappa
 + delta |nu|}]; the cancellation check averages scaled derivatives over the
 critical balls B(x, rho(x)), rho(x) = 1/(1 + |x|).
@@ -13,6 +13,7 @@ critical balls B(x, rho(x)), rho(x) = 1/(1 + |x|).
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import math
 import operator
@@ -20,9 +21,9 @@ import operator
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import (GridFunction, SpectralFunction, finite_difference, hermite_functions,
-                   json_field, json_float, json_int, lifted_gauss_hermite, multi_indices,
-                   tensor_points, tensor_product)
+from .core import (GridFunction, SpectralFunction, axis_tables, finite_difference, grid_tables,
+                   hermite_functions, json_field, json_float, json_int, lifted_gauss_hermite,
+                   multi_indices, tensor_points, tensor_product)
 from .lp import apply_lp
 
 
@@ -91,37 +92,45 @@ def window_sum(sys, factors, xi):
     return acc
 
 
-def apply_pseudomultiplier(sigma, f, axes=None, pts=None):
-    """T_sigma f = sum_k sigma(., lambda_k) (P_k f)(.) on a grid or point set."""
-    if (axes is None) == (pts is None):
-        raise ValueError("supply exactly one of axes or pts")
-    if axes is not None:
-        pts_arr = tensor_points(axes)
-    else:
-        pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-    table = sigma(pts_arr, 2.0 * np.arange(f.max_degree + 1) + f.dim)
-    out = np.zeros(pts_arr.shape[0], dtype=complex)
-    for k, part in f.eval_degrees(pts_arr):
-        out += table[:, k] * part
-    if axes is not None:
-        return GridFunction(axes, out.reshape([len(a) for a in axes]))
-    return out
+def apply_pseudomultiplier(sigma, f, axes, gamma=None):
+    """d^gamma_x T_sigma f on the tensor grid of axes, as a GridFunction (gamma = 0 by default).
+
+    By Leibniz, d^gamma T_sigma f = sum_beta C(gamma, beta) sum_k d^beta_x sigma(., lambda_k)
+    d^{gamma - beta} P_k f, summed over beta and then k; sigma is evaluated at the
+    lambda_k of the degrees k present in f, and each degree part P_k f is
+    differentiated exactly on its coefficients.
+    """
+    gamma = (0,) * f.dim if gamma is None else tuple(gamma)
+    pts = tensor_points(axes)
+    parts = f.degree_slices()
+    lams = 2.0 * np.array(list(parts), dtype=float) + f.dim
+    tables = grid_tables(f.max_degree + sum(gamma), axes)
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for beta in itertools.product(*(range(g + 1) for g in gamma)):
+        rest = tuple(g - b for g, b in zip(gamma, beta))
+        coef = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
+        ds = sigma.x_derivative(pts, lams, beta)
+        for i, part in enumerate(parts.values()):
+            out += coef * ds[:, i] * part.derivative_multi(rest).eval_grid(axes, tables).ravel()
+    return GridFunction(axes, out.reshape([len(a) for a in axes]))
 
 
 def reproject(evalfn, dim, K_prime):
-    """Project a pointwise-evaluable function with Gaussian decay onto V_{K'}.
+    """Project a function with Gaussian decay, sampled on tensor grids, onto V_{K'}.
 
-    evalfn(pts) -> values; the function must carry the factor e^{-|y|^2/2}
-    (true for anything of the form sum_k sigma(y, lambda_k) P_k f).  Returns
-    (SpectralFunction, relative residual of the discarded part).
+    evalfn(axes) -> values on the tensor grid of the axes; the function must
+    carry the factor e^{-|y|^2/2} (true for anything of the form
+    sum_k sigma(y, lambda_k) P_k f).  Returns (SpectralFunction, relative
+    residual of the discarded part).
     """
     q = max(64, 2 * K_prime + 16)
     g = pts = None
 
     def sample(y):
         nonlocal g, pts
-        pts = tensor_points([y] * dim)
-        g = np.asarray(evalfn(pts)).reshape([q] * dim)
+        axes = [y] * dim
+        pts = tensor_points(axes)
+        g = np.asarray(evalfn(axes)).reshape([q] * dim)
         return g
 
     # c_xi = <g, h_xi>: g and h_xi each carry a half-Gaussian
@@ -317,10 +326,12 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
     bands = [apply_lp(sys, j, f) for j in range(J + 1)]
 
     def factors(pts, axis=None):
-        """m_j on the points, all j <= J, or their axis-derivatives."""
-        vals = [np.real(b.eval_points(pts)) for b in bands]
+        """m_j on the points, all j <= J, or their axis-derivatives, from one
+        Hermite table of degree K + 1 (a derivative raises the degree by one)."""
+        tables = axis_tables(f.max_degree + 1, pts)
+        vals = [np.real(b.eval_points(pts, tables)) for b in bands]
         dvals = vals if axis is None else \
-            [np.real(b.derivative(axis).eval_points(pts)) for b in bands]
+            [np.real(b.derivative(axis).eval_points(pts, tables)) for b in bands]
         out = []
         prev = np.zeros(pts.shape[0])
         dprev = np.zeros(pts.shape[0])

@@ -96,8 +96,9 @@ def test_criterion_04_eigen_action():
     rng = np.random.default_rng(2)
     f = random_spectral(1, 20, rng, real=True)
     sig = hermite_multiplier(lambda xi: xi, 1)
-    pts = np.linspace(-8.0, 8.0, 201)[:, None]
-    got = np.real(apply_pseudomultiplier(sig, f, pts=pts))
+    x = np.linspace(-8.0, 8.0, 201)
+    pts = x[:, None]
+    got = np.real(apply_pseudomultiplier(sig, f, [x]).samples)
     expect = np.real(f.apply_hermite_operator().eval_points(pts))
     rel = float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
     _line(4, "eigen action", rel < 1e-9, f"relative grid error = {rel:.3e}")

@@ -73,6 +73,27 @@ def test_deep_tail_no_overflow():
     assert np.max(np.abs(vals)) < 1e-100
 
 
+@pytest.mark.parametrize("k_max", [5, 200])
+def test_hermite_functions_finite_over_the_whole_float_range(k_max):
+    with np.errstate(over="ignore"):        # geomspace's own intermediate powers
+        t = np.geomspace(1.0, np.finfo(float).max, 4001)
+    h = hermite_functions(k_max, t)
+    assert np.all(np.isfinite(h))
+    # past the turning point each |h_k| decreases, to exact zeros at the far end
+    tail = t > math.sqrt(2.0 * k_max + 1.0)
+    assert np.all(np.diff(np.abs(h[:, tail]), axis=1) <= 0.0)
+    assert np.all(h[:, -200:] == 0.0)
+    # h_k(-t) = (-1)^k h_k(t), the sign of the zeros included
+    parity = (-1.0) ** np.arange(k_max + 1)[:, None]
+    assert _same_bits(hermite_functions(k_max, -t), parity * h)
+    # a far point does not disturb the others in the same call
+    for i in range(0, t.size, 250):
+        assert _same_bits(hermite_functions(k_max, t[i]), h[:, i])
+    with np.errstate(divide="ignore"):
+        assert not np.any(np.isnan(christoffel(k_max, t)))
+        assert not np.isnan(christoffel(3, 1e152))
+
+
 def test_eval_hermite_nd_product_structure():
     def h(xi, x):
         return basis_function(xi).eval_points([x])[0]

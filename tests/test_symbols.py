@@ -35,8 +35,9 @@ def sys():
 def test_identity_symbol_is_identity():
     rng = np.random.default_rng(0)
     f = random_spectral(1, 10, rng, real=True)
-    pts = np.linspace(-4, 4, 21)[:, None]
-    out = apply_pseudomultiplier(identity_symbol(1), f, pts=pts)
+    x = np.linspace(-4, 4, 21)
+    pts = x[:, None]
+    out = apply_pseudomultiplier(identity_symbol(1), f, [x]).samples
     assert np.max(np.abs(out - f.eval_points(pts))) < 1e-12
 
 
@@ -44,8 +45,9 @@ def test_eigenvalue_multiplier_applies_operator():
     # sigma(x, xi) = xi acts as the operator on eigenfunctions
     sig = hermite_multiplier(lambda xi: xi, 1)
     f = basis_function((0,))
-    pts = np.linspace(-3, 3, 13)[:, None]
-    out = apply_pseudomultiplier(sig, f, pts=pts)
+    x = np.linspace(-3, 3, 13)
+    pts = x[:, None]
+    out = apply_pseudomultiplier(sig, f, [x]).samples
     assert np.max(np.abs(out - 1.0 * f.eval_points(pts))) < 1e-13
 
 
@@ -54,8 +56,9 @@ def test_band_multiplier_matches_projection(sys):
     f = random_spectral(1, 15, rng, real=True)
     j = 2
     sig = hermite_multiplier(lambda xi: float(sys.window(j, math.sqrt(xi))), 1)
-    pts = np.linspace(-5, 5, 41)[:, None]
-    out = apply_pseudomultiplier(sig, f, pts=pts)
+    x = np.linspace(-5, 5, 41)
+    pts = x[:, None]
+    out = apply_pseudomultiplier(sig, f, [x]).samples
     expect = apply_lp(sys, j, f).eval_points(pts)
     assert np.max(np.abs(out - expect)) < 1e-10
 
@@ -67,9 +70,27 @@ def test_apply_on_grid_returns_grid_function():
     assert np.max(np.abs(g.samples - vals)) < 1e-13
 
 
+@pytest.mark.parametrize("gamma", [(1, 0), (0, 1)])
+def test_apply_derivative_matches_central_differences_2d(sys, gamma):
+    # the Leibniz path: an x-dependent symbol (x-derivatives by Richardson
+    # differences) and a complex f, against central differences of T_sigma f
+    rng = np.random.default_rng(6)
+    f = random_spectral(2, 6, rng)
+    sig = band_sum_symbol(sys, 2)
+    axes = [np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 2.5, 7)]
+    got = apply_pseudomultiplier(sig, f, axes, gamma).samples
+    h = 1e-5
+
+    def shifted(step):
+        return apply_pseudomultiplier(sig, f, [a + step * g for a, g in zip(axes, gamma)]).samples
+
+    fd = (shifted(h) - shifted(-h)) / (2.0 * h)
+    assert np.max(np.abs(got - fd)) < 1e-7 * np.max(np.abs(got))
+
+
 def test_reproject_recovers_eigenfunction():
     h5 = basis_function((5,))
-    fK, resid = reproject(lambda pts: h5.eval_points(pts), 1, 10)
+    fK, resid = reproject(h5.eval_grid, 1, 10)
     # the residual estimate subtracts two near-equal sums, so its floor is
     # about sqrt(machine epsilon)
     assert resid < 1e-6
@@ -80,7 +101,7 @@ def test_reproject_multiplier_output_exact():
     rng = np.random.default_rng(2)
     f = random_spectral(1, 8, rng, real=True)
     sig = hermite_multiplier(lambda xi: 1.0 / (1.0 + xi), 1)
-    fK, resid = reproject(lambda pts: apply_pseudomultiplier(sig, f, pts=pts), 1, 8)
+    fK, resid = reproject(lambda axes: apply_pseudomultiplier(sig, f, axes).samples, 1, 8)
     assert resid < 1e-6
     expect_coeffs = {xi: c / (1.0 + (2 * xi[0] + 1)) for xi, c in f.coeffs.items()}
     expect = SpectralFunction(1, 8, expect_coeffs)
@@ -93,12 +114,12 @@ def test_reproject_residual_of_a_small_tail(eps):
     coeffs = np.zeros(10)
     coeffs[0], coeffs[9] = 1.0, eps
     g = SpectralFunction(1, 9, coeffs)
-    fK, resid = reproject(g.eval_points, 1, 8)
+    fK, resid = reproject(g.eval_grid, 1, 8)
     assert resid == pytest.approx(eps / math.sqrt(1.0 + eps * eps), rel=1e-9)
 
 
 def test_reproject_zero():
-    fK, resid = reproject(lambda pts: np.zeros(pts.shape[0]), 1, 6)
+    fK, resid = reproject(lambda axes: np.zeros(len(axes[0])), 1, 6)
     assert resid == 0.0
     assert fK.norm2() == 0.0
 
@@ -153,7 +174,7 @@ def test_contraction_multiplier_bounded():
     rng = np.random.default_rng(3)
     f = random_spectral(1, 12, rng, real=True)
     sig = hermite_multiplier(lambda xi: xi / (1.0 + xi), 1)
-    fK, resid = reproject(lambda pts: apply_pseudomultiplier(sig, f, pts=pts), 1, 12)
+    fK, resid = reproject(lambda axes: apply_pseudomultiplier(sig, f, axes).samples, 1, 12)
     assert resid < 1e-6
     assert fK.norm2() <= f.norm2() * (1.0 + 1e-12)
 
@@ -164,8 +185,9 @@ def test_linearize_identity_nonlinearity(sys):
     H = nonlinearity_power(1)
     J = sys.coverage_level(2.0 * 8 + 1)
     sig = linearize_nonlinearity(H, f, sys, J)
-    pts = np.linspace(-4, 4, 21)[:, None]
-    out = apply_pseudomultiplier(sig, f, pts=pts)
+    x = np.linspace(-4, 4, 21)
+    pts = x[:, None]
+    out = apply_pseudomultiplier(sig, f, [x]).samples
     assert np.max(np.abs(out - f.eval_points(pts))) < 1e-12
 
 
@@ -175,8 +197,9 @@ def test_linearize_square_reproduces_h_of_f(sys):
     H = nonlinearity_power(2)
     J = sys.coverage_level(2.0 * 6 + 1)
     sig = linearize_nonlinearity(H, f, sys, J)
-    pts = np.linspace(-4, 4, 33)[:, None]
-    out = np.real(apply_pseudomultiplier(sig, f, pts=pts))
+    x = np.linspace(-4, 4, 33)
+    pts = x[:, None]
+    out = np.real(apply_pseudomultiplier(sig, f, [x]).samples)
     expect = np.real(f.eval_points(pts)) ** 2
     assert np.max(np.abs(out - expect)) < 1e-6
 
