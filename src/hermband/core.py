@@ -552,6 +552,8 @@ class SpectralFunction:
                         json_float(e.get("im", 0.0), "im"))
             if not cmath.isfinite(c):
                 raise ValueError(f"non-finite coefficient at xi = {list(xi)}")
+            if xi in coeffs:
+                raise ValueError(f"xi = {list(xi)} appears more than once")
             coeffs[xi] = c
         return cls(json_int(json_field(d, "dim", "function"), "dim"),
                    json_int(json_field(d, "max_degree", "function"), "max_degree"), coeffs)

@@ -2,8 +2,9 @@
 
 The frame element attached to tile R at level j is
 phi_R(x) = tau_R^{1/2} phi_j(sqrt(L))(x, x_R); its dual psi_R uses the
-dual window.  Analysis evaluates the band projection at the nodes (exact,
-no quadrature); synthesis assembles sum s_R psi_R in coefficient space.
+dual window.  Analysis evaluates the band projection at the nodes and synthesis
+assembles sum s_R psi_R in coefficient space, both exactly (no quadrature) by
+contraction with one table per level, frame_table: h_k tau^{1/2} at the axis nodes.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import math
 import numpy as np
 
 from .core import (SpectralFunction, degree_array, hermite_functions, json_array, json_field,
-                   json_float, json_int, lifted_gauss_hermite)
+                   json_float, json_int)
 from .lp import apply_lp, lp_delta, support_set
 from .tiles import build_level
 
 
 class CoefficientSequence:
-    """Per-level dense coefficient arrays over the level's node grids."""
+    """Per-level dense coefficient arrays over the level's node grids: float64
+    for the analysis of a real f, complex otherwise (and when read from JSON)."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -62,11 +64,17 @@ class CoefficientSequence:
         out = cls(cfg)
         for lev in json_array(d, "levels", "coefficient sequence"):
             j = json_int(json_field(lev, "j", "level"), "level j")
+            if j in out.levels:
+                raise ValueError(f"level {j} appears more than once")
             ts = build_level(j, cfg)
             arr = np.zeros(ts.shape, dtype=complex)
+            seen = set()
             for e in json_array(lev, "entries", f"level {j}"):
                 node = ts.node_index(json_int(i, f"level {j} node index")
                                      for i in json_array(e, "node", f"level {j} entry"))
+                if node in seen:
+                    raise ValueError(f"level {j}: node {list(node)} appears more than once")
+                seen.add(node)
                 v = complex(json_float(json_field(e, "re", f"level {j} entry"), "re"),
                             json_float(e.get("im", 0.0), "im"))
                 if not cmath.isfinite(v):
@@ -77,10 +85,6 @@ class CoefficientSequence:
 
     def write(self, fh, tol=0.0):
         json.dump(self.to_json_dict(tol), fh)
-
-    def save(self, path, tol=0.0):
-        with open(path, "w") as fh:
-            self.write(fh, tol)
 
     @classmethod
     def load(cls, path, cfg):
@@ -95,16 +99,38 @@ def needlet(sys, tile, dual=False):
     return f.scaled(math.sqrt(tile.weight))
 
 
+def frame_table(ts, k_max):
+    """h_k(x_i) tau_i^{1/2} on the level's axis nodes, shape (k_max + 1, m); for
+    k_max < 2N_j the rows are orthonormal under the cubature, so every entry is <= 1."""
+    F = hermite_functions(k_max, ts.zeros)
+    F *= np.sqrt(ts.tau1d)
+    return F
+
+
+def _contract(T, F, axis):
+    """Each axis of T in turn contracted with the given axis of F, the real and
+    imaginary parts of T as real arrays; real when T's imaginary part is zero."""
+    def real(P):
+        for _ in range(P.ndim):
+            P = np.tensordot(P, F, axes=([0], [axis]))
+        return P
+    re = real(T.real)
+    if not np.iscomplexobj(T) or not T.imag.any():
+        return re
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, real(T.imag)
+    return out
+
+
 def analyze(sys, f, J, cfg):
-    """Coefficients s_R = tau_R^{1/2} (phi_j(sqrt(L)) f)(x_R), all levels <= J."""
+    """Coefficients s_R = tau_R^{1/2} (phi_j(sqrt(L)) f)(x_R), all levels <= J:
+    the coefficients of phi_j(sqrt(L)) f contracted with frame_table on every axis."""
     if cfg.dim != f.dim:
         raise ValueError("config dimension does not match function")
     s = CoefficientSequence(cfg)
     for j in range(J + 1):
-        ts = build_level(j, cfg)
-        fj = apply_lp(sys, j, f)
-        vals = fj.eval_grid([ts.zeros] * f.dim)
-        s.levels[j] = np.sqrt(ts.weight_array().reshape(vals.shape)) * vals
+        F = frame_table(build_level(j, cfg), f.max_degree)
+        s.levels[j] = _contract(apply_lp(sys, j, f).array, F, 0)
     return s
 
 
@@ -113,8 +139,10 @@ def synthesize(sys, s):
 
     Per level, the coefficient of h_xi is
     psi_j(sqrt(lambda_{|xi|})) * sum_zeta tau_zeta^{1/2} s_zeta h_xi(zeta),
-    a tensor contraction over the level's node grid; coefficients of
-    magnitude <= 1e-15 are dropped.
+    the level's coefficients contracted with its frame_table on every axis, over the nodes
+    of its nonzero columns once entries below 2^-511 are set to 0: that skips the far nodes'
+    subnormal products, and as no entry exceeds 1 no coefficient moves by more than
+    2^-511 sum |s|.  Coefficients of magnitude <= 1e-15 are dropped.
     """
     cfg = s.cfg
     n = cfg.dim
@@ -125,13 +153,11 @@ def synthesize(sys, s):
         if len(ks) == 0:
             continue
         k_max = ks[-1]
-        H = hermite_functions(k_max, ts.zeros)          # (k_max+1, nodes)
-        T = s.levels[j]
-        for d in range(n):
-            T = T * np.sqrt(ts.tau1d).reshape((-1,) + (1,) * (n - 1 - d))
-        # contract each axis against the Hermite values at the nodes
-        for _ in range(n):
-            T = np.tensordot(T, H, axes=([0], [1]))     # -> (..., k_max+1)
+        F = frame_table(ts, k_max)
+        F[(F > -2.0 ** -511) & (F < 2.0 ** -511)] = 0.0
+        cols = np.flatnonzero(F.any(axis=0))
+        live = slice(cols[0], cols[-1] + 1)
+        T = _contract(s.levels[j][(live,) * n], F[:, live], 1)
         c = degree_array(sys.degree_windows(j, k_max, n, dual=True), n) * T
         c[np.abs(c) <= 1e-15] = 0.0
         part = SpectralFunction(n, k_max, c)
@@ -152,21 +178,3 @@ def roundtrip_residual(sys, f, J, cfg):
     res = num / den if den > 0 else 0.0
     return res, covered
 
-
-def inner_product_quadrature(f, g):
-    """Oracle: <f, g-conj> for two spectral functions by Gauss-Hermite.
-
-    Both are polynomial times e^{-|y|^2/2}, so the product carries the
-    Gauss-Hermite weight e^{-|y|^2} exactly.
-    """
-    if g.dim != f.dim:
-        raise ValueError("dimension mismatch")
-    n = f.dim
-    q = (f.max_degree + g.max_degree) // 2 + 7
-    return complex(lifted_gauss_hermite(
-        lambda y: f.eval_grid([y] * n) * np.conj(g.eval_grid([y] * n)), q, n))
-
-
-def analyze_tile_quadrature(sys, f, tile):
-    """Oracle for one coefficient: <f, phi_R> by quadrature."""
-    return inner_product_quadrature(f, needlet(sys, tile))

@@ -361,3 +361,26 @@ def test_out_of_range_node_index_exits_1(tmp_path, capsys):
 
 def test_node_index_of_wrong_length_exits_1(tmp_path, capsys):
     _assert_bad_index(tmp_path, capsys, [5, 7])
+
+
+# (command, file text, the entry the error line names): a repeated entry
+# would otherwise be read with the last one winning
+DUPLICATE_ENTRIES = {
+    "node": ("synthesize", '{"levels": [{"j": 2, "entries": [{"node": [3], "re": 1.0}, '
+                           '{"node": [3], "re": 5.0}]}]}', "level 2: node [3]"),
+    "level": ("synthesize", '{"levels": [{"j": 1, "entries": []}, {"j": 2, "entries": []}, '
+                            '{"j": 1, "entries": []}]}', "level 1 "),
+    "xi": ("norm", '{"dim": 1, "max_degree": 2, "coeffs": [{"xi": [1], "re": 1.0}, '
+                   '{"xi": [1], "re": 4.0}]}', "xi = [1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(DUPLICATE_ENTRIES))
+def test_duplicate_entry_exits_1_naming_it(tmp_path, capsys, case):
+    command, text, entry = DUPLICATE_ENTRIES[case]
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and entry in err and "more than once" in err
+    assert not (tmp_path / "out").exists()

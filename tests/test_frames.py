@@ -5,18 +5,74 @@ import math
 import numpy as np
 import pytest
 
-from hermband.core import basis_function, hermite_functions, random_spectral
+from hermband.core import (SpectralFunction, basis_function, degree_array, hermite_functions,
+                           lifted_gauss_hermite, random_spectral)
 from hermband.frames import (
     CoefficientSequence,
     analyze,
-    analyze_tile_quadrature,
-    inner_product_quadrature,
+    frame_table,
     needlet,
     roundtrip_residual,
     synthesize,
 )
-from hermband.lp import default_system, spectral_window, support_set
+from hermband.lp import apply_lp, default_system, spectral_window, support_set
 from hermband.tiles import TileConfig, build_level
+
+
+def inner_product_quadrature(f, g):
+    """Oracle: <f, g-conj> for two spectral functions by Gauss-Hermite.
+
+    Both are polynomial times e^{-|y|^2/2}, so the product carries the
+    Gauss-Hermite weight e^{-|y|^2} exactly.
+    """
+    if g.dim != f.dim:
+        raise ValueError("dimension mismatch")
+    n = f.dim
+    q = (f.max_degree + g.max_degree) // 2 + 7
+    return complex(lifted_gauss_hermite(
+        lambda y: f.eval_grid([y] * n) * np.conj(g.eval_grid([y] * n)), q, n))
+
+
+def analyze_tile_quadrature(sys, f, tile):
+    """Oracle for one coefficient: <f, phi_R> by quadrature."""
+    return inner_product_quadrature(f, needlet(sys, tile))
+
+
+def analyze_oracle(sys, f, J, cfg):
+    """Oracle for analyze: the band projection evaluated on the level grid,
+    times the square root of the product weights."""
+    s = CoefficientSequence(cfg)
+    for j in range(J + 1):
+        ts = build_level(j, cfg)
+        fj = apply_lp(sys, j, f)
+        vals = fj.eval_grid([ts.zeros] * f.dim)
+        s.levels[j] = np.sqrt(ts.weight_array().reshape(vals.shape)) * vals
+    return s
+
+
+def synthesize_oracle(sys, s):
+    """Oracle for synthesize: tau^{1/2} applied per axis to the whole level,
+    then contracted with the unscaled complex Hermite table."""
+    cfg = s.cfg
+    n = cfg.dim
+    total = None
+    for j in sorted(s.levels):
+        ts = build_level(j, cfg)
+        ks = support_set(sys, j, n)
+        if len(ks) == 0:
+            continue
+        k_max = ks[-1]
+        H = hermite_functions(k_max, ts.zeros)
+        T = s.levels[j]
+        for d in range(n):
+            T = T * np.sqrt(ts.tau1d).reshape((-1,) + (1,) * (n - 1 - d))
+        for _ in range(n):
+            T = np.tensordot(T, H, axes=([0], [1]))
+        c = degree_array(sys.degree_windows(j, k_max, n, dual=True), n) * T
+        c[np.abs(c) <= 1e-15] = 0.0
+        part = SpectralFunction(n, k_max, c)
+        total = part if total is None else total.add(part)
+    return total if total is not None else SpectralFunction(n, 0)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +191,8 @@ def test_coefficient_sequence_json_roundtrip(sys, cfg, tmp_path):
     f = random_spectral(1, 10, rng, real=True)
     s = analyze(sys, f, 3, cfg)
     path = tmp_path / "s.json"
-    s.save(path)
+    with open(path, "w") as fh:
+        s.write(fh)
     s2 = CoefficientSequence.load(path, cfg)
     for j in s.levels:
         assert np.array_equal(s.levels[j], s2.levels[j])
@@ -154,3 +211,97 @@ def test_inner_product_quadrature_orthonormality():
         val = inner_product_quadrature(basis_function(a), basis_function(b))
         expect = 1.0 if a == b else 0.0
         assert abs(val - expect) < 1e-12
+
+
+# (dim, top level, degree of f): f reaches every level up to the top one
+ORACLE_CASES = [(1, 5, 40), (2, 4, 22)]
+
+
+def _oracle_sequences(sys, dim, J, K, real):
+    """The config, and analyze and its oracle on a random f of degree K."""
+    cfg = TileConfig(dim=dim)
+    f = random_spectral(dim, K, np.random.default_rng(11), real=real)
+    return cfg, analyze(sys, f, J, cfg), analyze_oracle(sys, f, J, cfg)
+
+
+def _level_error(got, want, j):
+    """max |got - want| over the largest |want|, which vanishes at level 0 only
+    (the level-0 window is 0 at every eigenvalue); there, max |got|."""
+    scale = np.max(np.abs(want))
+    assert (scale == 0) == (j == 0)
+    return np.max(np.abs(got - want)) / (scale if j else 1.0)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dim,J,K", ORACLE_CASES)
+def test_analyze_matches_the_level_grid_oracle(sys, dim, J, K, real):
+    _, s, oracle = _oracle_sequences(sys, dim, J, K, real)
+    for j in range(J + 1):
+        assert s.levels[j].dtype == float or not real
+        assert _level_error(s.levels[j], oracle.levels[j], j) <= 1e-14, j
+
+
+def _single_level(cfg, j, arr):
+    s = CoefficientSequence(cfg)
+    s.levels[j] = arr
+    return s
+
+
+def _synthesis_error(sys, cfg, j, arr):
+    got = synthesize(sys, _single_level(cfg, j, arr))
+    want = synthesize_oracle(sys, _single_level(cfg, j, arr))
+    assert got.max_degree == want.max_degree
+    return _level_error(got.array, want.array, j)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dim,J,K", ORACLE_CASES)
+def test_synthesize_matches_the_weighted_grid_oracle(sys, dim, J, K, real):
+    cfg, s, _ = _oracle_sequences(sys, dim, J, K, real)
+    for j in range(J + 1):
+        assert _synthesis_error(sys, cfg, j, s.levels[j]) <= 1e-14, j
+
+
+def _sparse_with_outer_nodes(ts, rng, interior=8):
+    """Complex entries at random nodes with |x_d| < 2^j on every axis, where the
+    level's needlets live, and at nodes with index 0 or m - 1 on some axis."""
+    m, n = ts.zeros.size, ts.dim
+    arr = np.zeros(ts.shape, dtype=complex)
+    central = np.flatnonzero(np.abs(ts.zeros) < 2.0 ** ts.level)
+    nodes = [tuple(rng.choice(central, n)) for _ in range(interior)]
+    for d in range(n):
+        for end in (0, m - 1):
+            ix = rng.integers(0, m, n)
+            ix[d] = end
+            nodes.append(tuple(ix))
+    nodes += [(0,) * n, (m - 1,) * n]
+    for ix in nodes:
+        arr[ix] = complex(*rng.standard_normal(2))
+    return arr
+
+
+@pytest.mark.parametrize("dim,J", [(1, 5), (2, 4)])
+def test_synthesize_matches_the_oracle_where_the_table_flushes(sys, dim, J):
+    cfg = TileConfig(dim=dim)
+    rng = np.random.default_rng(12)
+    for j in range(J + 1):
+        ts = build_level(j, cfg)
+        assert _synthesis_error(sys, cfg, j, _sparse_with_outer_nodes(ts, rng)) <= 1e-14, j
+
+
+def _frame_table_gram_error(ts, k_max):
+    F = frame_table(ts, k_max)
+    return np.max(np.abs(F @ F.T - np.eye(k_max + 1)))
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_frame_table_rows_are_orthonormal_under_the_cubature(j):
+    ts = build_level(j, TileConfig())
+    assert _frame_table_gram_error(ts, 2 * ts.degree - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_frame_table_rows_fail_past_the_cubature_degree(j):
+    # negative control: row 2N_j is h_{2N_j} at its own zeros
+    ts = build_level(j, TileConfig())
+    assert not _frame_table_gram_error(ts, 2 * ts.degree) <= 1e-13

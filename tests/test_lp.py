@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hermband.core import basis_function, hermite_functions, random_spectral
-from hermband.frames import inner_product_quadrature
 from hermband.lp import (
     SmoothProfile,
     apply_lp,
@@ -21,6 +20,8 @@ from hermband.lp import (
     spectral_window,
     support_set,
 )
+
+from test_frames import inner_product_quadrature
 
 
 @pytest.fixture(scope="module")

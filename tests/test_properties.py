@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hermband.core import (SpectralFunction, hermite_functions, multi_indices, random_spectral,
                            tensor_points)
-from hermband.frames import CoefficientSequence, analyze
+from hermband.frames import CoefficientSequence, analyze, synthesize
 from hermband.lp import default_system
 from hermband.tiles import TileConfig, build_level
 
@@ -49,6 +49,19 @@ def test_coefficient_sequence_json_roundtrip(dim, K, J, seed):
     assert sorted(t.levels) == sorted(s.levels)
     for j, arr in s.levels.items():
         assert np.array_equal(t.levels[j], arr)
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_frame_round_trip_at_the_coverage_level(data, dim, seed):
+    # K is bounded so that its coverage level J is at most 5 in 1-D (level 6
+    # takes seconds to build) and 4, the top buildable level, in 2-D
+    K = data.draw(st.integers(0, 127 if dim == 1 else 31))
+    sys = default_system()
+    f = random_spectral(dim, K, np.random.default_rng(seed))
+    J = sys.coverage_level(2.0 * K + dim)
+    g = synthesize(sys, analyze(sys, f, J, TileConfig(dim=dim)))
+    assert g.sub(f).norm2() <= 1e-12 * f.norm2()
 
 
 def locate_many(ts, pts):
