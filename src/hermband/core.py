@@ -86,14 +86,14 @@ def _hermite_rows(k_max, t):
         aprev, acur = acur, np.abs(cur)
         amax = np.maximum(aprev, acur)
         rescaled = False
-        if amax.min() < _RESCALE_INV:
+        if amax.min(initial=np.inf) < _RESCALE_INV:
             small = (amax > 0) & (amax < _RESCALE_INV)
             if small.any():
                 prev = np.where(small, prev * _RESCALE, prev)
                 cur = np.where(small, cur * _RESCALE, cur)
                 e = np.where(small, e - 500, e)
                 rescaled = True
-        if amax.max() > _RESCALE:
+        if amax.max(initial=0.0) > _RESCALE:
             big = amax > _RESCALE
             prev = np.where(big, prev * _RESCALE_INV, prev)
             cur = np.where(big, cur * _RESCALE_INV, cur)
@@ -328,8 +328,16 @@ def lifted_gauss_hermite(sample, q, dim, s=1.0, axis_factor=None):
 
 
 def axis_tables(k_max, pts):
-    """Per-axis tables [h_0..h_{k_max}] at the coordinates of an (m, dim) point array."""
-    return [hermite_functions(k_max, pts[:, d]) for d in range(pts.shape[1])]
+    """Per-axis tables [h_0..h_{k_max}] at the coordinates of an (m, dim) point array.
+
+    Each is built on the distinct coordinates of its column (distinct float64
+    bits, so -0.0 keeps its sign) and taken to the points; C-contiguous."""
+    tables = []
+    for col in np.asarray(pts, dtype=float).T:
+        _, first, inv = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
+        tables.append(hermite_functions(k_max, col) if first.size == col.size
+                      else np.take(hermite_functions(k_max, col[first]), inv, axis=1))
+    return tables
 
 
 def grid_tables(k_max, axes):
@@ -463,8 +471,8 @@ class SpectralFunction:
     def eval_points(self, pts, tables=None):
         """Evaluate at scattered points, array of shape (m, dim).
 
-        tables: per-axis Hermite tables at the points (see axis_tables) of
-        degree >= max_degree, when the caller already has them.
+        tables: per-axis C-contiguous Hermite tables at the points (see
+        axis_tables) of degree >= max_degree, when the caller already has them.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dim:

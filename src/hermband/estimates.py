@@ -331,7 +331,7 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta, grid_axes)
     """
     pts = tensor_points(grid_axes)
     n = molecules[0].dim
-    tables = axis_tables(max(mol.f.max_degree for mol in molecules), pts)
+    tables = grid_tables(max(mol.f.max_degree for mol in molecules), grid_axes)
     a = n + params.M + params.theta
     b = params.N + params.delta
     constant = 0.0
@@ -346,7 +346,7 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta, grid_axes)
             if not support_set(sys, j, n):
                 # empty spectral band (can happen at j = 0): nothing to measure
                 continue
-            vals = np.abs(np.real(apply_lp(sys, j, mol.f).eval_points(pts, tables)))
+            vals = np.abs(np.real(apply_lp(sys, j, mol.f).eval_grid(grid_axes, tables).ravel()))
             wsup = float(np.max(vals * (1.0 + 2.0 ** min(j, k) * dist) ** eta)) / rinv
             decay = 2.0 ** (-a * max(k - j, 0) - b * max(j - k, 0))
             ratio = wsup / decay

@@ -10,6 +10,7 @@ from hermband.core import (
     SpectralFunction,
     _hermite_zeros,
     apply_creation,
+    axis_tables,
     basis_function,
     christoffel,
     e_function,
@@ -23,6 +24,7 @@ from hermband.core import (
     projector_kernel,
     qq_kernel,
     random_spectral,
+    tensor_points,
 )
 from hermband.tiles import level_degree
 
@@ -196,6 +198,86 @@ def test_grid_tables_build_one_table_per_axis_object(monkeypatch):
     assert built == [(11,)] and tables[0] is tables[2]
     grid_tables(4, [x, x.copy()])
     assert len(built) == 3
+
+
+def axis_tables_oracle(k_max, pts):
+    """Oracle for axis_tables: the Hermite table on every point of each column."""
+    return [hermite_functions(k_max, pts[:, d]) for d in range(pts.shape[1])]
+
+
+# (m, dim) point sets: repeats in a column, unsorted columns, 0.0 next to -0.0,
+# far-tail points that take the stand-in path, and columns without repeats
+AXIS_TABLE_POINTS = {
+    "tensor": tensor_points([np.linspace(-4.0, 4.0, 17), np.linspace(-3.0, 5.0, 9)]),
+    "unsorted": np.random.default_rng(5).choice(np.linspace(-6.0, 6.0, 13), (200, 3)),
+    "signed-zeros": np.array([[0.0, -0.0], [-0.0, 1.5], [0.0, -0.0], [-0.0, 0.0], [2.0, 1.5]]),
+    "far-tail": np.array([[50.0, -3e9], [-3e9, 0.5], [50.0, 50.0], [0.5, -3e9], [-50.0, 50.0]]),
+    "no-repeats": np.random.default_rng(6).standard_normal((40, 2)) * 5.0,
+    "mixed": np.column_stack([np.linspace(-5.0, 5.0, 30), np.repeat([-1.0, -0.0, 2.0], 10)]),
+}
+
+
+@pytest.mark.parametrize("name", list(AXIS_TABLE_POINTS))
+@pytest.mark.parametrize("K", [0, 24])
+def test_axis_tables_are_the_per_point_tables_bit_for_bit(name, K):
+    pts = AXIS_TABLE_POINTS[name]
+    got = axis_tables(K, pts)
+    want = axis_tables_oracle(K, pts)
+    assert len(got) == len(want) == pts.shape[1]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and _same_bits(g, w)
+        assert g.flags.c_contiguous
+
+
+def test_axis_tables_build_on_the_distinct_coordinates(monkeypatch):
+    import hermband.core as core
+    built = []
+    real = core.hermite_functions
+
+    def counted(k_max, t):
+        built.append(np.shape(t))
+        return real(k_max, t)
+
+    monkeypatch.setattr(core, "hermite_functions", counted)
+    axis_tables(6, AXIS_TABLE_POINTS["tensor"])
+    assert built == [(17,), (9,)]
+    built.clear()
+    axis_tables(6, AXIS_TABLE_POINTS["signed-zeros"])   # 0.0 and -0.0 stay apart
+    assert built == [(3,), (3,)]
+    built.clear()
+    axis_tables(6, AXIS_TABLE_POINTS["mixed"])          # no repeats: the column itself
+    assert built == [(30,), (3,)]
+
+
+def test_eval_points_on_a_tensor_grid_match_the_oracle_tables():
+    # the norm box of a 2-D f at K = 24: 241^2 points
+    pts = tensor_points([np.linspace(-12.0, 12.0, 241)] * 2)
+    f = random_spectral(2, 24, np.random.default_rng(7))
+    got = f.eval_points(pts)
+    assert got.tobytes() == f.eval_points(pts, axis_tables_oracle(24, pts)).tobytes()
+
+
+def test_hermite_functions_on_no_points():
+    assert hermite_functions(3, np.array([])).shape == (4, 0)
+    assert hermite_functions(3, np.zeros((0, 2))).shape == (4, 0, 2)
+
+
+def test_christoffel_on_no_points():
+    assert christoffel(3, np.array([])).shape == (0,)
+
+
+def test_eval_points_on_no_points():
+    f = random_spectral(2, 5, np.random.default_rng(8))
+    vals = f.eval_points(np.zeros((0, 2)))
+    assert vals.shape == (0,) and vals.dtype == complex
+    assert [t.shape for t in axis_tables(5, np.zeros((0, 2)))] == [(6, 0), (6, 0)]
+
+
+def test_eval_grid_with_an_empty_axis():
+    f = random_spectral(2, 5, np.random.default_rng(9))
+    x = np.linspace(-2.0, 2.0, 7)
+    assert f.eval_grid([np.array([]), x]).shape == (0, 7)
+    assert f.eval_grid([x, np.array([])]).shape == (7, 0)
 
 
 def test_christoffel_at_zero():
