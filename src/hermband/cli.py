@@ -171,6 +171,11 @@ def _apply_on_box(sigma, f, out):
     return 0
 
 
+def _top_buildable(cfg, top):
+    """The highest level <= top that check_level admits for cfg, 0 if none."""
+    return next((j for j in range(top, 0, -1) if tiles.buildable(j, cfg)), 0)
+
+
 # suite -> (default --levels in 1-D, None for a suite without --levels;
 # runner(sys, cfg, levels, seed), which looks estimates.verify_* up when it runs)
 _SUITES = {
@@ -183,7 +188,7 @@ _SUITES = {
     "tcanc": (3, lambda sys, cfg, levels, seed: estimates.verify_tcanc(
         symbols.separable_symbol(cfg.dim), sys, cfg, m=0, levels=levels, seed=seed)),
     "synthesis": (None, lambda sys, cfg, levels, seed: estimates.verify_synthesis(
-        sys, cfg, seed=seed)),
+        sys, cfg, J=_top_buildable(cfg, 3), seed=seed)),
     "boundedness": (None, lambda sys, cfg, levels, seed: estimates.verify_boundedness(
         symbols.band_sum_symbol(sys, cfg.dim), 0.0, [norms.SpaceParams("F", 0.0, 2.0, 2.0)],
         sys, cfg, seed=seed)),
@@ -211,8 +216,7 @@ def cmd_verify(args):
     if default is not None:
         if levels is None:
             # 3 levels above 1-D, fewer where check_level admits fewer
-            levels = next((j for j in range(default if cfg.dim == 1 else 3, 0, -1)
-                           if tiles.buildable(j, cfg)), 0)
+            levels = _top_buildable(cfg, default if cfg.dim == 1 else 3)
         tiles.check_level(levels, cfg)
     rep = run(sys, cfg, levels, args.seed)
     out = rep.to_json_dict()

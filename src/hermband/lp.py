@@ -91,6 +91,7 @@ class AdmissibleSystem:
     psi: SmoothProfile
     plateau_end: float
     support_end: float
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def window(self, j, u):
         """phi_j(u) = phi(2^-j u) for j >= 1, phi0(u) for j = 0."""
@@ -102,9 +103,17 @@ class AdmissibleSystem:
         return self.psi0(u) if j == 0 else self.psi(u * 2.0 ** -j)
 
     def degree_windows(self, j, k_max, n, dual=False):
-        """phi_j(sqrt(lambda_k)) (psi_j with dual) for k = 0..k_max, lambda_k = 2k + n."""
-        win = self.dual_window if dual else self.window
-        return np.asarray(win(j, np.sqrt(2.0 * np.arange(k_max + 1) + n)), dtype=float)
+        """phi_j(sqrt(lambda_k)) (psi_j with dual) for k = 0..k_max, lambda_k = 2k + n.
+
+        Evaluated once per (j, k_max, n, dual) and returned read-only.
+        """
+        key = (j, k_max, n, dual)
+        if key not in self._windows:
+            win = self.dual_window if dual else self.window
+            w = np.asarray(win(j, np.sqrt(2.0 * np.arange(k_max + 1) + n)), dtype=float)
+            w.flags.writeable = False
+            self._windows[key] = w
+        return self._windows[key]
 
     def window_sum(self, u, J):
         u = np.asarray(u, dtype=float)

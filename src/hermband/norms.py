@@ -1,7 +1,9 @@
 """Lebesgue, Besov and Triebel-Lizorkin norms, sequence norms, maximal operator.
 
 Distribution norms combine the exact band projections phi_j(sqrt(L))f with
-grid quadrature; the p = 2 spectral case uses Parseval directly.  Sequence
+grid quadrature; the p = 2 spectral cases use Parseval directly, and so does
+F^alpha_{2,2}, which by Fubini equals B^alpha_{2,2}.  The band windows come
+from AdmissibleSystem.degree_windows, memoized per system.  Sequence
 norms follow the tile bookkeeping: the b-norm weights coefficients by
 |R|^{1/p-1/2}, the f-norm sums indicator functions |R|^{-1/2}|s_R| 1_R.
 """
@@ -123,7 +125,13 @@ def _f_sum(bands, axes, params):
 
 
 def tl_norm(sys, f, params):
-    """|| (sum_j (2^{j alpha} |phi_j(sqrt L) f|)^q)^{1/q} ||_p, bands up to the coverage level."""
+    """|| (sum_j (2^{j alpha} |phi_j(sqrt L) f|)^q)^{1/q} ||_p, bands up to the coverage level.
+
+    At p = q = 2, Fubini and Parseval make this the B^alpha_{2,2} sum, which
+    besov_norm computes exactly from the coefficients; other (p, q) go through the grid.
+    """
+    if params.p == params.q == 2:
+        return besov_norm(sys, f, params)
     axes = QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
     tables = grid_tables(f.max_degree, axes)
 

@@ -224,6 +224,20 @@ def test_verify_3d_defaults_to_the_top_buildable_level(capsys):
     assert rep["scan"]["levels"] == 2 and rep["config"]["levels"] is None
 
 
+@pytest.mark.parametrize("dim, J", [(1, 3), (2, 3), (3, 2)])
+def test_verify_synthesis_takes_the_top_buildable_level(monkeypatch, capsys, dim, J):
+    # 3-D admits levels 0-2, so its synthesis sequences stop at level 2
+    seen = []
+
+    def run(sys, cfg, J, seed):
+        seen.append(J)
+        return estimates.EstimateReport("synthesis", 1.0)
+
+    monkeypatch.setattr(estimates, "verify_synthesis", run)
+    assert main(["verify", "synthesis", "--dim", str(dim), "--out", "/dev/null"]) == 0
+    assert seen == [J] and capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("suite", ["tsmooth", "molecule", "linearize", "maximal"])
 def test_verify_3d_grid_past_the_cap_exits_1(capsys, suite):
     # their 401^3 and 801^3 evaluation grids exceed tiles.NODES_MAX points

@@ -161,6 +161,29 @@ def test_apply_lp_zero(sys):
     assert apply_lp(sys, 2, z).norm2() == 0.0
 
 
+WINDOW_KEYS = [(0, 0), (0, 9), (1, 12), (3, 40), (3, 41), (5, 300)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dual", [False, True])
+def test_degree_windows_are_evaluated_once_per_key(n, dual):
+    sys, calls = bump_system(), []
+    for prof in (sys.phi0, sys.phi, sys.psi0, sys.psi):
+        prof.evaluator = (lambda ev: lambda u: calls.append(u.size) or ev(u))(prof.evaluator)
+    first = [sys.degree_windows(j, k, n, dual) for j, k in WINDOW_KEYS]
+    assert calls == [k + 1 for _, k in WINDOW_KEYS]
+    again = [sys.degree_windows(j, k, n, dual) for j, k in WINDOW_KEYS]
+    assert len(calls) == len(WINDOW_KEYS)
+    fresh = bump_system()
+    win = fresh.dual_window if dual else fresh.window
+    for (j, k), w, w2 in zip(WINDOW_KEYS, first, again):
+        ref = np.asarray(win(j, np.sqrt(2.0 * np.arange(k + 1) + n)), dtype=float)
+        for other in (w2, fresh.degree_windows(j, k, n, dual), ref):
+            assert np.array_equal(w, other) and np.array_equal(np.signbit(w), np.signbit(other))
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
 def lp_moment(sys, j, x, gamma, n):
     """integral of (x - y)^gamma phi_j(sqrt(L))(x, y) dy, as verify_kernel
     takes it: (-1)^|gamma| times the exact moment of the kernel column about x."""

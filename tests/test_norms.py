@@ -8,10 +8,11 @@ import pytest
 from hermband import core
 from hermband.core import basis_function, random_spectral
 from hermband.frames import CoefficientSequence
-from hermband.lp import default_system, spectral_window
+from hermband.lp import apply_lp, default_system, spectral_window
 from hermband.norms import (
     QuadratureBox,
     SpaceParams,
+    _f_sum,
     besov_norm,
     lp_norm,
     maximal,
@@ -99,7 +100,35 @@ def test_norms_build_one_hermite_table_per_call(sys, dim, monkeypatch):
     besov_norm(sys, f, SpaceParams("B", -1.0, 0.5, 2.0))
     assert built == [8, 8]
     besov_norm(sys, f, SpaceParams("B", 0.0, 2.0, 2.0))     # Parseval: no table
+    tl_norm(sys, f, SpaceParams("F", 0.5, 2.0, 2.0))
     assert built == [8, 8]
+
+
+def grid_tl_norm(sys, f, params):
+    """F-norm on the grid: every nonzero band sampled on f's quadrature box, then _f_sum."""
+    axes = QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
+    tables = core.grid_tables(f.max_degree, axes)
+    bands = (apply_lp(sys, j, f) for j in range(sys.coverage_level(2.0 * f.max_degree + f.dim) + 1))
+    return _f_sum((2.0 ** (j * params.alpha) * np.abs(fj.eval_grid(axes, tables))
+                   for j, fj in enumerate(bands) if fj.array.any()), axes, params)
+
+
+@pytest.mark.parametrize("dim, K", [(1, 12), (2, 8), (3, 4)])
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5])
+def test_f22_by_parseval_matches_the_grid(sys, dim, K, alpha):
+    f = random_spectral(dim, K, np.random.default_rng(10 * dim + K), real=True)
+    params = SpaceParams("F", alpha, 2.0, 2.0)
+    assert tl_norm(sys, f, params) == pytest.approx(grid_tl_norm(sys, f, params), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("dim, K", [(1, 12), (2, 8), (3, 4)])
+def test_f2q_off_q_2_stays_on_the_grid(sys, dim, K):
+    # the Parseval shortcut holds only at q = 2: at q = 1.5, F differs from B
+    f = random_spectral(dim, K, np.random.default_rng(10 * dim + K), real=True)
+    F = tl_norm(sys, f, SpaceParams("F", 0.0, 2.0, 1.5))
+    assert F == grid_tl_norm(sys, f, SpaceParams("F", 0.0, 2.0, 1.5))
+    B = besov_norm(sys, f, SpaceParams("B", 0.0, 2.0, 1.5))
+    assert abs(F - B) > 1e-3 * B
 
 
 def test_seq_besov_single_entry(cfg):
