@@ -258,6 +258,22 @@ def test_analyze_below_coverage_warns(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_analyze_writes_no_part_below_the_flush(tmp_path):
+    # level 5 reaches nodes where h_k tau^{1/2} and the products with it underflow;
+    # unflushed, such entries come out as low as 1e-322
+    f = random_spectral(1, 31, np.random.default_rng(3), real=True)
+    fpath, coeffs, back = (tmp_path / name for name in ("f.json", "c.json", "g.json"))
+    f.save(fpath)
+    assert build_parser().parse_args(["analyze", "--in", "f", "--levels", "5"]).prune == 0.0
+    assert main(["analyze", "--in", str(fpath), "--levels", "5", "--out", str(coeffs)]) == 0
+    parts = [abs(e[p]) for lev in json.loads(coeffs.read_text())["levels"]
+             for e in lev["entries"] for p in ("re", "im")]
+    assert len(parts) > 1000
+    assert not any(0.0 < p < 2.0 ** -511 for p in parts)
+    assert main(["synthesize", "--in", str(coeffs), "--out", str(back)]) == 0
+    assert SpectralFunction.load(back).sub(f).norm2() <= 1e-10
+
+
 # numeric flags outside their domain, each of which used to be accepted and
 # write a meaningless (or, for a non-finite alpha, non-JSON) result
 BAD_FLAGS = {

@@ -8,7 +8,10 @@ import pytest
 from hermband.core import (SpectralFunction, basis_function, degree_array, hermite_functions,
                            lifted_gauss_hermite, random_spectral)
 from hermband.frames import (
+    TINY,
     CoefficientSequence,
+    _contract,
+    _flush,
     analyze,
     frame_table,
     needlet,
@@ -290,7 +293,7 @@ def test_synthesize_matches_the_oracle_where_the_table_flushes(sys, dim, J):
 
 
 def _frame_table_gram_error(ts, k_max):
-    F = frame_table(ts, k_max)
+    F, _ = frame_table(ts, k_max)
     return np.max(np.abs(F @ F.T - np.eye(k_max + 1)))
 
 
@@ -305,3 +308,94 @@ def test_frame_table_rows_fail_past_the_cubature_degree(j):
     # negative control: row 2N_j is h_{2N_j} at its own zeros
     ts = build_level(j, TileConfig())
     assert not _frame_table_gram_error(ts, 2 * ts.degree) <= 1e-13
+
+
+def _fresh_flushed_table(ts, k):
+    G = hermite_functions(k, ts.zeros) * np.sqrt(ts.tau1d)
+    G[np.abs(G) < 2.0 ** -511] = 0.0
+    return G
+
+
+@pytest.mark.parametrize("dim,j", [(1, j) for j in range(6)] + [(2, j) for j in range(5)])
+def test_memoized_table_rows_equal_a_fresh_flushed_table(dim, j):
+    # from level 4 on, nodes pass |x| = 38, where _hermite_rows runs the far tail
+    # at a stand-in point that depends on k_max
+    ts = build_level(j, TileConfig(dim=dim))
+    high = min(2 * ts.degree - 1, 300)
+    table, _ = frame_table(ts, high)
+    for k in (0, 8, 24, 31, 60):
+        if k >= high:
+            continue
+        F, live = frame_table(ts, k)
+        assert np.shares_memory(F, table), k
+        G = _fresh_flushed_table(ts, k)
+        assert F.tobytes() == G.tobytes() and np.array_equal(np.signbit(F), np.signbit(G)), k
+        cols = np.flatnonzero(G.any(axis=0))
+        assert live == slice(cols[0], cols[-1] + 1), k
+
+
+def test_memoized_table_is_read_only():
+    F, _ = frame_table(build_level(2, TileConfig()), 8)
+    with pytest.raises(ValueError):
+        F[0, 0] = 1.0
+
+
+def unflushed_analysis(sys, f, j, cfg):
+    """Reference: the band's coefficients contracted with the whole unflushed table."""
+    ts = build_level(j, cfg)
+    F = hermite_functions(f.max_degree, ts.zeros) * np.sqrt(ts.tau1d)
+    return _contract(apply_lp(sys, j, f).array, F, 0)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dim,J,K", [(2, 4, 8), (2, 4, 24), (1, 5, 31), (1, 5, 60)])
+def test_flushed_analysis_stays_within_its_bound_of_the_unflushed_one(sys, dim, J, K, real):
+    cfg = TileConfig(dim=dim)
+    f = random_spectral(dim, K, np.random.default_rng(K), real=real)
+    s = analyze(sys, f, J, cfg)
+    ref = CoefficientSequence(cfg)
+    for j in range(J + 1):
+        got = s.levels[j]
+        ref.levels[j] = want = unflushed_analysis(sys, f, j, cfg)
+        assert got.dtype == want.dtype, j
+        c = apply_lp(sys, j, f).array
+        assert np.max(np.abs(got - want)) <= 2.0 ** -509 * (1.0 + np.sum(np.abs(c))), j
+        parts = np.abs(np.stack([got.real, got.imag]))
+        assert not np.any((parts > 0) & (parts < TINY)), j
+        big = np.abs(want) >= 1e-100
+        assert got[big].tobytes() == want[big].tobytes(), j
+    g, g_ref = synthesize(sys, s), synthesize(sys, ref)
+    assert g.max_degree == g_ref.max_degree
+    assert g.array.tobytes() == g_ref.array.tobytes()
+
+
+def test_flush_takes_real_and_imaginary_parts_apart(sys, cfg):
+    # negative control: numpy orders complex numbers by the real part first, so a
+    # comparison of the complex values would flush this entry whole
+    a = np.array([1e-160 + 0.5j, -1e-160 - 3e-170j])
+    assert np.all(a < TINY)
+    _flush(a)
+    assert a.tobytes() == np.array([0.5j, 0j]).tobytes()
+    ts = build_level(2, cfg)
+    arrs = [np.zeros(ts.shape, dtype=complex) for _ in range(2)]
+    mid = ts.nodes_per_axis // 2
+    arrs[0][mid], arrs[1][mid] = 1e-160 + 0.5j, 0.5j
+    g, want = (synthesize(sys, _single_level(cfg, 2, arr)) for arr in arrs)
+    assert g.norm2() > 0.1 and g.array.tobytes() == want.array.tobytes()
+
+
+
+def test_analysis_does_not_flush_the_band_coefficients(sys, cfg):
+    # every band coefficient of f lies below TINY, but their signs follow the table's
+    # column at one node, so the products add up there to a coefficient above TINY
+    j = 5
+    ts = build_level(j, cfg)
+    ks = support_set(sys, j, 1)
+    F, _ = frame_table(ts, ks[-1])
+    node = ts.nodes_per_axis // 2
+    f = SpectralFunction(1, ks[-1], {(k,): 0.75 * TINY * np.sign(F[k, node]) for k in ks})
+    c = apply_lp(sys, j, f).array
+    assert np.max(np.abs(c)) < TINY
+    want = float(c.real @ F[:, node])
+    assert want > 2 * TINY
+    assert analyze(sys, f, j, cfg).levels[j][node] == pytest.approx(want, rel=1e-12, abs=0.0)
