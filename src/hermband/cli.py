@@ -67,6 +67,18 @@ def _load_function(args):
     return f
 
 
+def _levels(args, sys, f):
+    """--levels, or the coverage level J of f when it is None; a warning on
+    stderr when --levels is below J."""
+    J = sys.coverage_level(2.0 * f.max_degree + f.dim)
+    if args.levels is None:
+        return J
+    if args.levels < J:
+        print(f"warning: --levels {args.levels} is below the coverage level {J} of f; "
+              f"the bands above level {args.levels} are dropped", file=_sys.stderr)
+    return args.levels
+
+
 def cmd_nodes(args):
     cfg = _tile_config(args)
     ts = tiles.build_level(args.level, cfg)
@@ -110,11 +122,7 @@ def cmd_analyze(args):
         raise PreconditionError("--prune must be finite and >= 0")
     sys = _system(args)
     f = _load_function(args)
-    J = sys.coverage_level(2.0 * f.max_degree + f.dim)
-    if args.levels < J:
-        print(f"warning: --levels {args.levels} is below the coverage level {J} of f; "
-              f"the bands above level {args.levels} are dropped", file=_sys.stderr)
-    s = frames.analyze(sys, f, args.levels, cfg)
+    s = frames.analyze(sys, f, _levels(args, sys, f), cfg)
     with _output(args.out) as out:
         s.write(out, tol=args.prune)
     return 0
@@ -156,16 +164,22 @@ def cmd_linearize(args):
     f = _load_function(args)
     if args.power < 2:
         raise PreconditionError("power must be >= 2")
+    if args.levels is not None and args.levels < 0:
+        raise PreconditionError("--levels must be >= 0")
     H = symbols.nonlinearity_power(args.power)
-    J = args.levels if args.levels is not None else sys.coverage_level(2.0 * f.max_degree + f.dim)
-    sigma = symbols.linearize_nonlinearity(H, f, sys, J)
+    sigma = symbols.linearize_nonlinearity(H, f, sys, _levels(args, sys, f))
     return _apply_on_box(sigma, f, args.out)
 
 
 def _apply_on_box(sigma, f, out):
-    """Write T_sigma f on the quadrature box of f as grid CSV."""
+    """Write T_sigma f on the quadrature box of f as grid CSV; PreconditionError,
+    before anything is written, when it is not finite at every grid point."""
     axes = norms.QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
-    g = symbols.apply_pseudomultiplier(sigma, f, axes=axes)
+    with np.errstate(all="ignore"):     # an overflow or NaN is reported below
+        g = symbols.apply_pseudomultiplier(sigma, f, axes=axes)
+    bad = np.count_nonzero(~np.isfinite(g.samples))
+    if bad:
+        raise PreconditionError(f"T_sigma f is not finite at {bad} of {g.samples.size} grid points")
     with _output(out) as fh:
         g.write_csv(fh)
     return 0

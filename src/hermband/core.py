@@ -198,13 +198,6 @@ def _hermite_zeros(q):
     return np.concatenate([-x[::-1], np.zeros(q % 2), x])
 
 
-def hermite_inner_products(k_max, q=128):
-    """Gram matrix <h_j, h_k> for j,k <= k_max via q-point quadrature."""
-    nodes, tau = gauss_hermite(q)
-    h = hermite_functions(k_max, nodes)
-    return (h * tau) @ h.T
-
-
 def _axis_products(k, x, y):
     """Per-axis sequences g_d[i] = h_i(x_d) h_i(y_d), i = 0..k."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -224,37 +217,9 @@ def projector_kernel_sequence(k_max, x, y):
     return acc
 
 
-def _checked_kernel_sequence(k_max, x, y, n):
-    """projector_kernel_sequence once k_max >= 0 and, unless n is None, x and y are in R^n."""
-    if k_max < 0:
-        raise ValueError("degree must be non-negative")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if n is not None and (x.size != n or y.size != n):
-        raise ValueError("dimension mismatch")
-    return projector_kernel_sequence(k_max, x, y)
-
-
-def projector_kernel(k, x, y, n=None):
-    """P_k(x,y) = sum_{|xi|=k} h_xi(x) h_xi(y)."""
-    return _checked_kernel_sequence(k, x, y, n)[k]
-
-
-def qq_kernel(N, x, y, n=None):
-    """Q_N(x,y) = sum_{k<=N} P_k(x,y)."""
-    return float(np.sum(_checked_kernel_sequence(N, x, y, n)))
-
-
 def christoffel(N, t):
     """1 / sum_{k<=N} h_k(t)^2 (one-dimensional), elementwise over t, in O(len t) memory."""
     return 1.0 / sum(row * row for row in _hermite_rows(N, t))
-
-
-def hermite_derivative_1d(k, t):
-    """h_k'(t) = (sqrt(2k) h_{k-1}(t) - sqrt(2k+2) h_{k+1}(t)) / 2."""
-    h = hermite_functions(k + 1, float(t))
-    lower = math.sqrt(2.0 * k) * h[k - 1] if k >= 1 else 0.0
-    return 0.5 * (lower - math.sqrt(2.0 * k + 2.0) * h[k + 1])
 
 
 def finite_difference(seq, order):
@@ -534,11 +499,6 @@ class SpectralFunction:
                 out = out.derivative(i)
         return out
 
-    def apply_hermite_operator(self):
-        """(-Laplacian + |x|^2) f, diagonal: c_xi -> (2|xi| + dim) c_xi."""
-        return SpectralFunction(self.dim, self.max_degree,
-                                (2 * self.degrees + self.dim) * self.array)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self):
@@ -568,10 +528,6 @@ class SpectralFunction:
 
     def write(self, fh):
         json.dump(self.to_json_dict(), fh, indent=1)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            self.write(fh)
 
     @classmethod
     def load(cls, path):
@@ -632,20 +588,6 @@ def kernel_expansion(w, x):
     for i, xd in enumerate(x):
         arr = arr * _axis_vector(hermite_functions(K, float(xd)), i, n)
     return SpectralFunction(n, K, arr)
-
-
-def apply_creation(alpha, f):
-    """A^alpha f with the exact product factors; raises max_degree by |alpha|."""
-    out = f
-    for i, a in enumerate(alpha):
-        for _ in range(int(a)):
-            out = out.apply_creation_axis(i)
-    return out
-
-
-def basis_function(xi):
-    xi = tuple(int(v) for v in xi)
-    return SpectralFunction(len(xi), sum(xi), {xi: 1.0})
 
 
 def random_spectral(dim, max_degree, rng, real=False):

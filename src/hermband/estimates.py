@@ -146,9 +146,6 @@ class Molecule:
     def dim(self):
         return self.f.dim
 
-    def eval(self, pts):
-        return np.real(self.f.eval_points(pts))
-
     def derivative(self, gamma):
         gamma = tuple(int(g) for g in gamma)
         if gamma not in self._deriv_cache:
@@ -161,10 +158,6 @@ class Molecule:
         if gamma not in self._moments:
             self._moments[gamma] = self.f.moment(self.center, gamma)
         return self._moments[gamma]
-
-
-def needlet_molecule(sys, tile):
-    return Molecule(needlet(sys, tile), tile.level, tile.node, tile.measure)
 
 
 def spectral_bump_molecule(weight_fn, level, center, cfg):

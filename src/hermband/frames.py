@@ -36,25 +36,6 @@ class CoefficientSequence:
         self.cfg = cfg
         self.levels = {}
 
-    def level(self, j):
-        if j in self.levels:
-            return self.levels[j]
-        return np.zeros(build_level(j, self.cfg).shape, dtype=complex)
-
-    def scaled(self, a):
-        out = CoefficientSequence(self.cfg)
-        out.levels = {j: a * arr for j, arr in self.levels.items()}
-        return out
-
-    def add(self, other):
-        out = CoefficientSequence(self.cfg)
-        for j in set(self.levels) | set(other.levels):
-            out.levels[j] = self.level(j) + other.level(j)
-        return out
-
-    def norm2(self):
-        return math.sqrt(sum(float(np.sum(np.abs(a) ** 2)) for a in self.levels.values()))
-
     def to_json_dict(self, tol=0.0):
         levels = []
         for j in sorted(self.levels):
@@ -206,18 +187,3 @@ def synthesize(sys, s):
         part = SpectralFunction(n, k_max, c)
         total = part if total is None else total.add(part)
     return total if total is not None else SpectralFunction(n, 0)
-
-
-def roundtrip_residual(sys, f, J, cfg):
-    """Relative L^2 error of synthesize(analyze(f)).
-
-    Meaningful only when the window sum is 1 on the occupied spectrum, that
-    is when J reaches its coverage level; the flag reports coverage.
-    """
-    covered = sys.coverage_level(2.0 * f.max_degree + f.dim) <= J
-    g = synthesize(sys, analyze(sys, f, J, cfg))
-    num = g.sub(f).norm2()
-    den = f.norm2()
-    res = num / den if den > 0 else 0.0
-    return res, covered
-

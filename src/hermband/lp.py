@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (SpectralFunction, degree_array, finite_difference, kernel_expansion,
-                   projector_kernel_sequence)
+from .core import SpectralFunction, degree_array, finite_difference, kernel_expansion
 
 
 def _sigma(u):
@@ -115,14 +114,6 @@ class AdmissibleSystem:
             self._windows[key] = w
         return self._windows[key]
 
-    def window_sum(self, u, J):
-        u = np.asarray(u, dtype=float)
-        return sum(self.window(j, u) for j in range(J + 1))
-
-    def reproducing_sum(self, u, J):
-        u = np.asarray(u, dtype=float)
-        return sum(self.window(j, u) * self.dual_window(j, u) for j in range(J + 1))
-
     def coverage_level(self, lam_max):
         """Smallest J with window sum identically 1 up to lambda = lam_max."""
         J = 0
@@ -177,55 +168,6 @@ def default_system():
     return bump_system(0.5, 0.75)
 
 
-def check_admissible(sys):
-    """Measure the admissibility clauses; returns a per-clause report dict."""
-    report = {}
-    b = sys.support_end
-    grid = np.linspace(-0.5, 2.0, 4001)
-
-    phi0_vals = sys.phi0(grid)
-    outside = grid > sys.phi0.support[1] + 1e-9
-    report["phi0_support"] = {
-        "pass": bool(np.max(np.abs(phi0_vals[outside]), initial=0.0) < 1e-12),
-        "max_outside": float(np.max(np.abs(phi0_vals[outside]), initial=0.0)),
-    }
-
-    phi_vals = sys.phi(grid)
-    nz = np.abs(phi_vals) > 1e-12
-    b2 = float(np.min(grid[nz])) if nz.any() else math.inf
-    b3 = float(np.max(grid[nz])) if nz.any() else -math.inf
-    report["phi_support"] = {
-        "pass": bool(0.25 - 1e-9 <= b2 < b3 <= 1.0 + 1e-9),
-        "b2": b2, "b3": b3,
-    }
-
-    # lower bound of |phi0| near 0: report the largest plateau we can certify
-    pos = np.linspace(0.0, b, 4001)
-    v = np.abs(sys.phi0(pos))
-    half = v >= 0.5
-    b1 = float(pos[np.argmin(half)]) if not half.all() else float(b)
-    b0 = float(np.min(v[pos <= b1])) if b1 > 0 else 0.0
-    report["phi0_lower"] = {"pass": bool(b0 > 0 and b1 > 0), "b0": b0, "b1": b1}
-
-    derivs = {}
-    ok = True
-    for order in range(1, 9):
-        d = float(sys.phi0.derivative(0.0, order))
-        derivs[order] = d
-        if abs(d) > 1e-8:
-            ok = False
-    report["phi0_flat_at_zero"] = {"pass": ok, "derivatives": derivs,
-                                   "fd_steps": dict(_FD_STEPS)}
-
-    lam = np.linspace(0.0, 2.0 ** 5, 10000)
-    J = sys.coverage_level(2.0 ** 5) + 1
-    err = float(np.max(np.abs(sys.reproducing_sum(np.sqrt(lam), J) - 1.0)))
-    report["reproducing"] = {"pass": bool(err < 1e-12), "max_error": err, "J": J}
-
-    report["pass"] = all(v["pass"] for k, v in report.items() if isinstance(v, dict))
-    return report
-
-
 def support_set(sys, j, n):
     """Degrees k with phi_j(sqrt(lambda_k)) possibly nonzero.
 
@@ -239,20 +181,6 @@ def support_set(sys, j, n):
     lo_k = max(0, int(math.ceil((lo_u ** 2 - n) / 2.0)))
     hi_k = int(math.floor((hi_u ** 2 - n) / 2.0))
     return range(lo_k, hi_k + 1)
-
-
-def spectral_window(sys, j, k, n):
-    """phi_j(sqrt(lambda_k))."""
-    return sys.window(j, math.sqrt(2.0 * k + n)).item()
-
-
-def lp_kernel(sys, j, x, y, n):
-    """Kernel of phi_j(sqrt(L)): sum_k phi_j(sqrt(lambda_k)) P_k(x,y)."""
-    ks = support_set(sys, j, n)
-    if len(ks) == 0:
-        return 0.0
-    seq = projector_kernel_sequence(ks[-1], x, y)
-    return float(np.dot(sys.degree_windows(j, ks[-1], n), seq))
 
 
 def apply_lp(sys, j, f):

@@ -1,4 +1,4 @@
-"""Lebesgue, Besov and Triebel-Lizorkin norms, sequence norms, maximal operator.
+"""Besov and Triebel-Lizorkin norms, sequence norms, maximal operator.
 
 Distribution norms combine the exact band projections phi_j(sqrt(L))f with
 grid quadrature; the p = 2 spectral cases use Parseval directly, and so does
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, SpectralFunction, grid_tables
+from .core import GridFunction, grid_tables
 from .lp import apply_lp
 from .tiles import build_level
 
@@ -60,26 +60,6 @@ def _grid_lp(vals, axes, p):
     for ax in axes:
         T = np.trapezoid(T, ax, axis=0)
     return float(T) ** (1.0 / p)
-
-
-def lp_norm(g, p, box=None):
-    """L^p quasi-norm.
-
-    SpectralFunction with p = 2 goes through Parseval (exact); otherwise the
-    function is sampled on the quadrature box and integrated by trapezoid.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if isinstance(g, SpectralFunction):
-        if p == 2:
-            return g.norm2()
-        if box is None:
-            box = QuadratureBox.for_degree(g.max_degree, g.dim)
-        axes = box.axes(g.dim)
-        return _grid_lp(g.eval_grid(axes), axes, p)
-    if isinstance(g, GridFunction):
-        return _grid_lp(g.samples, g.axes, p)
-    raise TypeError("expected SpectralFunction or GridFunction")
 
 
 def _combine_q(terms, q):

@@ -1,13 +1,9 @@
-"""Pseudo-multipliers T_sigma f = sum_k sigma(x, lambda_k) P_k f and their
-symbol-class diagnostics.
+"""Pseudo-multipliers T_sigma f = sum_k sigma(x, lambda_k) P_k f.
 
 A Symbol evaluates sigma(x, xi) on a table: m points x down the rows and an
 array of spectral arguments xi >= 0 along the columns, so each consumer
 makes one call for all the xi it needs; the operator passes
-xi = lambda_k = 2k + n for the degrees k present in f.  Class checks measure
-sup |d^nu_x Delta^kappa_xi sigma| / [g(x, xi) (1 + sqrt(xi))^{m - 2 rho kappa
-+ delta |nu|}]; the cancellation check averages scaled derivatives over the
-critical balls B(x, rho(x)), rho(x) = 1/(1 + |x|).
+xi = lambda_k = 2k + n for the degrees k present in f.
 """
 
 from __future__ import annotations
@@ -21,17 +17,10 @@ import operator
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import (GridFunction, SpectralFunction, axis_tables, finite_difference, grid_tables,
-                   hermite_functions, json_field, json_float, json_int, lifted_gauss_hermite,
-                   multi_indices, tensor_points, tensor_product)
+from .core import (GridFunction, SpectralFunction, axis_tables, grid_tables, hermite_functions,
+                   json_field, json_float, json_int, lifted_gauss_hermite, multi_indices,
+                   tensor_points)
 from .lp import apply_lp
-
-
-def rho(x):
-    """Critical radius 1/(1+|x|)."""
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(np.atleast_2d(x) ** 2, axis=-1)) if x.ndim > 1 else np.linalg.norm(np.atleast_1d(x))
-    return 1.0 / (1.0 + r)
 
 
 class Symbol:
@@ -39,16 +28,15 @@ class Symbol:
 
     evaluator(pts, xi) takes an (m, n) point array and a 1-D array xi of
     non-negative spectral arguments and returns the (m, len(xi)) table;
-    x_derivatives maps a derivative multi-index to an evaluator, and growth
-    is a function of (pts, xi), each with the same contract.  Calling the
-    symbol or x_derivative with a scalar xi gives the (m,) column.
+    x_derivatives maps a derivative multi-index to an evaluator with the
+    same contract.  Calling the symbol or x_derivative with a scalar xi
+    gives the (m,) column.
     """
 
-    def __init__(self, evaluator, dim, x_derivatives=None, growth=None):
+    def __init__(self, evaluator, dim, x_derivatives=None):
         self.evaluator = evaluator
         self.dim = int(dim)
         self.x_derivatives = dict(x_derivatives or {})
-        self.growth = growth
 
     def __call__(self, pts, xi):
         return self.x_derivative(pts, xi, ())
@@ -146,61 +134,6 @@ def reproject(evalfn, dim, K_prime):
     return fK, residual
 
 
-def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid):
-    """Constants sup |d^nu_x Delta^kappa_xi sigma| / [g (1+sqrt(xi))^{m-2 rho kappa+delta|nu|}].
-
-    Scans xi <= 64 with unit steps in the differences.  Returns
-    {(|nu| pattern, kappa): constant}.  g is the symbol's growth, or 1 (the
-    no-growth variant of the class) when it has none.
-    """
-    pts = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    xis = np.unique(np.concatenate([np.arange(0, 16), np.geomspace(16, 64, 12).astype(int)]))
-    xis = xis.astype(float)
-    # sigma at xi + i, i <= K_fd, with the steps i along the last axis
-    lam = (xis[:, None] + np.arange(K_fd + 1)).ravel()
-    g = 1.0
-    if sigma.growth is not None:
-        g = np.maximum(np.asarray(sigma.growth(pts, xis), dtype=float), 1e-300)
-    report = {}
-    for nu in multi_indices(sigma.dim, N_der):
-        vals = sigma.x_derivative(pts, lam, nu).reshape(len(pts), len(xis), K_fd + 1)
-        for kappa in range(K_fd + 1):
-            diff = finite_difference(vals[..., :kappa + 1], kappa)[..., 0]
-            denom = (1.0 + np.sqrt(xis)) ** (m - 2.0 * rho_par * kappa + delta * sum(nu)) * g
-            report[(nu, kappa)] = float(np.max(np.abs(diff) / denom))
-    return report
-
-
-def check_cancellation_class(sigma, m, M, sample_points, xi_samples=(0, 1, 4, 9, 25, 64)):
-    """Ball-averaged derivative bounds of the cancellation class.
-
-    For each sample x and xi, computes
-    (avg over B(x, rho(x)) of |rho(y)^{|gamma|} d^gamma sigma(y, xi)|^2)^{1/2}
-    divided by (1 + sqrt(xi))^m, for |gamma| <= 2 floor((n+M)/2) + 2, with
-    a 12-point Gauss-Legendre rule per axis over the ball's bounding box.
-    """
-    n = sigma.dim
-    order = 2 * ((n + M) // 2) + 2
-    nodes, weights = leggauss(12)
-    xi = np.asarray(xi_samples, dtype=float)
-    scale = (1.0 + np.sqrt(xi)) ** m
-    report = {gamma: 0.0 for gamma in multi_indices(n, order)}
-    for x in np.atleast_2d(np.asarray(sample_points, dtype=float)):
-        r = float(rho(x))
-        ball = tensor_points([x[d] + r * nodes for d in range(n)])
-        inside = np.sum((ball - x) ** 2, axis=1) <= r * r
-        if not inside.any():
-            continue
-        win = tensor_product([weights] * n) * inside
-        vol = float(np.sum(win))
-        rr = rho(ball)
-        for gamma in report:
-            d = sigma.x_derivative(ball, xi, gamma)
-            avg = win @ np.abs((rr ** sum(gamma))[:, None] * d) ** 2 / vol
-            report[gamma] = max(report[gamma], float(np.max(np.sqrt(avg) / scale)))
-    return report
-
-
 def hermite_multiplier(seq, dim=1):
     """x-independent symbol from a spectral sequence xi -> complex, called once
     per xi; the table is a read-only broadcast of that row, not a copy per point."""
@@ -213,10 +146,6 @@ def hermite_multiplier(seq, dim=1):
         return np.broadcast_to(0j, (len(pts), len(xi)))
 
     return Symbol(ev, dim, {nu: zero for nu in multi_indices(dim, 4) if sum(nu) > 0})
-
-
-def identity_symbol(dim=1):
-    return hermite_multiplier(lambda xi: 1.0, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +181,7 @@ def band_sum_symbol(sys, dim=1, beta=-1.0):
         r2 = np.sum(pts ** 2, axis=1)
         return window_sum(sys, [(1.0 + r2 / 4.0 ** j) ** (beta / 2.0) for j in range(9)], xi)
 
-    def growth(pts, xi):
-        r = np.sqrt(np.sum(np.atleast_2d(pts) ** 2, axis=1))
-        return (1.0 + np.divide.outer(r, 1.0 + np.sqrt(np.maximum(xi, 0.0)))) ** beta
-
-    return Symbol(ev, dim, growth=growth)
+    return Symbol(ev, dim)
 
 
 def annulus_symbol(dim=1, j_max=6):
@@ -271,16 +196,6 @@ def annulus_symbol(dim=1, j_max=6):
         return np.broadcast_to(acc[:, None], (len(acc), len(xi)))
 
     return Symbol(ev, dim)
-
-
-def oscillating_symbol(v):
-    """e^{i x . v} on R^len(v): rapid oscillation, negative control for cancellation."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-
-    def ev(pts, xi):
-        return np.broadcast_to(np.exp(1j * pts @ v)[:, None], (len(pts), len(xi)))
-
-    return Symbol(ev, v.size)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +235,8 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
         raise ValueError("linearization requires a real function")
     if abs(H(0.0)) > 1e-14:
         raise ValueError("nonlinearity must vanish at 0")
+    if J < 0:
+        raise ValueError(f"need J >= 0, got {J}")
     # Gauss-Legendre nodes and weights on [0, 1] for the t integral
     t, wt = leggauss(int(t_points))
     t, wt = 0.5 * (t + 1.0), 0.5 * wt
@@ -442,7 +359,10 @@ def symbol_from_descriptor(d, sys=None):
                              f"x_scale {x_scale} and xi_scale {xi_scale}")
         return separable_symbol(dim, x_scale, xi_scale)
     if kind == "annulus":
-        return annulus_symbol(dim, json_int(d.get("j_max", 6), "j_max"))
+        j_max = json_int(d.get("j_max", 6), "j_max")
+        if not 0 <= j_max <= 1023:      # 2^j overflows past 1023
+            raise ValueError(f"annulus j_max must be in [0, 1023], got {j_max}")
+        return annulus_symbol(dim, j_max)
     if kind == "band-sum":
         if sys is None:
             from .lp import default_system

@@ -20,7 +20,8 @@ def v10_file(tmp_path):
     rng = np.random.default_rng(0)
     f = random_spectral(1, 10, rng, real=True)
     path = tmp_path / "f.json"
-    f.save(path)
+    with open(path, "w") as fh:
+        f.write(fh)
     return path, f
 
 
@@ -123,7 +124,8 @@ def test_dimension_mismatch_exits_1(tmp_path, v10_file, capsys):
     fpath, _ = v10_file
     assert main(["analyze", "--in", str(fpath), "--levels", "2", "--dim", "2"]) == 1
     f2 = tmp_path / "f2.json"
-    random_spectral(2, 3, np.random.default_rng(1), real=True).save(f2)
+    with open(f2, "w") as fh:
+        random_spectral(2, 3, np.random.default_rng(1), real=True).write(fh)
     sym = tmp_path / "sym.json"
     sym.write_text(json.dumps({"kind": "multiplier", "dim": 2, "expression": "1/(1+xi)"}))
     for argv in (["norm", "--in", str(f2)],
@@ -142,8 +144,8 @@ def test_bad_symbol_exits_1(tmp_path, v10_file):
     assert main(["apply", "--symbol", str(sym), "--in", str(fpath)]) == 1
 
 
-# symbol descriptors with a missing key, a wrong-typed value, no object or
-# an expression that does not parse
+# symbol descriptors with a missing key, a wrong-typed value, no object, an
+# expression that does not parse, or a T_sigma f that is not finite
 BAD_SYMBOLS = {
     "no-expression": {"kind": "multiplier"},
     "null-dim": {"kind": "separable", "dim": None},
@@ -157,6 +159,9 @@ BAD_SYMBOLS = {
     "pole-on-spectrum": {"kind": "multiplier", "expression": "1/(xi-3)"},
     "negative-sqrt-multiplier": {"kind": "multiplier", "expression": "sqrt(xi-5)"},
     "negative-sqrt-expression": {"kind": "custom-expression", "expression": "sqrt(xi-5)"},
+    "annulus-j-max-past-1023": {"kind": "annulus", "j_max": 1100},
+    "annulus-j-max-negative": {"kind": "annulus", "j_max": -5},
+    "band-sum-overflow": {"kind": "band-sum", "beta": 1e4},
 }
 
 
@@ -258,12 +263,25 @@ def test_analyze_below_coverage_warns(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_linearize_below_coverage_warns_on_stderr_only(tmp_path, capsys):
+    f1 = str(Path(__file__).parent / "golden" / "f1.json")
+    out = tmp_path / "h.csv"
+    assert main(["linearize", "--in", f1, "--levels", "2", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and "coverage level 4" in err and err.count("\n") == 1
+    assert main(["linearize", "--in", f1, "--levels", "2"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert main(["linearize", "--in", f1, "--levels", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_analyze_writes_no_part_below_the_flush(tmp_path):
     # level 5 reaches nodes where h_k tau^{1/2} and the products with it underflow;
     # unflushed, such entries come out as low as 1e-322
     f = random_spectral(1, 31, np.random.default_rng(3), real=True)
     fpath, coeffs, back = (tmp_path / name for name in ("f.json", "c.json", "g.json"))
-    f.save(fpath)
+    with open(fpath, "w") as fh:
+        f.write(fh)
     assert build_parser().parse_args(["analyze", "--in", "f", "--levels", "5"]).prune == 0.0
     assert main(["analyze", "--in", str(fpath), "--levels", "5", "--out", str(coeffs)]) == 0
     parts = [abs(e[p]) for lev in json.loads(coeffs.read_text())["levels"]
@@ -284,6 +302,7 @@ BAD_FLAGS = {
     "analyze-prune-inf": ["analyze", "--levels", "2", "--prune", "inf"],
     "analyze-prune-negative": ["analyze", "--levels", "2", "--prune", "-1"],
     "analyze-levels-negative": ["analyze", "--levels", "-1"],
+    "linearize-levels-negative": ["linearize", "--levels", "-1"],
     "windows-levels-negative": ["windows", "--levels", "-1"],
     "windows-kmax-negative": ["windows", "--kmax", "-1"],
     "windows-dim-zero": ["windows", "--dim", "0"],

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from hermband import core, estimates
-from hermband.core import SpectralFunction, qq_kernel
+from hermband import core, estimates, lp
+from hermband.core import SpectralFunction, projector_kernel_sequence
 from hermband.estimates import (
     Molecule,
     MoleculeParams,
     check_molecule,
-    needlet_molecule,
     random_sparse_sequence,
     refinement_stable,
     sample_tiles,
@@ -30,19 +29,13 @@ from hermband.estimates import (
 )
 from hermband.frames import needlet
 from hermband.lp import SmoothProfile, default_system
-from hermband.symbols import (apply_pseudomultiplier, band_sum_symbol, identity_symbol,
+from hermband.symbols import (apply_pseudomultiplier, band_sum_symbol, hermite_multiplier,
                               separable_symbol)
 from hermband.tiles import TileConfig, build_level, level_degree
 
 
-@pytest.fixture(scope="module")
-def sys():
-    return default_system()
-
-
-@pytest.fixture(scope="module")
-def cfg():
-    return TileConfig()
+def needlet_molecule(sys, tile):
+    return Molecule(needlet(sys, tile), tile.level, tile.node, tile.measure)
 
 
 def test_refinement_stable_basics():
@@ -150,7 +143,7 @@ def test_molecule_moment_oracle(sys, cfg):
     ts = build_level(1, cfg)
     mol = needlet_molecule(sys, ts.tile((ts.nodes_per_axis // 2,)))
     y = np.linspace(-14, 14, 8001)
-    vals = mol.eval(y[:, None])
+    vals = np.real(mol.f.eval_points(y[:, None]))
     for gamma in ((0,), (1,), (2,)):
         brute = float(np.trapezoid((y - mol.center[0]) ** gamma[0] * vals, y))
         assert mol.moment(gamma) == pytest.approx(brute, abs=1e-8)
@@ -174,7 +167,7 @@ def test_tsigma_identity_matches_needlet_derivatives(sys, cfg):
     mol = needlet_molecule(sys, tile)
     x = np.linspace(-6, 6, 41)
     pts = x[:, None]
-    sig = identity_symbol(1)
+    sig = hermite_multiplier(lambda xi: 1.0, 1)
     phi_R = needlet(sys, tile)
     for gamma in ((0,), (1,), (2,)):
         got = np.real(apply_pseudomultiplier(sig, phi_R, [x], gamma).samples)
@@ -247,7 +240,7 @@ def test_tsigma_moment_identity_oracle(sys, cfg):
     ts = build_level(2, cfg)
     tile = ts.tile((ts.nodes_per_axis // 2,))
     mol = needlet_molecule(sys, tile)
-    sig = identity_symbol(1)
+    sig = hermite_multiplier(lambda xi: 1.0, 1)
     for gamma in ((0,), (1,)):
         got = tsigma_moment(sig, needlet(sys, tile), tile.node, gamma)
         assert abs(got - mol.moment(gamma)) < 1e-10
@@ -307,9 +300,9 @@ def test_estimate_report_json(sys, cfg):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_verify_qq_measures_the_kernel_of_rn(n):
     # Q_N(x, x) of R^n peaks at the origin, a point of the scanned line, so
-    # the growth constant is the core.qq_kernel oracle there over N^{n/2}
+    # the growth constant is sum_{k <= N} P_k(0, 0) over N^{n/2}
     rep = verify_qq(n)
-    oracle = qq_kernel(64, np.zeros(n), np.zeros(n), n) / 64.0 ** (n / 2.0)
+    oracle = projector_kernel_sequence(64, np.zeros(n), np.zeros(n)).sum() / 64.0 ** (n / 2.0)
     assert rep.constant == pytest.approx(oracle, rel=1e-12)
     assert 0.25 < rep.details["fitted_vartheta"] < 1.0
 
@@ -331,7 +324,6 @@ def test_verify_hoppe_measures_each_profile_sup_once(monkeypatch):
 def test_verify_kernel_builds_each_kernel_column_once(sys, monkeypatch):
     """One band kernel column per level for the decay scan and one per (j, x0)
     for the moments, each of which reads all six |gamma| <= 2 moments in 2-D."""
-    from hermband import lp
     built = []
     build = lp.lp_delta
 

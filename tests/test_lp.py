@@ -6,27 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from hermband.core import basis_function, hermite_functions, random_spectral
+from hermband.core import SpectralFunction, gauss_hermite, hermite_functions, random_spectral
 from hermband.lp import (
     SmoothProfile,
     apply_lp,
     bump_system,
-    check_admissible,
-    default_system,
     hoppe_check,
     lp_delta,
-    lp_kernel,
     smoothstep,
-    spectral_window,
     support_set,
 )
 
-from test_frames import inner_product_quadrature
-
-
-@pytest.fixture(scope="module")
-def sys():
-    return default_system()
+from oracles import basis_function, check_admissible, inner_product_quadrature, lp_kernel
 
 
 def test_smoothstep_endpoints():
@@ -92,21 +83,21 @@ def test_check_admissible_not_flat_at_zero(sys):
 
 def test_spectral_window_j0_vanishes_above_support(sys):
     for k in range(1, 12):
-        assert spectral_window(sys, 0, k, 1) == 0.0
+        assert sys.window(0, math.sqrt(2 * k + 1)) == 0.0
 
 
 def test_spectral_window_plateau_value(sys):
     # lambda = 4 at j = 2: phi(sqrt(4)/4) = phi(1/2) = 1
     n = 2
     k = 1           # lambda = 2*1 + 2 = 4
-    assert spectral_window(sys, 2, k, n) == pytest.approx(1.0, abs=1e-15)
+    assert sys.window(2, math.sqrt(2 * k + n)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_window_sum_partition(sys):
     K = 40
     lam = 2.0 * np.arange(K + 1) + 1.0
     J = sys.coverage_level(lam[-1])
-    total = sys.window_sum(np.sqrt(lam), J)
+    total = sum(sys.window(j, np.sqrt(lam)) for j in range(J + 1))
     assert np.max(np.abs(total - 1.0)) < 1e-13
 
 
@@ -115,7 +106,7 @@ def test_support_set_consistency(sys):
         ks = support_set(sys, j, 1)
         inside = set(ks)
         for k in range(80):
-            w = spectral_window(sys, j, k, 1)
+            w = sys.window(j, math.sqrt(2 * k + 1))
             if abs(w) > 1e-13:
                 assert k in inside
 
@@ -133,14 +124,14 @@ def test_lp_kernel_reproduces_windowed_basis(sys):
         col = lp_delta(sys, j, np.array([x]), 1)
         for k in (0, 2, 5):
             val = inner_product_quadrature(col, basis_function((k,)))
-            expect = spectral_window(sys, j, k, 1) * hermite_functions(k, x)[k]
+            expect = sys.window(j, math.sqrt(2 * k + 1)) * hermite_functions(k, x)[k]
             assert abs(val - expect) < 1e-9
 
 
 def test_apply_lp_eigen_action(sys):
     f = basis_function((0,))
     g = apply_lp(sys, 0, f)
-    w = spectral_window(sys, 0, 0, 1)
+    w = sys.window(0, 1.0)
     assert g.sub(f.scaled(w)).norm2() < 1e-15
 
 
@@ -156,7 +147,6 @@ def test_apply_lp_partition_reconstructs(sys):
 
 
 def test_apply_lp_zero(sys):
-    from hermband.core import SpectralFunction
     z = SpectralFunction(1, 0, {})
     assert apply_lp(sys, 2, z).norm2() == 0.0
 
@@ -204,7 +194,6 @@ def test_lp_moment_odd_gamma_parity(sys):
 
 
 def test_lp_moment_against_quadrature_oracle(sys):
-    from hermband.core import gauss_hermite
     j, x = 2, 0.7
     col = lp_delta(sys, j, np.array([x]), 1)
     u, tau = gauss_hermite(80)

@@ -6,32 +6,23 @@ import numpy as np
 import pytest
 
 from hermband import core
-from hermband.core import basis_function, random_spectral
+from hermband.core import GridFunction, SpectralFunction, random_spectral
 from hermband.frames import CoefficientSequence
-from hermband.lp import apply_lp, default_system, spectral_window
+from hermband.lp import apply_lp
 from hermband.norms import (
     QuadratureBox,
     SpaceParams,
     _f_sum,
     besov_norm,
-    lp_norm,
     maximal,
     seq_besov_norm,
     seq_tl_norm,
     space_norm,
     tl_norm,
 )
-from hermband.tiles import TileConfig, build_level
+from hermband.tiles import build_level
 
-
-@pytest.fixture(scope="module")
-def sys():
-    return default_system()
-
-
-@pytest.fixture(scope="module")
-def cfg():
-    return TileConfig()
+from oracles import basis_function, lp_norm
 
 
 def test_l2_norm_of_ground_state():
@@ -45,7 +36,6 @@ def test_l1_norm_of_ground_state():
 
 
 def test_lp_norm_zero():
-    from hermband.core import SpectralFunction
     assert lp_norm(SpectralFunction(1, 0, {}), 2.0) == 0.0
 
 
@@ -60,7 +50,7 @@ def test_besov_norm_eigenfunction_closed_form(sys):
     val = besov_norm(sys, f, params)
     expect = 0.0
     for j in range(6):
-        w = spectral_window(sys, j, 0, 1)
+        w = sys.window(j, 1.0)
         expect += (2.0 ** (j * params.alpha) * abs(w)) ** params.q
     expect = expect ** (1.0 / params.q)   # since the Lp factor is ||h0||_2 = 1
     assert val == pytest.approx(expect, rel=1e-6)
@@ -164,7 +154,6 @@ def test_seq_norm_zero(cfg):
 
 
 def test_maximal_constant_function():
-    from hermband.core import GridFunction
     axes = [np.linspace(-4, 4, 101)]
     g = GridFunction(axes, np.full(101, 3.0))
     m = maximal(g, 1.0)
@@ -172,7 +161,6 @@ def test_maximal_constant_function():
 
 
 def test_maximal_dominates_pointwise():
-    from hermband.core import GridFunction
     rng = np.random.default_rng(0)
     axes = [np.linspace(-4, 4, 257)]
     vals = rng.standard_normal(257)

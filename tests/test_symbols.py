@@ -6,30 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from hermband.core import SpectralFunction, basis_function, random_spectral
-from hermband.lp import apply_lp, default_system, spectral_window
+from hermband.core import SpectralFunction, random_spectral
+from hermband.lp import apply_lp
 from hermband.symbols import (
     Symbol,
     annulus_symbol,
     apply_pseudomultiplier,
     band_sum_symbol,
-    check_cancellation_class,
-    check_symbol_class,
     compile_expression,
     hermite_multiplier,
-    identity_symbol,
     linearize_nonlinearity,
     nonlinearity_power,
-    oscillating_symbol,
     reproject,
     separable_symbol,
     symbol_from_descriptor,
 )
 
-
-@pytest.fixture(scope="module")
-def sys():
-    return default_system()
+from oracles import (basis_function, check_cancellation_class, check_symbol_class,
+                     oscillating_symbol)
 
 
 def test_identity_symbol_is_identity():
@@ -37,7 +31,7 @@ def test_identity_symbol_is_identity():
     f = random_spectral(1, 10, rng, real=True)
     x = np.linspace(-4, 4, 21)
     pts = x[:, None]
-    out = apply_pseudomultiplier(identity_symbol(1), f, [x]).samples
+    out = apply_pseudomultiplier(hermite_multiplier(lambda xi: 1.0, 1), f, [x]).samples
     assert np.max(np.abs(out - f.eval_points(pts))) < 1e-12
 
 
@@ -65,7 +59,8 @@ def test_band_multiplier_matches_projection(sys):
 
 def test_apply_on_grid_returns_grid_function():
     axes = [np.linspace(-3, 3, 17)]
-    g = apply_pseudomultiplier(identity_symbol(1), basis_function((0,)), axes=axes)
+    sig = hermite_multiplier(lambda xi: 1.0, 1)
+    g = apply_pseudomultiplier(sig, basis_function((0,)), axes=axes)
     vals = basis_function((0,)).eval_points(axes[0][:, None])
     assert np.max(np.abs(g.samples - vals)) < 1e-13
 
@@ -125,7 +120,7 @@ def test_reproject_zero():
 
 
 def test_symbol_class_identity_flat():
-    sig = identity_symbol(1)
+    sig = hermite_multiplier(lambda xi: 1.0, 1)
     x = np.linspace(-6, 6, 41)[None, :].T
     consts = check_symbol_class(sig, 0.0, 1.0, 0.0, K_fd=2, N_der=2, x_grid=x)
     # sup |sigma| = 1, every derivative and difference vanishes
@@ -149,6 +144,21 @@ def test_symbol_class_oscillation_grows():
     c_slow = check_symbol_class(oscillating_symbol(2.0), 0.0, 1.0, 0.0, 1, 1, x)
     c_fast = check_symbol_class(oscillating_symbol(40.0), 0.0, 1.0, 0.0, 1, 1, x)
     assert c_fast[((1,), 0)] > 10.0 * c_slow[((1,), 0)]
+
+
+def test_symbol_class_growth_weight(sys):
+    # band-sum with beta = 1 grows like 1 + |x| / (1 + sqrt(xi)): weighted by that
+    # growth its size constant stays 1 as the x-range widens, unweighted it grows with it
+    sig = band_sum_symbol(sys, 1, beta=1.0)
+
+    def growth(pts, xi):
+        return 1.0 + np.divide.outer(np.abs(pts[:, 0]), 1.0 + np.sqrt(xi))
+
+    for R in (8.0, 64.0):
+        x = np.linspace(-R, R, 41)[:, None]
+        weighted = check_symbol_class(sig, 0.0, 1.0, 0.0, 0, 0, x, growth)[((0,), 0)]
+        assert weighted == pytest.approx(1.0, rel=1e-2)
+        assert check_symbol_class(sig, 0.0, 1.0, 0.0, 0, 0, x)[((0,), 0)] > 0.9 * R
 
 
 def test_cancellation_x_independent():
@@ -212,6 +222,11 @@ def test_linearize_rejects_nonvanishing_at_zero(sys):
         linearize_nonlinearity(H, f, sys, 3)
 
 
+def test_linearize_rejects_negative_levels(sys):
+    with pytest.raises(ValueError):
+        linearize_nonlinearity(nonlinearity_power(2), basis_function((1,)), sys, -1)
+
+
 def test_linearize_rejects_complex(sys):
     rng = np.random.default_rng(6)
     f = random_spectral(1, 4, rng, real=False)
@@ -254,13 +269,6 @@ def test_symbol_descriptor_kinds(sys):
         assert np.all(np.isfinite(np.abs(val)))
     with pytest.raises(ValueError):
         symbol_from_descriptor({"kind": "nope"})
-
-
-def test_band_sum_symbol_growth_attached(sys):
-    sig = band_sum_symbol(sys, beta=-1.0)
-    assert sig.growth is not None
-    g = sig.growth(np.array([[10.0]]), 4.0)
-    assert 0.0 < float(g[0]) < 1.0
 
 
 def test_numeric_x_derivative_matches_analytic():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hermband.cli import main
-from hermband.core import basis_function, gauss_hermite, tensor_points
+from hermband.core import gauss_hermite, tensor_points
 from hermband.tiles import (
     TileConfig,
     TileSet,
@@ -22,6 +22,8 @@ from hermband.tiles import (
     tile_geometry_constants,
     write_nodes_csv,
 )
+
+from oracles import basis_function
 
 
 def test_level_degree_values():
