@@ -141,7 +141,14 @@ def cmd_synthesize(args):
 def cmd_norm(args):
     sys = _system(args)
     f = _load_function(args)
-    val = norms.space_norm(sys, f, norms.SpaceParams(args.space, args.alpha, args.p, args.q))
+    params = norms.SpaceParams(args.space, args.alpha, args.p, args.q)
+    try:
+        with np.errstate(all="ignore"):     # an overflow is reported below
+            val = norms.space_norm(sys, f, params)
+    except OverflowError:                   # the Parseval sums run on Python floats
+        val = math.inf
+    if not math.isfinite(val):
+        raise PreconditionError(f"the {args.space} norm of f overflows float64")
     J = sys.coverage_level(2.0 * f.max_degree + f.dim)
     box = norms.QuadratureBox.for_degree(f.max_degree, f.dim)
     _dump_report({"value": val, "J_used": J,
@@ -172,9 +179,12 @@ def cmd_linearize(args):
 
 
 def _apply_on_box(sigma, f, out):
-    """Write T_sigma f on the quadrature box of f as grid CSV; PreconditionError,
-    before anything is written, when it is not finite at every grid point."""
-    axes = norms.QuadratureBox.for_degree(f.max_degree, f.dim).axes(f.dim)
+    """Write T_sigma f on the quadrature box of f as grid CSV; ValueError, before
+    anything is allocated, when the box has more than tiles.NODES_MAX points, and
+    PreconditionError, before anything is written, when T_sigma f is not finite at
+    every grid point."""
+    box = norms.QuadratureBox.for_degree(f.max_degree, f.dim)
+    axes = estimates.eval_axes(box.half_width, box.points, f.dim)
     with np.errstate(all="ignore"):     # an overflow or NaN is reported below
         g = symbols.apply_pseudomultiplier(sigma, f, axes=axes)
     bad = np.count_nonzero(~np.isfinite(g.samples))
@@ -208,7 +218,7 @@ _SUITES = {
         sys, cfg, seed=seed)),
     "kernel": (4, lambda sys, cfg, levels, seed: estimates.verify_kernel(sys, cfg, levels=levels)),
     "hoppe": (None, lambda sys, cfg, levels, seed: estimates.verify_hoppe(sys, n=cfg.dim)),
-    "qq": (None, lambda sys, cfg, levels, seed: estimates.verify_qq(n=cfg.dim)),
+    "qq": (None, lambda sys, cfg, levels, seed: estimates.verify_qq(cfg)),
     "tiles": (4, lambda sys, cfg, levels, seed: estimates.verify_tiles(
         cfg, levels=levels, seed=seed)),
     "maximal": (None, lambda sys, cfg, levels, seed: estimates.verify_maximal(cfg, seed=seed)),
@@ -247,7 +257,8 @@ def build_parser():
     def common(sp, builds_tiles, system):
         sp.add_argument("--dim", type=int, default=1)
         if builds_tiles:
-            sp.add_argument("--delta-star", dest="delta_star", type=float, default=1.0 / 40.0)
+            sp.add_argument("--delta-star", dest="delta_star", type=float,
+                            default=tiles.TileConfig.delta_star)
         if system:
             sp.add_argument("--plateau", type=float, default=0.5)
             sp.add_argument("--support", type=float, default=0.75)

@@ -23,24 +23,10 @@ _RESCALE = 2.0 ** 500
 _RESCALE_INV = 2.0 ** -500
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Decay constant of the tail envelope and the tile-control scale factor.
-
-    vartheta is not pinned down analytically; the default 1/4 is calibrated
-    from the diagonal-kernel decay (see the verification suites, which report
-    the fitted value).  epsilon defaults to 4*(1+4*delta_star)^2 with
-    delta_star = 1/40.
-    """
-
-    vartheta: float = 0.25
-    epsilon: float = 4.0 * (1.0 + 4.0 / 40.0) ** 2
-
-    def __post_init__(self):
-        if not self.vartheta > 0:
-            raise ValueError("vartheta must be positive")
-        if not self.epsilon > 4:
-            raise ValueError("epsilon must exceed 4")
+# decay rate of the tail envelope e_function; not pinned down analytically, the
+# value 1/4 is calibrated from the diagonal-kernel decay (verify_qq reports the
+# fitted rate beside it)
+VARTHETA = 0.25
 
 
 def _clipped_exponent(e):
@@ -232,8 +218,8 @@ def finite_difference(seq, order):
     return np.diff(seq, n=order) if order else seq.copy()
 
 
-def e_function(N, x, constants=Constants()):
-    """Tail envelope: 1 for |x| < sqrt(N), exp(-vartheta |x|^2) beyond."""
+def e_function(N, x):
+    """Tail envelope: 1 for |x| < sqrt(N), exp(-VARTHETA |x|^2) beyond."""
     if N <= 0:
         raise ValueError("scale must be positive")
     x = np.asarray(x, dtype=float)
@@ -241,7 +227,7 @@ def e_function(N, x, constants=Constants()):
     # with coordinates along the last axis
     r2 = x * x if x.ndim <= 1 else np.sum(x ** 2, axis=-1)
     r2 = np.asarray(r2, dtype=float)
-    return np.where(r2 < N, 1.0, np.exp(-constants.vartheta * r2))
+    return np.where(r2 < N, 1.0, np.exp(-VARTHETA * r2))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +360,7 @@ class SpectralFunction:
         vals = self.array[tuple(idx.T)].tolist()
         return types.MappingProxyType(dict(zip(map(tuple, idx.tolist()), vals)))
 
-    def prune(self, tol=0.0):
+    def prune(self, tol):
         self.array[np.abs(self.array) <= tol] = 0.0
         return self
 
@@ -407,7 +393,7 @@ class SpectralFunction:
         K = max(self.max_degree, other.max_degree)
         return complex(np.sum(self._padded(K) * np.conj(other._padded(K))))
 
-    def is_real(self, tol=1e-12):
+    def is_real(self, tol):
         return bool(np.all(np.abs(self.array.imag) <= tol))
 
     def degree_slices(self):
@@ -467,30 +453,19 @@ class SpectralFunction:
 
     # -- ladder operators --------------------------------------------------
 
-    def apply_creation_axis(self, i):
-        """A_i = -d/dx_i + x_i: c_xi -> sqrt(2 xi_i + 2) shifted up."""
-        K = self.max_degree
-        out = np.zeros((K + 2,) * self.dim, dtype=complex)
-        dst = [slice(0, K + 1)] * self.dim
-        dst[i] = slice(1, K + 2)
-        out[tuple(dst)] = _axis_vector(np.sqrt(2.0 * np.arange(K + 1) + 2.0), i, self.dim) \
-            * self.array
-        return SpectralFunction(self.dim, K + 1, out)
-
-    def apply_annihilation_axis(self, i):
-        """B_i = d/dx_i + x_i: c_xi -> sqrt(2 xi_i) shifted down."""
-        K = self.max_degree
-        out = np.zeros_like(self.array)
-        dst = [slice(None)] * self.dim
-        src = [slice(None)] * self.dim
-        dst[i], src[i] = slice(0, K), slice(1, K + 1)
-        out[tuple(dst)] = _axis_vector(np.sqrt(2.0 * np.arange(1, K + 1)), i, self.dim) \
-            * self.array[tuple(src)]
-        return SpectralFunction(self.dim, K, out)
-
     def derivative(self, i):
-        """d/dx_i = (B_i - A_i)/2, exact on the coefficients."""
-        return self.apply_annihilation_axis(i).sub(self.apply_creation_axis(i)).scaled(0.5)
+        """d/dx_i = (B_i - A_i)/2, exact on the coefficients: B_i = d/dx_i + x_i
+        takes c_xi to sqrt(2 xi_i) c_xi one step down axis i, A_i = -d/dx_i + x_i
+        to sqrt(2 xi_i + 2) c_xi one step up; the degree rises by one."""
+        K, dim = self.max_degree, self.dim
+        out = np.zeros((K + 2,) * dim, dtype=complex)
+        down, src, up = [slice(0, K + 1)] * dim, [slice(None)] * dim, [slice(0, K + 1)] * dim
+        down[i], src[i], up[i] = slice(0, K), slice(1, K + 1), slice(1, K + 2)
+        out[tuple(down)] = _axis_vector(np.sqrt(2.0 * np.arange(1, K + 1)), i, dim) \
+            * self.array[tuple(src)]
+        out[tuple(up)] -= _axis_vector(np.sqrt(2.0 * np.arange(K + 1) + 2.0), i, dim) * self.array
+        out *= 0.5
+        return SpectralFunction(dim, K + 1, out)
 
     def derivative_multi(self, gamma):
         out = self

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Constants, GridFunction, axis_tables, christoffel, e_function, grid_tables,
+from .core import (VARTHETA, GridFunction, axis_tables, christoffel, e_function, grid_tables,
                    hermite_functions, kernel_expansion, lifted_gauss_hermite, multi_indices,
                    projector_kernel_sequence, random_spectral, tensor_points)
 from .frames import CoefficientSequence, needlet, synthesize
@@ -25,9 +25,6 @@ from .norms import QuadratureBox, SpaceParams, maximal, seq_tl_norm, space_norm
 from .symbols import (apply_pseudomultiplier, linearize_nonlinearity, nonlinearity_power,
                       reproject)
 from .tiles import NODES_MAX, build_level, cubature, tile_geometry_constants
-
-# envelope constants (vartheta, epsilon) of the kernel, tile and T_sigma scans
-_CONSTANTS = Constants()
 
 
 @dataclass
@@ -73,6 +70,12 @@ def refinement_stable(base, refined):
     denom = max(abs(base), abs(refined), 1e-300)
     change = abs(refined - base) / denom
     return change < 0.10, change
+
+
+def _envelope_epsilon(cfg):
+    """The scale epsilon = 4 (1 + 4 delta_star)^2 of the envelope E(epsilon 4^j) in the
+    kernel, tile and Q_N tail scans."""
+    return 4.0 * (1.0 + 4.0 * cfg.delta_star) ** 2
 
 
 def eval_axes(half_width, points, dim):
@@ -428,7 +431,7 @@ def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=
 
     def ratios():
         for j, tiles in level_tiles(cfg, range(levels + 1), tiles_per_level, rng):
-            env = np.maximum(e_function(eps * 4.0 ** j, pts, _CONSTANTS) ** (1.0 - kappa), 1e-300)
+            env = np.maximum(e_function(eps * 4.0 ** j, pts) ** (1.0 - kappa), 1e-300)
             for tile, phi_R in frame_elements(sys, tiles):
                 dist = np.sqrt(np.sum((pts - tile.node) ** 2, axis=1))
                 for gamma in multi_indices(n, gamma_max):
@@ -491,9 +494,10 @@ def verify_tcanc(sigma, sys, cfg, m, levels=3, tiles_per_level=6, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def random_sparse_sequence(cfg, J, rng, per_level=8):
+def random_sparse_sequence(cfg, J, rng):
+    """Random complex coefficients on 8 tiles sampled per level j <= J, zero elsewhere."""
     s = CoefficientSequence(cfg)
-    for j, tiles in level_tiles(cfg, range(J + 1), per_level, rng):
+    for j, tiles in level_tiles(cfg, range(J + 1), 8, rng):
         arr = np.zeros(build_level(j, cfg).shape, dtype=complex)
         for tile in tiles:
             arr[tile.index] = complex(rng.standard_normal(), rng.standard_normal())
@@ -501,7 +505,7 @@ def random_sparse_sequence(cfg, J, rng, per_level=8):
     return s
 
 
-def verify_synthesis(sys, cfg, J=3, n_sequences=100, per_level=8, seed=0, box=None):
+def verify_synthesis(sys, cfg, J=3, n_sequences=100, seed=0, box=None):
     """Ratio of the F^0_{2,2} norm of the synthesized function to the f^0_{2,2}
     sequence norm, random sparse input."""
     params = SpaceParams("F", 0.0, 2.0, 2.0)
@@ -509,7 +513,7 @@ def verify_synthesis(sys, cfg, J=3, n_sequences=100, per_level=8, seed=0, box=No
     worst = 0.0
     ratios = []
     for _ in range(n_sequences):
-        s = random_sparse_sequence(cfg, J, rng, per_level)
+        s = random_sparse_sequence(cfg, J, rng)
         g = synthesize(sys, s)
         snorm = seq_tl_norm(s, params, box)
         if snorm == 0.0:
@@ -558,7 +562,7 @@ def verify_kernel(sys, cfg, levels=4):
     """Kernel size/decay (eta = 2, 4) and moment (|gamma| <= K = 2) bounds of
     the band projections."""
     n = cfg.dim
-    eps = _CONSTANTS.epsilon
+    eps = _envelope_epsilon(cfg)
     xs = np.linspace(-10.0, 10.0, 201)
     x0 = np.zeros(n)
     pts = np.stack([xs] + [np.zeros_like(xs)] * (n - 1), axis=-1)
@@ -605,12 +609,14 @@ def verify_hoppe(sys, n=1):
                                                               key=lambda kv: -kv[1])[:10])})
 
 
-def verify_qq(n=1):
+def verify_qq(cfg):
     """Diagonal growth Q_N(x,x) <= C N^{n/2} and Gaussian tail decay, N = 64,
-    on the points x = (t, 0, ..., 0) of R^n.
+    on the points x = (t, 0, ..., 0) of R^n, n = cfg.dim.
 
     Also fits the tail exponent vartheta from the decay beyond sqrt(4N+2).
     """
+    n = cfg.dim
+    eps = _envelope_epsilon(cfg)
     N = 64
     xs = np.linspace(-1.5, 1.5, 801) * math.sqrt(4.0 * N + 2.0)
     if n == 1:
@@ -629,19 +635,20 @@ def verify_qq(n=1):
         fitted = float(-sol[0] / 2.0)   # diag ~ e^{-2 vartheta x^2}
     c_eb = 0.0
     for j in range(0, 5):
-        ev = np.asarray(e_function(_CONSTANTS.epsilon * 4.0 ** j, xs))
+        ev = np.asarray(e_function(eps * 4.0 ** j, xs))
         for beta in (1.0, 3.0):
             rhs = (1.0 + np.abs(xs) / 2.0 ** j) ** -beta
             c_eb = max(c_eb, float(np.max(ev / rhs)))
     return EstimateReport("qq-growth", c_growth, scan={"N": N},
                           details={"fitted_vartheta": fitted,
-                                   "default_vartheta": _CONSTANTS.vartheta,
+                                   "default_vartheta": VARTHETA,
                                    "ebound_constant": c_eb})
 
 
 def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
     """Tile geometry constants, tile control, tau ~ |R|, cubature exactness."""
     rng = np.random.default_rng(seed)
+    eps = _envelope_epsilon(cfg)
     per_level = {}
     ctrl = cub_err = 0.0
     ratio_lo, ratio_hi = math.inf, 0.0
@@ -651,7 +658,7 @@ def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
         per_level[j] = {"c0": c0, "c1": c1, "c2": c2, "c2_all": c2_all}
         meas = ts.measure_array()
         tau = ts.weight_array()
-        env = np.asarray(e_function(_CONSTANTS.epsilon * 4.0 ** j, ts.node_array()))
+        env = np.asarray(e_function(eps * 4.0 ** j, ts.node_array()))
         ctrl = max(ctrl, float(np.max(meas * 2.0 ** (j * ts.dim) * env)))
         ratio_lo = min(ratio_lo, float(np.min(tau / meas)))
         ratio_hi = max(ratio_hi, float(np.max(tau / meas)))
@@ -682,10 +689,10 @@ def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
                           passed=bool(math.isfinite(ctrl) and cub_err < 1e-9))
 
 
-def verify_maximal(cfg, j_max=3, seed=0):
+def verify_maximal(cfg, seed=0):
     """Discrete counterpart of the cross-scale sum vs maximal function bound,
-    for r = 0.7, 1, 2."""
-    rs = (0.7, 1.0, 2.0)
+    for r = 0.7, 1, 2 and levels j, k <= 3."""
+    j_max, rs = 3, (0.7, 1.0, 2.0)
     rng = np.random.default_rng(seed)
     n = cfg.dim
     details = {}
@@ -744,8 +751,10 @@ def verify_embeddings(sys, cfg, n_funcs=50, seed=0):
                                    "F_over_Bmin": sand_lo, "Bmax_over_F": sand_hi})
 
 
-def verify_linearize(sys, cfg, K=10, n_funcs=20, seed=0, grid_points=801, powers=(2, 3)):
-    """Exactness of the linearization: sup |T_{sigma_f} f - H(f)| on the grid."""
+def verify_linearize(sys, cfg, K=10, n_funcs=20, seed=0, grid_points=801):
+    """Exactness of the linearization of H(u) = u^2 and u^3: sup |T_{sigma_f} f - H(f)|
+    on the grid."""
+    powers = (2, 3)
     rng = np.random.default_rng(seed)
     n = cfg.dim
     J = sys.coverage_level(2.0 * K + n)

@@ -164,10 +164,6 @@ def bump_system(plateau_end=0.5, support_end=0.75):
     return sys
 
 
-def default_system():
-    return bump_system(0.5, 0.75)
-
-
 def support_set(sys, j, n):
     """Degrees k with phi_j(sqrt(lambda_k)) possibly nonzero.
 

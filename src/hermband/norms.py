@@ -41,15 +41,20 @@ class SpaceParams:
 @dataclass(frozen=True)
 class QuadratureBox:
     half_width: float
-    points: int = 801
+    points: int
 
     def axes(self, dim):
         return [np.linspace(-self.half_width, self.half_width, self.points)] * dim
 
     @classmethod
+    def in_dim(cls, half_width, n):
+        """[-half_width, half_width]^n sampled at 801 points in 1-D, 241 per axis above."""
+        return cls(half_width, 801 if n == 1 else 241)
+
+    @classmethod
     def for_degree(cls, K, n):
         """Box wide enough that the Gaussian tail beyond it is negligible."""
-        return cls(math.sqrt(2.0 * (2.0 * K + n)) * 1.2 + 2.0, 801 if n == 1 else 241)
+        return cls.in_dim(math.sqrt(2.0 * (2.0 * K + n)) * 1.2 + 2.0, n)
 
 
 def _grid_lp(vals, axes, p):
@@ -149,7 +154,7 @@ def seq_tl_norm(s, params, box=None):
     n = s.cfg.dim
     if box is None:
         top = max((build_level(j, s.cfg).outer_halfwidth for j in s.levels), default=1.0)
-        box = QuadratureBox(top + 0.5, 801 if n == 1 else 241)
+        box = QuadratureBox.in_dim(top + 0.5, n)
     axes = box.axes(n)
 
     def bands():

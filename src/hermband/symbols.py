@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from .core import (GridFunction, SpectralFunction, axis_tables, grid_tables, hermite_functions,
                    json_field, json_float, json_int, lifted_gauss_hermite, multi_indices,
                    tensor_points)
-from .lp import apply_lp
+from .lp import apply_lp, bump_system
 
 
 class Symbol:
@@ -29,8 +29,7 @@ class Symbol:
     evaluator(pts, xi) takes an (m, n) point array and a 1-D array xi of
     non-negative spectral arguments and returns the (m, len(xi)) table;
     x_derivatives maps a derivative multi-index to an evaluator with the
-    same contract.  Calling the symbol or x_derivative with a scalar xi
-    gives the (m,) column.
+    same contract, and so do the symbol itself and x_derivative.
     """
 
     def __init__(self, evaluator, dim, x_derivatives=None):
@@ -45,9 +44,7 @@ class Symbol:
         """d^nu_x sigma: analytic when supplied, otherwise Richardson
         central differences with step 1e-4*(1+|x|) per axis."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        xi = np.asarray(xi, dtype=float)
-        table = self._table(pts, np.atleast_1d(xi), tuple(int(v) for v in nu))
-        return table[:, 0] if xi.ndim == 0 else table
+        return self._table(pts, np.asarray(xi, dtype=float), tuple(int(v) for v in nu))
 
     def _table(self, pts, xi, nu):
         if sum(nu) == 0:
@@ -204,9 +201,9 @@ def annulus_symbol(dim=1, j_max=6):
 
 
 class Nonlinearity:
-    """Smooth scalar function with derivatives, vanishing at 0."""
+    """Smooth scalar function with its first two derivatives, vanishing at 0."""
 
-    def __init__(self, h, dh, d2h=None):
+    def __init__(self, h, dh, d2h):
         self.h = h
         self.dh = dh
         self.d2h = d2h
@@ -227,8 +224,8 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
     m_j(x) = int_0^1 H'(f_{j-1}(x) + t (phi_j(sqrt L) f)(x)) dt.
 
     f_j is the partial sum of the band projections b_j of f; by telescoping,
-    T_{sigma_f} f = H(f) up to the t-quadrature error alone.  When H has a
-    second derivative the first x-derivatives are analytic:
+    T_{sigma_f} f = H(f) up to the t-quadrature error alone.  The first
+    x-derivatives are analytic:
     d_i m_j = int_0^1 H''(f_{j-1} + t b_j) (d_i f_{j-1} + t d_i b_j) dt.
     """
     if not f.is_real(1e-10):
@@ -266,10 +263,9 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
         return out
 
     first = {}
-    if H.d2h is not None:
-        for axis in range(f.dim):
-            nu = tuple(int(i == axis) for i in range(f.dim))
-            first[nu] = lambda pts, xi, axis=axis: window_sum(sys, factors(pts, axis), xi)
+    for axis in range(f.dim):
+        nu = tuple(int(i == axis) for i in range(f.dim))
+        first[nu] = lambda pts, xi, axis=axis: window_sum(sys, factors(pts, axis), xi)
     return Symbol(lambda pts, xi: window_sum(sys, factors(pts), xi), f.dim, first)
 
 
@@ -364,9 +360,7 @@ def symbol_from_descriptor(d, sys=None):
             raise ValueError(f"annulus j_max must be in [0, 1023], got {j_max}")
         return annulus_symbol(dim, j_max)
     if kind == "band-sum":
-        if sys is None:
-            from .lp import default_system
-            sys = default_system()
+        sys = bump_system() if sys is None else sys
         return band_sum_symbol(sys, dim, json_float(d.get("beta", -1.0), "beta"))
     if kind == "custom-expression":
         return Symbol(compile_expression(json_field(d, "expression", "expression symbol"), dim),

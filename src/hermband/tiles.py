@@ -9,7 +9,6 @@ for products f g with deg f + deg g <= 4 N_j - 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ class TileConfig:
             raise ValueError("dim must be >= 1")
 
 
-def level_degree(j, delta_star=1.0 / 40.0):
+def level_degree(j, delta_star):
     """N_j = floor((1 + 11 delta_star) (4/pi)^2 4^j) + 3."""
     return int(math.floor((1.0 + 11.0 * delta_star) * (4.0 / math.pi) ** 2 * 4.0 ** j)) + 3
 
@@ -56,8 +55,6 @@ class Tile:
     level: int
     index: tuple          # per-axis node indices
     node: np.ndarray      # x_R
-    lo: np.ndarray
-    hi: np.ndarray
     weight: float         # tau_R
     measure: float        # |R|
 
@@ -98,9 +95,6 @@ class TileSet:
     def outer_halfwidth(self):
         return float(self.edges[-1])
 
-    def indices(self):
-        return itertools.product(range(self.zeros.size), repeat=self.dim)
-
     def node_index(self, index):
         """index as a tuple of ints; ValueError unless it names a node of this level."""
         index = tuple(index)
@@ -111,12 +105,9 @@ class TileSet:
 
     def tile(self, index):
         index = self.node_index(index)
-        node = self.zeros[list(index)]
-        lo = self.edges[list(index)]
-        hi = self.edges[[i + 1 for i in index]]
-        return Tile(self.level, index, node, lo, hi,
+        return Tile(self.level, index, self.zeros[list(index)],
                     float(np.prod(self.tau1d[list(index)])),
-                    float(np.prod(hi - lo)))
+                    float(np.prod(self.widths[list(index)])))
 
     def node_array(self):
         """All nodes, shape (count, dim), in index (row-major) order."""
@@ -171,35 +162,44 @@ def build_level(j, cfg):
     return _cache[key]
 
 
-def cubature(ts, f_vals, g_vals=None):
+def cubature(ts, f_vals, g_vals):
     """sum_zeta tau_zeta f(zeta) g(zeta) over the nodes of a level.
 
     Exact for f in V_k, g in V_l with k + l <= 4 N_j - 1 (classical weights).
     """
-    vals = [np.asarray(v).ravel() for v in (f_vals, g_vals) if v is not None]
-    if any(v.size != ts.count for v in vals):
+    f_vals, g_vals = np.asarray(f_vals).ravel(), np.asarray(g_vals).ravel()
+    if f_vals.size != ts.count or g_vals.size != ts.count:
         raise ValueError("sample count does not match node count")
-    out = ts.weight_array()
-    for v in vals:
-        out = out * v
-    return np.sum(out)
+    return np.sum(ts.weight_array() * f_vals * g_vals)
+
+
+_CSV_ROWS = 2048     # nodes formatted per write
 
 
 def write_nodes_csv(ts, fh):
-    """level,node_index,x1..xn,tau,measure,lo1,hi1,... rows for one level."""
+    """level,node_index,x1..xn,tau,measure,lo1,hi1,... rows for one level, in
+    node-index order.
+
+    The rows are formatted from the per-axis arrays a block of nodes at a
+    time, so memory does not grow with the level; tau and the measure are the
+    products of the per-axis factors in axis order, as in weight_array and
+    measure_array.
+    """
     n = ts.dim
     cols = ["level", "node_index"] + [f"x{i + 1}" for i in range(n)] + ["tau", "measure"]
     for i in range(n):
         cols += [f"lo{i + 1}", f"hi{i + 1}"]
     fh.write(",".join(cols) + "\n")
-    for flat, ix in enumerate(ts.indices()):
-        t = ts.tile(ix)
-        row = [str(ts.level), str(flat)]
-        row += ["%.17g" % v for v in t.node]
-        row += ["%.17g" % t.weight, "%.17g" % t.measure]
-        for lo, hi in zip(t.lo, t.hi):
-            row += ["%.17g" % lo, "%.17g" % hi]
-        fh.write(",".join(row) + "\n")
+    row = ",".join(["%d", "%d"] + ["%.17g"] * (3 * n + 2)) + "\n"
+    for start in range(0, ts.count, _CSV_ROWS):
+        flat = np.arange(start, min(start + _CSV_ROWS, ts.count))
+        idx = np.unravel_index(flat, ts.shape)
+        block = np.column_stack(
+            [np.full(flat.size, ts.level), flat] + [ts.zeros[i] for i in idx]
+            + [np.prod([ts.tau1d[i] for i in idx], axis=0),
+               np.prod([ts.widths[i] for i in idx], axis=0)]
+            + [e for i in idx for e in (ts.edges[i], ts.edges[i + 1])])
+        fh.write("".join(row % r for r in map(tuple, block.tolist())))
 
 
 def tile_geometry_constants(ts):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from hermband.lp import default_system
+from hermband.lp import bump_system
 from hermband.tiles import TileConfig
 
 
 @pytest.fixture(scope="module")
 def sys():
-    return default_system()
+    return bump_system()
 
 
 @pytest.fixture(scope="module")

@@ -37,12 +37,35 @@ def hermite_derivative_1d(k, t):
     return 0.5 * (lower - math.sqrt(2.0 * k + 2.0) * h[k + 1])
 
 
+def apply_creation_axis(f, i):
+    """A_i f, A_i = -d/dx_i + x_i: c_xi -> sqrt(2 xi_i + 2) c_xi shifted one step up axis i."""
+    K, dim = f.max_degree, f.dim
+    out = np.zeros((K + 2,) * dim, dtype=complex)
+    dst = [slice(0, K + 1)] * dim
+    dst[i] = slice(1, K + 2)
+    out[tuple(dst)] = np.sqrt(2.0 * np.arange(K + 1) + 2.0).reshape((-1,) + (1,) * (dim - 1 - i)) \
+        * f.array
+    return SpectralFunction(dim, K + 1, out)
+
+
+def ladder_derivative(f, i):
+    """d/dx_i f = (B_i f - A_i f)/2 with B_i = d/dx_i + x_i: c_xi -> sqrt(2 xi_i) c_xi
+    shifted one step down axis i, each ladder map its own spectral function."""
+    K, dim = f.max_degree, f.dim
+    low = np.zeros_like(f.array)
+    dst, src = [slice(None)] * dim, [slice(None)] * dim
+    dst[i], src[i] = slice(0, K), slice(1, K + 1)
+    low[tuple(dst)] = np.sqrt(2.0 * np.arange(1, K + 1)).reshape((-1,) + (1,) * (dim - 1 - i)) \
+        * f.array[tuple(src)]
+    return SpectralFunction(dim, K, low).sub(apply_creation_axis(f, i)).scaled(0.5)
+
+
 def apply_creation(alpha, f):
     """A^alpha f with the exact product factors; raises max_degree by |alpha|."""
     out = f
     for i, a in enumerate(alpha):
         for _ in range(int(a)):
-            out = out.apply_creation_axis(i)
+            out = apply_creation_axis(out, i)
     return out
 
 

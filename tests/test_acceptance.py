@@ -159,7 +159,7 @@ def test_criterion_10_multiplier_parseval():
 
 
 def test_criterion_11_linearization(sys, cfg):
-    rep = verify_linearize(sys, cfg, K=10, n_funcs=20, powers=(2, 3))
+    rep = verify_linearize(sys, cfg, K=10, n_funcs=20)
     non_increase = all(b <= a + 1e-12 for a, b in rep.details["refinement"].values())
     ok = rep.passed and non_increase
     _line(11, "linearization", ok,

@@ -33,6 +33,16 @@ def test_nodes_csv(tmp_path):
     assert len(rows) == 1 + 10
 
 
+def test_delta_star_reaches_the_envelope_scale(tmp_path):
+    # epsilon = 4 (1 + 4 delta_star)^2 is 4.6656 at delta_star = 0.02; with the
+    # default's 4.84 these read 1.7728840462061726 and 32.72310922911857
+    for suite, key, value in (("tiles", "tile_control", 1.724626346810851),
+                              ("qq", "ebound_constant", 31.35607822903038)):
+        out = tmp_path / f"{suite}.json"
+        assert main(["verify", suite, "--delta-star", "0.02", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["details"][key] == pytest.approx(value, rel=1e-13)
+
+
 def test_cli_tile_config_is_the_default_up_to_level_8():
     # tile sets are cached per (level, config), so levels built under
     # TileConfig(dim=1) are the ones these commands read
@@ -252,6 +262,21 @@ def test_verify_3d_grid_past_the_cap_exits_1(capsys, suite):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["apply", "linearize"])
+def test_3d_box_past_the_cap_exits_1(tmp_path, capsys, command):
+    # the quadrature box of a 3-D f has 241^3 points, past tiles.NODES_MAX
+    fpath, sym, out = (tmp_path / name for name in ("f.json", "sym.json", "Tf.csv"))
+    with open(fpath, "w") as fh:
+        random_spectral(3, 4, np.random.default_rng(0), real=True).write(fh)
+    sym.write_text(json.dumps({"kind": "band-sum", "dim": 3}))
+    argv = ["apply", "--symbol", str(sym)] if command == "apply" else ["linearize"]
+    start = time.perf_counter()
+    assert main(argv + ["--dim", "3", "--in", str(fpath), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_analyze_below_coverage_warns(tmp_path, capsys):
     # f1 has K = 10, so lambda_max = 21 and its coverage level is 4
     f1 = str(Path(__file__).parent / "golden" / "f1.json")
@@ -308,6 +333,18 @@ BAD_FLAGS = {
     "windows-dim-zero": ["windows", "--dim", "0"],
     "windows-dim-negative": ["windows", "--dim", "-3"],
 }
+
+
+@pytest.mark.parametrize("space", [["--space", "B", "--p", "2", "--q", "2"],
+                                   ["--space", "F", "--p", "1", "--q", "2"]])
+def test_norm_past_the_float_range_exits_1(tmp_path, capsys, space):
+    # the B Parseval sum of squares overflows a Python float, the F grid sum comes out inf
+    fpath, out = tmp_path / "f.json", tmp_path / "n.json"
+    fpath.write_text('{"dim": 1, "max_degree": 1, "coeffs": '
+                     '[{"xi": [0], "re": 1e308}, {"xi": [1], "re": 1e308}]}')
+    assert main(["norm", "--in", str(fpath), *space, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", list(BAD_FLAGS))

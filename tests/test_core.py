@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hermband.core import (
-    Constants,
+    VARTHETA,
     SpectralFunction,
     _hermite_zeros,
     axis_tables,
@@ -21,10 +21,11 @@ from hermband.core import (
     random_spectral,
     tensor_points,
 )
-from hermband.tiles import level_degree
+from hermband.estimates import _envelope_epsilon
+from hermband.tiles import TileConfig, level_degree
 
 from oracles import (apply_creation, apply_hermite_operator, basis_function,
-                     hermite_derivative_1d, hermite_inner_products)
+                     hermite_derivative_1d, hermite_inner_products, ladder_derivative)
 
 
 def test_h0_at_zero():
@@ -305,7 +306,7 @@ def test_christoffel_streamed_sum_is_the_table_sum():
         return 1.0 / np.einsum("k...,k...->...", h, h)
 
     for j in range(5):
-        m = 2 * level_degree(j)
+        m = 2 * level_degree(j, TileConfig.delta_star)
         x = gauss_hermite(m)[0]
         assert np.array_equal(christoffel(m - 1, x), oracle(m - 1, x))
     xs = np.linspace(-1.5, 1.5, 801) * math.sqrt(4.0 * 64 + 2.0)   # the verify qq grid
@@ -324,7 +325,7 @@ def test_gauss_hermite_small_rules():
 
 
 # the rule sizes 2 N_j of the 1-D levels j <= 5 (10 ... 4238), and small odd rules
-RULE_SIZES = [2 * level_degree(j) for j in range(6)] + [1, 3, 5, 11]
+RULE_SIZES = [2 * level_degree(j, TileConfig.delta_star) for j in range(6)] + [1, 3, 5, 11]
 
 
 def _fresh_rule(q):
@@ -400,7 +401,7 @@ def test_hermite_zeros_level_6_size_finds_every_zero():
     # the 1-D level-6 rule, far past the sizes SciPy's nodes are compared at:
     # q distinct nodes, each a zero of H_q to far below the node spacing
     # (> 1e-2 here), so none went to a neighbouring zero and all q are found
-    q = 2 * level_degree(6)
+    q = 2 * level_degree(6, TileConfig.delta_star)
     nodes = _hermite_zeros(q)
     assert nodes.size == q and np.all(np.diff(nodes) > 0)
     assert np.array_equal(nodes, -nodes[::-1])
@@ -503,16 +504,15 @@ def test_finite_difference_leibniz():
 
 def test_e_function_values():
     assert e_function(4.0, 0.0) == 1.0
-    c = Constants(vartheta=1.0)
-    assert e_function(4.0, 3.0, c) == pytest.approx(math.exp(-9.0), rel=1e-14)
+    assert e_function(4.0, 3.0) == pytest.approx(math.exp(-9.0 * VARTHETA), rel=1e-14)
 
 
 def test_e_function_polynomial_domination():
     # e_{eps 4^j}(x) <= C_beta (1+|x|/2^j)^{-beta} on a grid, per (j, beta)
-    c = Constants()
+    eps = _envelope_epsilon(TileConfig())
     xs = np.linspace(-30.0, 30.0, 1201)
     for j in range(0, 5):
-        env = e_function(c.epsilon * 4.0 ** j, xs, c)
+        env = e_function(eps * 4.0 ** j, xs)
         for beta in (1.0, 3.0):
             bound = (1.0 + np.abs(xs) / 2.0 ** j) ** -beta
             assert np.max(env / bound) < 1e3
@@ -551,6 +551,20 @@ def test_derivative_is_spectrally_exact():
               - np.real(f.eval_points((ts - h)[:, None]))) / (2.0 * h)
     exact = np.real(df.eval_points(ts[:, None]))
     assert np.max(np.abs(exact - approx)) < 1e-8
+
+
+@pytest.mark.parametrize("dim,K", [(1, 0), (1, 9), (2, 6), (3, 4)])
+@pytest.mark.parametrize("real", [True, False])
+def test_derivative_has_the_bits_of_the_ladder_form(dim, K, real):
+    # the one-array derivative against (B_i f - A_i f)/2 built from the two ladder
+    # maps, bit for bit, on every axis and twice over
+    f = random_spectral(dim, K, np.random.default_rng(dim * 100 + K), real=real)
+    for i in range(dim):
+        got, want = f.derivative(i), ladder_derivative(f, i)
+        assert got.max_degree == want.max_degree == K + 1
+        assert np.array_equal(got.array.view(np.int64), want.array.view(np.int64))
+        got, want = got.derivative(i), ladder_derivative(want, i)
+        assert np.array_equal(got.array.view(np.int64), want.array.view(np.int64))
 
 
 def test_hermite_operator_eigen_action():

@@ -28,7 +28,7 @@ from hermband.estimates import (
     verify_tsmooth,
 )
 from hermband.frames import needlet
-from hermband.lp import SmoothProfile, default_system
+from hermband.lp import SmoothProfile, bump_system
 from hermband.symbols import (apply_pseudomultiplier, band_sum_symbol, hermite_multiplier,
                               separable_symbol)
 from hermband.tiles import TileConfig, build_level, level_degree
@@ -122,7 +122,7 @@ def test_verify_tiles_builds_one_table_per_level(cfg, monkeypatch):
     built = _count_table_builds(monkeypatch)
     rep = verify_tiles(cfg, levels=4, cubature_pairs=4)
     # cubature pairs are drawn on levels 0-3, each from one table of degree 4 N_j - 1
-    assert built == [(2 * level_degree(j),) for j in range(4)]
+    assert built == [(2 * level_degree(j, TileConfig.delta_star),) for j in range(4)]
     assert rep.passed
 
 
@@ -191,7 +191,7 @@ SCANS = {
     "tcanc": (lambda sys, cfg: verify_tcanc(
         separable_symbol(1), sys, cfg, m=0, levels=2, tiles_per_level=1), [0, 1, 2], {}),
     # one scan per random sequence
-    "synthesis": (lambda sys, cfg: verify_synthesis(sys, cfg, J=1, n_sequences=2, per_level=2),
+    "synthesis": (lambda sys, cfg: verify_synthesis(sys, cfg, J=1, n_sequences=2),
                   [0, 1, 0, 1], {}),
 }
 
@@ -270,27 +270,27 @@ def test_ao_needlets_pass_small(sys, cfg):
 
 
 def test_random_sparse_sequence_shape(cfg):
-    s = random_sparse_sequence(cfg, 2, np.random.default_rng(0), per_level=4)
+    s = random_sparse_sequence(cfg, 2, np.random.default_rng(0))
     for j in range(3):
         ts = build_level(j, cfg)
         assert s.levels[j].shape == (ts.nodes_per_axis,)
-        assert np.count_nonzero(s.levels[j]) <= 4
+        assert np.count_nonzero(s.levels[j]) <= 8
 
 
 def test_verify_synthesis_small(sys, cfg):
-    rep = verify_synthesis(sys, cfg, J=2, n_sequences=5, per_level=4, seed=1)
+    rep = verify_synthesis(sys, cfg, J=2, n_sequences=5, seed=1)
     assert rep.passed
     assert 0.0 < rep.constant < 10.0
 
 
 def test_verify_maximal_small(cfg):
-    rep = verify_maximal(cfg, j_max=2)
+    rep = verify_maximal(cfg)
     assert rep.passed
     assert rep.constant >= 1.0 - 1e-9
 
 
 def test_estimate_report_json(sys, cfg):
-    rep = verify_synthesis(sys, cfg, J=1, n_sequences=2, per_level=3)
+    rep = verify_synthesis(sys, cfg, J=1, n_sequences=2)
     d = rep.to_json_dict()
     assert d["estimate"] == "synthesis"
     import json
@@ -301,7 +301,7 @@ def test_estimate_report_json(sys, cfg):
 def test_verify_qq_measures_the_kernel_of_rn(n):
     # Q_N(x, x) of R^n peaks at the origin, a point of the scanned line, so
     # the growth constant is sum_{k <= N} P_k(0, 0) over N^{n/2}
-    rep = verify_qq(n)
+    rep = verify_qq(TileConfig(dim=n))
     oracle = projector_kernel_sequence(64, np.zeros(n), np.zeros(n)).sum() / 64.0 ** (n / 2.0)
     assert rep.constant == pytest.approx(oracle, rel=1e-12)
     assert 0.25 < rep.details["fitted_vartheta"] < 1.0
@@ -316,7 +316,7 @@ def test_verify_hoppe_measures_each_profile_sup_once(monkeypatch):
         return derivative(self, u, order)
 
     monkeypatch.setattr(SmoothProfile, "derivative", counted)
-    rep = verify_hoppe(default_system())
+    rep = verify_hoppe(bump_system())
     assert sorted(orders) == [2, 3, 4]
     assert rep.passed
 

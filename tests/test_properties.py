@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hermband.core import (SpectralFunction, hermite_functions, multi_indices, random_spectral,
                            tensor_points)
 from hermband.frames import CoefficientSequence, analyze, synthesize
-from hermband.lp import default_system
+from hermband.lp import bump_system
 from hermband.tiles import TileConfig, build_level
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -44,7 +44,7 @@ def test_spectral_function_json_roundtrip(f):
 def test_coefficient_sequence_json_roundtrip(dim, K, J, seed):
     cfg = TileConfig(dim=dim)
     f = random_spectral(dim, K, np.random.default_rng(seed))
-    s = analyze(default_system(), f, J, cfg)
+    s = analyze(bump_system(), f, J, cfg)
     t = CoefficientSequence.from_json_dict(_through_json(s.to_json_dict()), cfg)
     assert sorted(t.levels) == sorted(s.levels)
     for j, arr in s.levels.items():
@@ -57,7 +57,7 @@ def test_frame_round_trip_at_the_coverage_level(data, dim, seed):
     # K is bounded so that its coverage level J is at most 5 in 1-D (level 6
     # takes seconds to build) and 4, the top buildable level, in 2-D
     K = data.draw(st.integers(0, 127 if dim == 1 else 31))
-    sys = default_system()
+    sys = bump_system()
     f = random_spectral(dim, K, np.random.default_rng(seed))
     J = sys.coverage_level(2.0 * K + dim)
     g = synthesize(sys, analyze(sys, f, J, TileConfig(dim=dim)))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from oracles import basis_function
 
 
 def test_level_degree_values():
-    assert level_degree(0) == 5
-    assert level_degree(1) == 11
+    assert level_degree(0, TileConfig.delta_star) == 5
+    assert level_degree(1, TileConfig.delta_star) == 11
 
 
 def test_tile_counts_1d():
@@ -40,7 +41,7 @@ def test_tile_counts_1d():
 def test_tile_count_2d_product():
     cfg = TileConfig(dim=2)
     ts = build_level(1, cfg)
-    assert ts.count == (2 * level_degree(1)) ** 2
+    assert ts.count == (2 * level_degree(1, TileConfig.delta_star)) ** 2
 
 
 def test_config_validation():
@@ -56,7 +57,7 @@ def test_buildable_levels_per_dimension():
     for dim, top in ((1, 6), (2, 4), (3, 2)):
         cfg = TileConfig(dim=dim)
         assert [check_level(j, cfg) for j in range(top + 1)] == \
-            [level_degree(j) for j in range(top + 1)]
+            [level_degree(j, TileConfig.delta_star) for j in range(top + 1)]
         for j in (-1, top + 1, 10 ** 6):
             with pytest.raises(ValueError, match=f"level {j} is not buildable"):
                 check_level(j, cfg)
@@ -128,7 +129,7 @@ def test_cubature_orthogonality():
 def test_cubature_zero():
     cfg = TileConfig()
     ts = build_level(0, cfg)
-    assert cubature(ts, np.zeros(ts.count)) == 0.0
+    assert cubature(ts, np.zeros(ts.count), np.ones(ts.count)) == 0.0
 
 
 def test_cubature_exactness_at_the_degree_limit():
@@ -244,6 +245,45 @@ def test_nodes_csv_shape():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "level,node_index,x1,tau,measure,lo1,hi1"
     assert len(lines) == 1 + ts.count
+
+
+def _tile_rows(ts):
+    """The node table's rows built one Tile at a time: the reference for write_nodes_csv."""
+    rows = []
+    for flat, index in enumerate(np.ndindex(ts.shape)):
+        t = ts.tile(index)
+        row = [str(ts.level), str(flat)] + ["%.17g" % v for v in t.node]
+        row += ["%.17g" % t.weight, "%.17g" % t.measure]
+        for i in index:
+            row += ["%.17g" % ts.edges[i], "%.17g" % ts.edges[i + 1]]
+        rows.append(",".join(row))
+    return rows
+
+
+@pytest.mark.parametrize("dim,level", [(1, 3), (2, 2), (3, 1)])
+def test_nodes_csv_rows_are_the_tiles(dim, level):
+    # 1-D level 3 (270 nodes) is one block of rows; 2-D level 2 (5184) and
+    # 3-D level 1 (10 648) span several
+    ts = build_level(level, TileConfig(dim=dim))
+    buf = io.StringIO()
+    write_nodes_csv(ts, buf)
+    assert buf.getvalue().split("\n")[1:-1] == _tile_rows(ts)
+
+
+def test_nodes_csv_memory_does_not_grow_with_the_level():
+    # the rows are formatted a block at a time, so writing 2-D level 3
+    # (72 900 nodes) peaks no higher than level 2 (5184)
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        for level in (2, 3):
+            ts = build_level(level, TileConfig(dim=2))
+            tracemalloc.start()
+            try:
+                write_nodes_csv(ts, sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_build_level_memoized():
