@@ -593,7 +593,7 @@ def verify_kernel(sys, cfg, levels=4):
                           details=details)
 
 
-def verify_hoppe(sys, n=1):
+def verify_hoppe(sys, n):
     """Hoppe-type difference bounds of the windows, levels 1..5 and orders 1..3."""
     levels = 5
     worst = 0.0

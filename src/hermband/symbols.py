@@ -41,30 +41,16 @@ class Symbol:
         return self.x_derivative(pts, xi, ())
 
     def x_derivative(self, pts, xi, nu):
-        """d^nu_x sigma: analytic when supplied, otherwise Richardson
-        central differences with step 1e-4*(1+|x|) per axis."""
+        """d^nu_x sigma: the evaluator at nu = 0, otherwise the table the symbol
+        supplies; ValueError for a nu it does not supply."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._table(pts, np.asarray(xi, dtype=float), tuple(int(v) for v in nu))
-
-    def _table(self, pts, xi, nu):
+        xi = np.asarray(xi, dtype=float)
+        nu = tuple(int(v) for v in nu)
         if sum(nu) == 0:
             return np.asarray(self.evaluator(pts, xi))
-        if nu in self.x_derivatives:
-            return np.asarray(self.x_derivatives[nu](pts, xi))
-        axis = next(i for i, v in enumerate(nu) if v > 0)
-        lower = nu[:axis] + (nu[axis] - 1,) + nu[axis + 1:]
-        h = 1e-4 * (1.0 + np.sqrt(np.sum(pts ** 2, axis=1)))
-
-        def d(step):
-            up = pts.copy()
-            dn = pts.copy()
-            up[:, axis] += step
-            dn[:, axis] -= step
-            return (self._table(up, xi, lower)
-                    - self._table(dn, xi, lower)) / (2.0 * step[:, None])
-
-        a1, a2 = d(h), d(h / 2.0)
-        return (4.0 * a2 - a1) / 3.0
+        if nu not in self.x_derivatives:
+            raise ValueError(f"the symbol supplies no x-derivative nu = {nu}")
+        return np.asarray(self.x_derivatives[nu](pts, xi))
 
 
 def window_sum(sys, factors, xi):
@@ -131,7 +117,7 @@ def reproject(evalfn, dim, K_prime):
     return fK, residual
 
 
-def hermite_multiplier(seq, dim=1):
+def hermite_multiplier(seq, dim):
     """x-independent symbol from a spectral sequence xi -> complex, called once
     per xi; the table is a read-only broadcast of that row, not a copy per point."""
 
@@ -159,29 +145,72 @@ def _radial_bump(r):
     return out
 
 
-def separable_symbol(dim=1, x_scale=2.0, xi_scale=8.0):
-    """Compactly supported spatial bump times a Schwartz spectral factor."""
+def radial_symbol(dim, profile, table):
+    """The Symbol sum_t G_t(|x|^2) w_t(xi) with its exact x-derivatives for |nu| <= 2.
+
+    profile(r2, order) lists the order-th derivatives G_t^(order) at r2 = |x|^2,
+    order 0, 1 or 2; table(factors, xi) sums factors[t] w_t(xi) into the
+    (m, len(xi)) table.  By the chain rule d_i = 2 x_i G' and
+    d_i d_k = 4 x_i x_k G'' + 2 delta_ik G'.
+    """
 
     def ev(pts, xi):
-        r = np.sqrt(np.sum(pts ** 2, axis=1)) / x_scale
+        return table(profile(np.sum(pts ** 2, axis=1), 0), xi)
+
+    def derivative(axes):
+        # the axis of each order of nu: (i,) or (i, k)
+        def dev(pts, xi):
+            r2 = np.sum(pts ** 2, axis=1)
+            x = pts[:, axes[0]]
+            if len(axes) == 1:
+                return table([2.0 * x * g1 for g1 in profile(r2, 1)], xi)
+            factors = [4.0 * x * pts[:, axes[1]] * g2 for g2 in profile(r2, 2)]
+            if axes[0] == axes[1]:
+                factors = [f + 2.0 * g1 for f, g1 in zip(factors, profile(r2, 1))]
+            return table(factors, xi)
+        return dev
+
+    return Symbol(ev, dim, {nu: derivative([i for i, v in enumerate(nu) for _ in range(v)])
+                            for nu in multi_indices(dim, 2) if sum(nu) > 0})
+
+
+def separable_symbol(dim, x_scale=2.0, xi_scale=8.0):
+    """Compactly supported spatial bump times a Schwartz spectral factor:
+    G(|x|^2) e^{-xi/xi_scale} with G(r2) = e^{1 - 1/w}, w = 1 - r2/s^2 for
+    r2 < s^2 (s = x_scale), and G = 0 outside."""
+
+    def profile(r2, order):
+        r = np.sqrt(r2) / x_scale
+        g = _radial_bump(r)
+        if order == 0:
+            return [g]
+        w = np.where(r < 1.0, 1.0 - r ** 2, 1.0)
+        q = (x_scale * w) ** 2
+        # G' = -G / (s w)^2, G'' = G (1 - 2w) / (s w)^4
+        return [-g / q if order == 1 else g * (1.0 - 2.0 * w) / q ** 2]
+
+    def table(factors, xi):
         # libm's exp, one per xi: NumPy's vector exp may differ in the last bit
-        return np.multiply.outer(_radial_bump(r), [math.exp(-v / xi_scale) for v in xi.tolist()])
+        return np.multiply.outer(factors[0], [math.exp(-v / xi_scale) for v in xi.tolist()])
 
-    return Symbol(ev, dim)
+    return radial_symbol(dim, profile, table)
 
 
-def band_sum_symbol(sys, dim=1, beta=-1.0):
+def band_sum_symbol(sys, dim, beta=-1.0):
     """sigma(x, xi) = sum_{j <= 8} sigma_j(x) phi_j(sqrt(xi)) with
-    sigma_j(x) = (1 + |x|^2/4^j)^{beta/2} (smooth, dyadically scaled)."""
+    sigma_j(x) = G_j(|x|^2) = (1 + |x|^2/4^j)^{beta/2} (smooth, dyadically scaled)."""
+    b = beta / 2.0
 
-    def ev(pts, xi):
-        r2 = np.sum(pts ** 2, axis=1)
-        return window_sum(sys, [(1.0 + r2 / 4.0 ** j) ** (beta / 2.0) for j in range(9)], xi)
+    def profile(r2, order):
+        # d^order/d(r2)^order of (1 + r2/4^j)^b
+        coef = math.prod(b - i for i in range(order))
+        return [coef * 4.0 ** (-j * order) * (1.0 + r2 / 4.0 ** j) ** (b - order)
+                for j in range(9)]
 
-    return Symbol(ev, dim)
+    return radial_symbol(dim, profile, lambda factors, xi: window_sum(sys, factors, xi))
 
 
-def annulus_symbol(dim=1, j_max=6):
+def annulus_symbol(dim, j_max=6):
     """sigma_j supported in the dyadic annulus 2^j <= |x| < 2^{j+1}, summed."""
 
     def ev(pts, xi):
@@ -333,8 +362,8 @@ def compile_expression(expr, dim):
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 val = _eval_node(tree, env)
         except ArithmeticError as e:
-            raise ValueError(f"expression {expr!r} for xi in [{xi.min():g}, {xi.max():g}]: "
-                             f"{e}") from None
+            where = f" for xi in [{xi.min():g}, {xi.max():g}]" if xi.size else ""
+            raise ValueError(f"expression {expr!r}{where}: {e}") from None
         return np.broadcast_to(np.asarray(val, dtype=complex), (pts.shape[0], xi.size))
 
     return ev
@@ -368,6 +397,6 @@ def symbol_from_descriptor(d, sys=None):
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
-def load_symbol(path, sys=None):
+def load_symbol(path, sys):
     with open(path) as f:
         return symbol_from_descriptor(json.load(f), sys)

@@ -185,6 +185,17 @@ def test_bad_symbol_descriptor_exits_1(tmp_path, v10_file, capsys, bad):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_expression_error_on_the_zero_function_names_the_expression(tmp_path, capsys):
+    # the zero function has no degree, so the expression meets an empty xi
+    f0 = tmp_path / "f0.json"
+    f0.write_text(json.dumps({"dim": 1, "max_degree": 2, "coeffs": []}))
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"kind": "custom-expression", "expression": "1/x1"}))
+    assert main(["apply", "--symbol", str(sym), "--in", str(f0),
+                 "--out", str(tmp_path / "g.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: expression '1/x1': divide by zero")
+
+
 def test_verify_suite_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert main(["verify", "hoppe", "--out", str(out)]) == 0

@@ -316,7 +316,7 @@ def test_verify_hoppe_measures_each_profile_sup_once(monkeypatch):
         return derivative(self, u, order)
 
     monkeypatch.setattr(SmoothProfile, "derivative", counted)
-    rep = verify_hoppe(bump_system())
+    rep = verify_hoppe(bump_system(), 1)
     assert sorted(orders) == [2, 3, 4]
     assert rep.passed
 

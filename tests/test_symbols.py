@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hermband.core import SpectralFunction, random_spectral
+from hermband.core import SpectralFunction, multi_indices, random_spectral
 from hermband.lp import apply_lp
 from hermband.symbols import (
     Symbol,
@@ -23,7 +23,7 @@ from hermband.symbols import (
 )
 
 from oracles import (basis_function, check_cancellation_class, check_symbol_class,
-                     oscillating_symbol)
+                     oscillating_symbol, richardson_x_derivative, x_derivative)
 
 
 def test_identity_symbol_is_identity():
@@ -67,8 +67,8 @@ def test_apply_on_grid_returns_grid_function():
 
 @pytest.mark.parametrize("gamma", [(1, 0), (0, 1)])
 def test_apply_derivative_matches_central_differences_2d(sys, gamma):
-    # the Leibniz path: an x-dependent symbol (x-derivatives by Richardson
-    # differences) and a complex f, against central differences of T_sigma f
+    # the Leibniz path: an x-dependent symbol (exact x-derivatives) and a
+    # complex f, against central differences of T_sigma f
     rng = np.random.default_rng(6)
     f = random_spectral(2, 6, rng)
     sig = band_sum_symbol(sys, 2)
@@ -255,7 +255,7 @@ def test_symbol_descriptor_roundtrip(tmp_path, sys):
     d = {"kind": "custom-expression", "dim": 1, "expression": "exp(-xi/8) * cos(x1)"}
     path = tmp_path / "sym.json"
     path.write_text(json.dumps(d))
-    sig = load_symbol(path)
+    sig = load_symbol(path, sys)
     pts = np.array([[0.5]])
     direct = math.exp(-2.0 / 8.0) * math.cos(0.5)
     assert complex(sig(pts, np.array([2.0]))[0, 0]) == pytest.approx(direct, rel=1e-14)
@@ -272,11 +272,11 @@ def test_symbol_descriptor_kinds(sys):
 
 
 def test_numeric_x_derivative_matches_analytic():
-    # sin(x) e^{-xi}: compare Richardson FD against the exact derivative
+    # sin(x) e^{-xi}: compare the oracle's Richardson FD against the exact derivative
     sig = Symbol(lambda pts, xi: np.sin(pts) * np.exp(-xi), 1)
     pts = np.array([[0.3], [1.1]])
     xi = np.array([0.0, 2.0, 5.0])
-    got = np.real(sig.x_derivative(pts, xi, (1,)))
+    got = np.real(x_derivative(sig, pts, xi, (1,)))
     expect = np.cos(pts) * np.exp(-xi)
     assert got.shape == (2, 3)
     assert np.max(np.abs(got - expect)) < 1e-8
@@ -299,15 +299,49 @@ SYMBOL_KINDS = {
 
 @pytest.mark.parametrize("kind", list(SYMBOL_KINDS))
 def test_symbol_table_columns_match_scalar_calls(sys, kind):
-    # each column of the table is the one-column table of its xi alone
+    # each column of the table is the one-column table of its xi alone; a
+    # derivative the symbol does not supply comes from the oracle's differences
     sig = SYMBOL_KINDS[kind](sys)
     pts = np.linspace(-3.0, 3.0, 7)[:, None]
     lams = 2.0 * np.arange(12) + 1.0
     for nu in ((0,), (1,), (2,)):
-        table = sig.x_derivative(pts, lams, nu)
+        table = x_derivative(sig, pts, lams, nu)
         assert table.shape == (7, 12)
         for i in range(lams.size):
-            assert np.array_equal(table[:, i:i + 1], sig.x_derivative(pts, lams[i:i + 1], nu))
+            assert np.array_equal(table[:, i:i + 1], x_derivative(sig, pts, lams[i:i + 1], nu))
     table = sig(pts, lams)
     for i in range(lams.size):
         assert np.array_equal(table[:, i:i + 1], sig(pts, lams[i:i + 1]))
+
+
+RADIAL_SYMBOLS = {
+    "band-sum-beta-1": lambda sys, dim: band_sum_symbol(sys, dim, beta=-1.0),
+    "band-sum-beta+1": lambda sys, dim: band_sum_symbol(sys, dim, beta=1.0),
+    "separable": lambda sys, dim: separable_symbol(dim),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(RADIAL_SYMBOLS))
+def test_exact_x_derivatives_match_richardson(sys, kind, dim):
+    # every nu with 0 < |nu| <= 2 is supplied, and each table is the oracle's
+    # Richardson difference of the exact table one order lower
+    sig = RADIAL_SYMBOLS[kind](sys, dim)
+    rng = np.random.default_rng(dim)
+    # inside and around the separable bump's support |x| < 2, and far out
+    pts = np.concatenate([rng.uniform(-2.2, 2.2, (40, dim)), rng.uniform(-20.0, 20.0, (8, dim))])
+    lams = 2.0 * np.arange(0, 40, 3) + dim
+    for nu in multi_indices(dim, 2):
+        if sum(nu) == 0:
+            continue
+        assert nu in sig.x_derivatives
+        exact = np.real(sig.x_derivative(pts, lams, nu))
+        fd = np.real(richardson_x_derivative(sig, pts, lams, nu))
+        assert np.max(np.abs(exact)) > 0.0
+        assert np.max(np.abs(exact - fd)) <= 1e-9 * np.max(np.abs(exact)), nu
+
+
+def test_x_derivative_refuses_a_nu_the_symbol_does_not_supply():
+    pts = np.zeros((1, 1))
+    with pytest.raises(ValueError, match=r"\(1,\)"):
+        annulus_symbol(1).x_derivative(pts, np.array([1.0]), (1,))
