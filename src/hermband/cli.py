@@ -36,7 +36,7 @@ def _output(path):
     return open(path, "w") if path else contextlib.nullcontext(_sys.stdout)
 
 
-def _dump_report(obj, out_path=None):
+def _dump_report(obj, out_path):
     with _output(out_path) as fh:
         fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -216,7 +216,7 @@ _SUITES = {
     "boundedness": (None, lambda sys, cfg, levels, seed: estimates.verify_boundedness(
         symbols.band_sum_symbol(sys, cfg.dim), 0.0, [norms.SpaceParams("F", 0.0, 2.0, 2.0)],
         sys, cfg, seed=seed)),
-    "kernel": (4, lambda sys, cfg, levels, seed: estimates.verify_kernel(sys, cfg, levels=levels)),
+    "kernel": (4, lambda sys, cfg, levels, seed: estimates.verify_kernel(sys, cfg, levels)),
     "hoppe": (None, lambda sys, cfg, levels, seed: estimates.verify_hoppe(sys, n=cfg.dim)),
     "qq": (None, lambda sys, cfg, levels, seed: estimates.verify_qq(cfg)),
     "tiles": (4, lambda sys, cfg, levels, seed: estimates.verify_tiles(
@@ -225,7 +225,7 @@ _SUITES = {
     "embeddings": (None, lambda sys, cfg, levels, seed: estimates.verify_embeddings(
         sys, cfg, seed=seed)),
     "linearize": (None, lambda sys, cfg, levels, seed: estimates.verify_linearize(
-        sys, cfg, n_funcs=5, seed=seed)),
+        sys, cfg, seed=seed)),
 }
 
 
@@ -334,7 +334,8 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (PreconditionError, ValueError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (PreconditionError, ValueError, FileNotFoundError, json.JSONDecodeError,
+            OverflowError, MemoryError) as e:  # the last two: a shape too big to index or allocate
         print(f"error: {e}", file=_sys.stderr)
         return 1
 

@@ -565,7 +565,7 @@ def kernel_expansion(w, x):
     return SpectralFunction(n, K, arr)
 
 
-def random_spectral(dim, max_degree, rng, real=False):
+def random_spectral(dim, max_degree, rng, real=True):
     """Random element of V_K with unit-scale Gaussian coefficients.
 
     Drawn in lexicographic order of xi; a complex coefficient takes its real

@@ -185,7 +185,7 @@ def spectral_bump_molecule(weight_fn, level, center, cfg):
     return Molecule(kernel_expansion(w[:k_max + 1], center), level, center, measure)
 
 
-def check_molecule(mol, params, grid_axes, rng=None, store=None):
+def check_molecule(mol, params, grid_axes, rng, store):
     """Clause-by-clause constants of the molecule definition.
 
     (i)  size:   |d^gamma m| against |R|^{-1/2} 2^{j|gamma|}
@@ -200,14 +200,12 @@ def check_molecule(mol, params, grid_axes, rng=None, store=None):
     calls on the same grid_axes share, keeps those tables for the next
     molecule of the same degree; it holds one degree at a time.
     """
-    rng = rng or np.random.default_rng(0)
     j = mol.level
     n = mol.dim
     two_j = 2.0 ** j
     rinv = mol.measure ** -0.5
     pts = tensor_points(grid_axes)
     degree = mol.f.max_degree + params.N
-    store = {} if store is None else store
     if any(key[0] != degree for key in store):
         store.clear()
 
@@ -272,7 +270,7 @@ def sample_tiles(ts, count, rng):
     return [ts.tile(ix) for ix in sorted(idx)]
 
 
-def verify_molecules(sys, cfg, params, levels=4, tiles_per_level=20, grid_points=801, seed=0):
+def verify_molecules(sys, cfg, params, levels, tiles_per_level=20, grid_points=801, *, seed):
     """Needlets-are-molecules scan: one constant over sampled tiles, j <= levels.
 
     The scan range in j is fixed; refinement stability means the measured
@@ -290,8 +288,8 @@ def verify_molecules(sys, cfg, params, levels=4, tiles_per_level=20, grid_points
         # every call draws the same Holder offsets, so one store serves a level
         store = {}
         return sup_per_level(range(levels + 1), (
-            (mol.level, check_molecule(mol, params, axes, rng=np.random.default_rng(seed),
-                                       store=store).constant)
+            (mol.level, check_molecule(mol, params, axes, np.random.default_rng(seed),
+                                       store).constant)
             for mol in mols))
 
     per_level, per_fine = scan(grids[0]), scan(grids[1])
@@ -378,7 +376,7 @@ def _ao_slopes(rows, floor):
     return out
 
 
-def verify_ao(sys, cfg, k_levels=(1, 2, 3, 4), tiles_per_level=3, grid_points=801, seed=0):
+def verify_ao(sys, cfg, k_levels=(1, 2, 3, 4), tiles_per_level=3, grid_points=801, *, seed):
     """Almost-orthogonality scan over a sampled needlet family, with
     MoleculeParams(1, 0.5, 2, 0.5, n + 2) and eta = n + 1.
 
@@ -412,7 +410,7 @@ def verify_ao(sys, cfg, k_levels=(1, 2, 3, 4), tiles_per_level=3, grid_points=80
 # ---------------------------------------------------------------------------
 
 
-def verify_tsmooth(sigma, sys, cfg, m, levels=3, tiles_per_level=6, grid_points=401, seed=0):
+def verify_tsmooth(sigma, sys, cfg, m, levels, tiles_per_level=6, grid_points=401, *, seed):
     """Smoothness of T_sigma on needlets: decay in x and growth 2^{j(m+|gamma|)},
     for |gamma| <= 2 and decay orders N <= 3 on [-12, 12]^n.
 
@@ -461,7 +459,7 @@ def tsigma_moment(sigma, phi_R, node, gamma, extra=8):
         axis_factor=lambda d, y: (y - node[d]) ** gamma[d]))
 
 
-def verify_tcanc(sigma, sys, cfg, m, levels=3, tiles_per_level=6, seed=0):
+def verify_tcanc(sigma, sys, cfg, m, levels, tiles_per_level=6, *, seed):
     """Moment cancellation of T_sigma phi_R up to order M = 1, with theta = 1/2."""
     M, theta = 1, 0.5
     rng = np.random.default_rng(seed)
@@ -505,7 +503,7 @@ def random_sparse_sequence(cfg, J, rng):
     return s
 
 
-def verify_synthesis(sys, cfg, J=3, n_sequences=100, seed=0, box=None):
+def verify_synthesis(sys, cfg, J=3, n_sequences=100, *, seed, box=None):
     """Ratio of the F^0_{2,2} norm of the synthesized function to the f^0_{2,2}
     sequence norm, random sparse input."""
     params = SpaceParams("F", 0.0, 2.0, 2.0)
@@ -526,12 +524,12 @@ def verify_synthesis(sys, cfg, J=3, n_sequences=100, seed=0, box=None):
                           details={"mean_ratio": float(np.mean(ratios)) if ratios else 0.0})
 
 
-def verify_boundedness(sigma, m, space_list, sys, cfg, K=12, n_funcs=20, seed=0):
+def verify_boundedness(sigma, m, space_list, sys, cfg, K=12, n_funcs=20, *, seed):
     """Operator-norm surrogate: sup over a random family of
     ||T_sigma f||_{A_alpha} / ||f||_{A_{alpha+m}} (output reprojected)."""
     rng = np.random.default_rng(seed)
     n = cfg.dim
-    family = [random_spectral(n, K, rng, real=True) for _ in range(n_funcs)]
+    family = [random_spectral(n, K, rng) for _ in range(n_funcs)]
     out = {}
     resid_max = 0.0
     for params in space_list:
@@ -558,7 +556,7 @@ def verify_boundedness(sigma, m, space_list, sys, cfg, K=12, n_funcs=20, seed=0)
 # ---------------------------------------------------------------------------
 
 
-def verify_kernel(sys, cfg, levels=4):
+def verify_kernel(sys, cfg, levels):
     """Kernel size/decay (eta = 2, 4) and moment (|gamma| <= K = 2) bounds of
     the band projections."""
     n = cfg.dim
@@ -645,7 +643,7 @@ def verify_qq(cfg):
                                    "ebound_constant": c_eb})
 
 
-def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
+def verify_tiles(cfg, levels, cubature_pairs=20, *, seed):
     """Tile geometry constants, tile control, tau ~ |R|, cubature exactness."""
     rng = np.random.default_rng(seed)
     eps = _envelope_epsilon(cfg)
@@ -671,8 +669,8 @@ def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
         for _ in range(cubature_pairs):
             kf = int(rng.integers(0, dmax // 2 + 1))
             kg = int(rng.integers(0, dmax - kf + 1))
-            f = random_spectral(cfg.dim, kf, rng, real=True)
-            g = random_spectral(cfg.dim, kg, rng, real=True)
+            f = random_spectral(cfg.dim, kf, rng)
+            g = random_spectral(cfg.dim, kg, rng)
             val = cubature(ts, np.real(f.eval_grid(axes, tables)),
                            np.real(g.eval_grid(axes, tables)))
             exact = np.real(f.inner(g))
@@ -689,7 +687,7 @@ def verify_tiles(cfg, levels=4, cubature_pairs=20, seed=0):
                           passed=bool(math.isfinite(ctrl) and cub_err < 1e-9))
 
 
-def verify_maximal(cfg, seed=0):
+def verify_maximal(cfg, *, seed):
     """Discrete counterpart of the cross-scale sum vs maximal function bound,
     for r = 0.7, 1, 2 and levels j, k <= 3."""
     j_max, rs = 3, (0.7, 1.0, 2.0)
@@ -708,27 +706,28 @@ def verify_maximal(cfg, seed=0):
             lin = ts.locate_grid(axes).ravel()
             ind = np.where(lin >= 0, a[lin], 0.0)
             gf = GridFunction(axes, ind.reshape([len(ax) for ax in axes]))
-            for j in range(j_max + 1):
+            mg = np.maximum(maximal(gf, r).samples.ravel(), 1e-300)
+            # for j > k the scale 2^min(j, k) and the right-hand side are those of j = k
+            for j in range(k + 1):
                 star = np.zeros(pts.shape[0])
-                scale = 2.0 ** min(j, k)
+                scale = 2.0 ** j
                 for t in range(ts.count):
                     d = np.sqrt(np.sum((pts - nodes[t]) ** 2, axis=1))
                     star += a[t] / (1.0 + scale * d) ** eta
-                mg = maximal(gf, r).samples.ravel()
-                rhs = 2.0 ** ((n / min(1.0, r)) * max(k - j, 0)) * np.maximum(mg, 1e-300)
+                rhs = 2.0 ** ((n / min(1.0, r)) * (k - j)) * mg
                 c_r = max(c_r, float(np.max(star / rhs)))
         details[f"r={r}"] = c_r
     return EstimateReport("maximal", max(details.values()), scan={"j_max": j_max, "rs": list(rs)},
                           details=details)
 
 
-def verify_embeddings(sys, cfg, n_funcs=50, seed=0):
+def verify_embeddings(sys, cfg, n_funcs=50, *, seed):
     """Lifting F^{1/2}_{2,2} -> F^0_{2,2} and the B-F sandwich as measured
     ratio bounds on a random family of degree 12."""
     K = 12
     rng = np.random.default_rng(seed)
     n = cfg.dim
-    fam = [random_spectral(n, K, rng, real=True) for _ in range(n_funcs)]
+    fam = [random_spectral(n, K, rng) for _ in range(n_funcs)]
     lift_c = 0.0
     sand_lo = 0.0
     sand_hi = 0.0
@@ -751,7 +750,7 @@ def verify_embeddings(sys, cfg, n_funcs=50, seed=0):
                                    "F_over_Bmin": sand_lo, "Bmax_over_F": sand_hi})
 
 
-def verify_linearize(sys, cfg, K=10, n_funcs=20, seed=0, grid_points=801):
+def verify_linearize(sys, cfg, K=10, n_funcs=5, *, seed, grid_points=801):
     """Exactness of the linearization of H(u) = u^2 and u^3: sup |T_{sigma_f} f - H(f)|
     on the grid."""
     powers = (2, 3)
@@ -764,7 +763,7 @@ def verify_linearize(sys, cfg, K=10, n_funcs=20, seed=0, grid_points=801):
     worst = {p: 0.0 for p in powers}
     halving = {}
     for i in range(n_funcs):
-        f = random_spectral(n, K, rng, real=True)
+        f = random_spectral(n, K, rng)
         f = f.scaled(1.0 / max(f.norm2(), 1e-12))
         fv = np.real(f.eval_points(pts))
         for p in powers:

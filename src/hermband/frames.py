@@ -36,7 +36,7 @@ class CoefficientSequence:
         self.cfg = cfg
         self.levels = {}
 
-    def to_json_dict(self, tol=0.0):
+    def to_json_dict(self, tol):
         levels = []
         for j in sorted(self.levels):
             arr = self.levels[j]
@@ -71,7 +71,7 @@ class CoefficientSequence:
             out.levels[j] = arr
         return out
 
-    def write(self, fh, tol=0.0):
+    def write(self, fh, tol):
         json.dump(self.to_json_dict(tol), fh)
 
     @classmethod

@@ -210,7 +210,7 @@ def band_sum_symbol(sys, dim, beta=-1.0):
     return radial_symbol(dim, profile, lambda factors, xi: window_sum(sys, factors, xi))
 
 
-def annulus_symbol(dim, j_max=6):
+def annulus_symbol(dim, j_max):
     """sigma_j supported in the dyadic annulus 2^j <= |x| < 2^{j+1}, summed."""
 
     def ev(pts, xi):

@@ -378,7 +378,8 @@ _FUNCTION = ('{"dim": 1, "max_degree": 1, "coeffs": '
              '[{"xi": [0], "re": 1.0, "im": 0.0}, {"xi": [1], "re": %s, "im": 0.0}]}')
 
 # (command reading the file, file text): non-finite values, missing keys,
-# documents that are not objects, fractional indices and wrong-typed values
+# documents that are not objects, fractional indices, wrong-typed values and
+# coefficient arrays too large to index or to allocate
 BAD_FILES = {
     "NaN": ("norm", _FUNCTION % "NaN"),
     "Infinity": ("norm", _FUNCTION % "Infinity"),
@@ -396,6 +397,8 @@ BAD_FILES = {
                 '{"dim": 1, "max_degree": 1, "coeffs": [{"xi": [0], "re": 1.0, "im": null}]}'),
     "number-coeffs": ("norm", '{"dim": 1, "max_degree": 1, "coeffs": 5}'),
     "number-xi": ("norm", '{"dim": 1, "max_degree": 1, "coeffs": [{"xi": 0, "re": 1.0}]}'),
+    "dim-1e300": ("norm", '{"dim": 1e300, "max_degree": 0, "coeffs": []}'),
+    "114-PiB-array": ("norm", '{"dim": 3, "max_degree": 200000, "coeffs": []}'),
     "number-levels": ("synthesize", '{"levels": 5}'),
     "number-entries": ("synthesize", '{"levels": [{"j": 0, "entries": 5}]}'),
     "number-node": ("synthesize", '{"levels": [{"j": 0, "entries": [{"node": 1, "re": 1.0}]}]}'),
@@ -416,7 +419,8 @@ def test_non_finite_coefficient_exits_1(tmp_path, capsys, bad):
     path = tmp_path / "f.json"
     path.write_text(text)
     assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_integral_float_indices_load(tmp_path):

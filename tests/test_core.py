@@ -176,7 +176,7 @@ def test_eval_grid_from_shared_tables_is_byte_equal():
     rng = np.random.default_rng(3)
     x, y = np.linspace(-6.0, 6.0, 41), np.linspace(-5.0, 7.0, 37)
     for axes in ([x], [x, x], [x, y]):
-        f = random_spectral(len(axes), 9, rng)
+        f = random_spectral(len(axes), 9, rng, real=False)
         for extra in (0, 1, 7):
             got = f.eval_grid(axes, grid_tables(9 + extra, axes))
             assert got.tobytes() == f.eval_grid(axes).tobytes()
@@ -251,7 +251,7 @@ def test_axis_tables_build_on_the_distinct_coordinates(monkeypatch):
 def test_eval_points_on_a_tensor_grid_match_the_oracle_tables():
     # the norm box of a 2-D f at K = 24: 241^2 points
     pts = tensor_points([np.linspace(-12.0, 12.0, 241)] * 2)
-    f = random_spectral(2, 24, np.random.default_rng(7))
+    f = random_spectral(2, 24, np.random.default_rng(7), real=False)
     got = f.eval_points(pts)
     assert got.tobytes() == f.eval_points(pts, axis_tables_oracle(24, pts)).tobytes()
 
@@ -266,14 +266,14 @@ def test_christoffel_on_no_points():
 
 
 def test_eval_points_on_no_points():
-    f = random_spectral(2, 5, np.random.default_rng(8))
+    f = random_spectral(2, 5, np.random.default_rng(8), real=False)
     vals = f.eval_points(np.zeros((0, 2)))
     assert vals.shape == (0,) and vals.dtype == complex
     assert [t.shape for t in axis_tables(5, np.zeros((0, 2)))] == [(6, 0), (6, 0)]
 
 
 def test_eval_grid_with_an_empty_axis():
-    f = random_spectral(2, 5, np.random.default_rng(9))
+    f = random_spectral(2, 5, np.random.default_rng(9), real=False)
     x = np.linspace(-2.0, 2.0, 7)
     assert f.eval_grid([np.array([]), x]).shape == (0, 7)
     assert f.eval_grid([x, np.array([])]).shape == (7, 0)
@@ -443,7 +443,7 @@ def test_creation_operator_on_ground_state():
 
 def test_creation_zero_multiindex_is_identity():
     rng = np.random.default_rng(3)
-    f = random_spectral(2, 5, rng)
+    f = random_spectral(2, 5, rng, real=False)
     g = apply_creation((0, 0), f)
     assert g.sub(f).norm2() == 0.0
 
@@ -531,7 +531,7 @@ def test_spectral_function_parseval_and_eval():
 
 def test_spectral_function_json_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
-    f = random_spectral(2, 4, rng)
+    f = random_spectral(2, 4, rng, real=False)
     path = tmp_path / "f.json"
     with open(path, "w") as fh:
         f.write(fh)

@@ -59,7 +59,8 @@ def test_molecule_params_validation():
 
 def test_check_molecule_zero_function(cfg):
     mol = Molecule(SpectralFunction(1, 0, {}), 1, [0.0], 0.5)
-    rep = check_molecule(mol, MoleculeParams(), [np.linspace(-8, 8, 101)])
+    rep = check_molecule(mol, MoleculeParams(), [np.linspace(-8, 8, 101)],
+                         np.random.default_rng(0), {})
     assert rep.constant == 0.0
 
 
@@ -67,7 +68,7 @@ def test_check_molecule_needlet_finite(sys, cfg):
     ts = build_level(1, cfg)
     mol = needlet_molecule(sys, ts.tile((ts.nodes_per_axis // 2,)))
     rep = check_molecule(mol, MoleculeParams(1, 0.5, 2, 0.5, 3.0),
-                         [np.linspace(-12, 12, 401)])
+                         [np.linspace(-12, 12, 401)], np.random.default_rng(0), {})
     assert math.isfinite(rep.constant) and rep.constant > 0
     assert set(rep.details) >= {"size", "holder", "moment"}
 
@@ -90,13 +91,13 @@ def test_check_molecule_store_shares_tables_within_a_degree(sys, cfg, monkeypatc
     axes = [np.linspace(-12, 12, 201)]
     mols = [needlet_molecule(sys, build_level(j, cfg).tile((i,)))
             for j, i in ((2, 10), (2, 11), (3, 30))]
-    alone = [check_molecule(mol, params, axes, rng=np.random.default_rng(0)).to_json_dict()
+    alone = [check_molecule(mol, params, axes, np.random.default_rng(0), {}).to_json_dict()
              for mol in mols]
     built = _count_table_builds(monkeypatch)
     store, shared = {}, []
     for mol in mols:
-        shared.append(check_molecule(mol, params, axes, rng=np.random.default_rng(0),
-                                     store=store).to_json_dict())
+        shared.append(check_molecule(mol, params, axes, np.random.default_rng(0),
+                                     store).to_json_dict())
         assert {key[0] for key in store} == {mol.f.max_degree + params.N}
     assert shared == alone
     # in 1-D with N = 2: the grid and the 8 offsets of gamma = (2,), once per level
@@ -111,8 +112,8 @@ def test_verify_molecules_computes_each_moment_once(sys, cfg, monkeypatch):
         return moment(self, center, gamma)
 
     monkeypatch.setattr(SpectralFunction, "moment", counted)
-    rep = verify_molecules(sys, cfg, MoleculeParams(1, 0.5, 2, 0.5, 3))
-    # the default 1-D scan: 80 molecules and gamma = (0,), (1,), each moment
+    rep = verify_molecules(sys, cfg, MoleculeParams(1, 0.5, 2, 0.5, 3), levels=4, seed=0)
+    # the 1-D command's scan: 80 molecules and gamma = (0,), (1,), each moment
     # computed once for both grids
     assert len(calls) == 160 and set(calls) == {(0,), (1,)}
     assert rep.passed
@@ -120,7 +121,7 @@ def test_verify_molecules_computes_each_moment_once(sys, cfg, monkeypatch):
 
 def test_verify_tiles_builds_one_table_per_level(cfg, monkeypatch):
     built = _count_table_builds(monkeypatch)
-    rep = verify_tiles(cfg, levels=4, cubature_pairs=4)
+    rep = verify_tiles(cfg, levels=4, cubature_pairs=4, seed=0)
     # cubature pairs are drawn on levels 0-3, each from one table of degree 4 N_j - 1
     assert built == [(2 * level_degree(j, TileConfig.delta_star),) for j in range(4)]
     assert rep.passed
@@ -133,8 +134,8 @@ def test_moment_cancellation_separates_controls(cfg):
     params = MoleculeParams(1, 0.5, 2, 0.5, 3.0)
     good = spectral_bump_molecule(lambda u: u ** 2 * np.exp(-u), 2, [0.0], cfg)
     bad = spectral_bump_molecule(lambda u: np.exp(-u), 2, [0.0], cfg)
-    rep_good = check_molecule(good, params, axes)
-    rep_bad = check_molecule(bad, params, axes)
+    rep_good = check_molecule(good, params, axes, np.random.default_rng(0), {})
+    rep_bad = check_molecule(bad, params, axes, np.random.default_rng(0), {})
     assert rep_bad.details["moment"] > 100.0 * max(rep_good.details["moment"], 1e-30)
 
 
@@ -180,18 +181,20 @@ def test_tsigma_identity_matches_needlet_derivatives(sys, cfg):
 SCANS = {
     "molecules": (lambda sys, cfg: verify_molecules(
         sys, cfg, MoleculeParams(1, 0.5, 2, 0.5, 3.0), levels=2, tiles_per_level=1,
-        grid_points=51), [0, 1, 2], {}),
+        grid_points=51, seed=0), [0, 1, 2], {}),
     "ao": (lambda sys, cfg: verify_ao(sys, cfg, k_levels=(1, 2), tiles_per_level=1,
-                                      grid_points=51), [1, 2], {}),
+                                      grid_points=51, seed=0), [1, 2], {}),
     # every (kappa, eps) pair is measured on the same tiles, where the largest
     # pair gives the least sup, so that pair is the one reported
     "tsmooth": (lambda sys, cfg: verify_tsmooth(
-        band_sum_symbol(sys, 1), sys, cfg, m=0, levels=2, tiles_per_level=1, grid_points=51),
+        band_sum_symbol(sys, 1), sys, cfg, m=0, levels=2, tiles_per_level=1, grid_points=51,
+        seed=0),
         [0, 1, 2], {"kappa": 0.5, "epsilon": 16.5}),
     "tcanc": (lambda sys, cfg: verify_tcanc(
-        separable_symbol(1), sys, cfg, m=0, levels=2, tiles_per_level=1), [0, 1, 2], {}),
+        separable_symbol(1), sys, cfg, m=0, levels=2, tiles_per_level=1, seed=0),
+        [0, 1, 2], {}),
     # one scan per random sequence
-    "synthesis": (lambda sys, cfg: verify_synthesis(sys, cfg, J=1, n_sequences=2),
+    "synthesis": (lambda sys, cfg: verify_synthesis(sys, cfg, J=1, n_sequences=2, seed=0),
                   [0, 1, 0, 1], {}),
 }
 
@@ -284,13 +287,13 @@ def test_verify_synthesis_small(sys, cfg):
 
 
 def test_verify_maximal_small(cfg):
-    rep = verify_maximal(cfg)
+    rep = verify_maximal(cfg, seed=0)
     assert rep.passed
     assert rep.constant >= 1.0 - 1e-9
 
 
 def test_estimate_report_json(sys, cfg):
-    rep = verify_synthesis(sys, cfg, J=1, n_sequences=2)
+    rep = verify_synthesis(sys, cfg, J=1, n_sequences=2, seed=0)
     d = rep.to_json_dict()
     assert d["estimate"] == "synthesis"
     import json

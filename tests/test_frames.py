@@ -169,7 +169,7 @@ def test_coefficient_sequence_json_roundtrip(sys, cfg, tmp_path):
     s = analyze(sys, f, 3, cfg)
     path = tmp_path / "s.json"
     with open(path, "w") as fh:
-        s.write(fh)
+        s.write(fh, 0.0)
     s2 = CoefficientSequence.load(path, cfg)
     for j in s.levels:
         assert np.array_equal(s.levels[j], s2.levels[j])

@@ -43,9 +43,9 @@ def test_spectral_function_json_roundtrip(f):
 @given(st.integers(1, 2), st.integers(0, 8), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
 def test_coefficient_sequence_json_roundtrip(dim, K, J, seed):
     cfg = TileConfig(dim=dim)
-    f = random_spectral(dim, K, np.random.default_rng(seed))
+    f = random_spectral(dim, K, np.random.default_rng(seed), real=False)
     s = analyze(bump_system(), f, J, cfg)
-    t = CoefficientSequence.from_json_dict(_through_json(s.to_json_dict()), cfg)
+    t = CoefficientSequence.from_json_dict(_through_json(s.to_json_dict(0.0)), cfg)
     assert sorted(t.levels) == sorted(s.levels)
     for j, arr in s.levels.items():
         assert np.array_equal(t.levels[j], arr)
@@ -58,7 +58,7 @@ def test_frame_round_trip_at_the_coverage_level(data, dim, seed):
     # takes seconds to build) and 4, the top buildable level, in 2-D
     K = data.draw(st.integers(0, 127 if dim == 1 else 31))
     sys = bump_system()
-    f = random_spectral(dim, K, np.random.default_rng(seed))
+    f = random_spectral(dim, K, np.random.default_rng(seed), real=False)
     J = sys.coverage_level(2.0 * K + dim)
     g = synthesize(sys, analyze(sys, f, J, TileConfig(dim=dim)))
     assert g.sub(f).norm2() <= 1e-12 * f.norm2()

@@ -10,6 +10,14 @@ methods along; its other methods and fields are reached by name.  Names are
 matched across modules, so a method reached under a name another definition
 shares counts as reached.  Every definition must be reached; oracles and
 checks that only tests call belong in tests/oracles.py.
+
+Every parameter default of a function in src/hermband, at any depth, must be
+relied on: some call in src/hermband/, perfbench/ or tools/ to a definition of
+that name omits the argument, or passes *args or **kwargs.  Names are matched
+across modules as above, a class call is a call to its __init__, and a call to
+a function of a class body passes its first argument (self or cls) implicitly.
+A default that only tests leave out is a second copy of a value its callers
+hold; it goes, and the tests pass the value they used.
 """
 
 import ast
@@ -98,6 +106,53 @@ def scan(root):
     return where, _closure(roots, definitions), _closure(roots | ALLOWED, definitions)
 
 
+def _defaulted_parameters(fn, bound):
+    """(name, index) of each parameter of fn that has a default: index is its
+    place among a call's positional arguments, past the bound self or cls, or
+    None for a keyword-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    yield from ((p.arg, i - bound) for i, p in enumerate(positional) if i >= first)
+    yield from ((p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def _functions(tree):
+    """(name, function, bound) of each function in a module at any depth: a class
+    stands for its __init__, and a function of a class body is bound (bound = 1)."""
+    methods = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for sub in node.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, sub, 1) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and sub.name == "__init__")
+        elif isinstance(node, ast.FunctionDef) and not _dunder(node.name):
+            yield node.name, node, int(id(node) in methods)
+
+
+def _relies(call, param, index):
+    """Whether call leaves param, at positional index (None: keyword-only), to its default."""
+    keywords = [k.arg for k in call.keywords]
+    if any(isinstance(a, ast.Starred) for a in call.args) or None in keywords:
+        return True
+    return not ((index is not None and index < len(call.args)) or param in keywords)
+
+
+def unrelied_defaults(definitions, callers):
+    """'label:line name(parameter)' of each default of the functions in the
+    (label, source) pairs of definitions that no call in the callers' sources
+    relies on."""
+    calls = collections.defaultdict(list)
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls[getattr(node.func, "id", None) or node.func.attr].append(node)
+    return [f"{label}:{fn.lineno} {name}({param})"
+            for label, source in definitions for name, fn, bound in _functions(ast.parse(source))
+            for param, index in _defaulted_parameters(fn, bound)
+            if not any(_relies(call, param, index) for call in calls[name])]
+
+
 def test_src_defines_only_what_src_perfbench_or_tools_reach():
     where, reached, with_allowed = scan(ROOT)
     unreached = [entry for name in sorted(where) if name not in with_allowed
@@ -105,3 +160,20 @@ def test_src_defines_only_what_src_perfbench_or_tools_reach():
     assert not unreached, "reached from no command, perfbench or tools:\n" + "\n".join(unreached)
     # an allowed name that a command now reaches, or that is gone, leaves ALLOWED
     assert ALLOWED <= set(where) and not ALLOWED & reached
+
+
+def test_every_src_default_is_relied_on_by_a_call():
+    src = sorted((ROOT / "src" / "hermband").glob("*.py"))
+    definitions = [(str(path.relative_to(ROOT)), path.read_text()) for path in src]
+    callers = [text for _, text in definitions] + [
+        path.read_text() for d in ("perfbench", "tools")
+        for path in sorted((ROOT / d).rglob("*.py"))]
+    unrelied = unrelied_defaults(definitions, callers)
+    assert not unrelied, "defaults no call in src, perfbench or tools relies on:\n" \
+        + "\n".join(unrelied)
+
+
+def test_default_scan_reports_a_default_every_call_passes():
+    source = "def f(a, b=1):\n    return a + b\n\n\nf(1, 2)\n"
+    assert unrelied_defaults([("m.py", source)], [source]) == ["m.py:1 f(b)"]
+    assert unrelied_defaults([("m.py", source)], [source, "f(**kw)\n"]) == []

@@ -70,7 +70,7 @@ def test_apply_derivative_matches_central_differences_2d(sys, gamma):
     # the Leibniz path: an x-dependent symbol (exact x-derivatives) and a
     # complex f, against central differences of T_sigma f
     rng = np.random.default_rng(6)
-    f = random_spectral(2, 6, rng)
+    f = random_spectral(2, 6, rng, real=False)
     sig = band_sum_symbol(sys, 2)
     axes = [np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 2.5, 7)]
     got = apply_pseudomultiplier(sig, f, axes, gamma).samples
@@ -172,7 +172,7 @@ def test_cancellation_x_independent():
 
 
 def test_cancellation_annulus_finite():
-    sig = annulus_symbol(1)
+    sig = annulus_symbol(1, 6)
     pts = np.array([[0.0], [2.0]])
     consts = check_cancellation_class(sig, 0.0, 1, pts, xi_samples=(0, 1, 4))
     for c in consts.values():
@@ -287,7 +287,7 @@ SYMBOL_KINDS = {
         {"kind": "multiplier", "expression": "1/(1+xi)"}),
     "separable": lambda sys: separable_symbol(1),
     "band-sum": lambda sys: band_sum_symbol(sys, 1),
-    "annulus": lambda sys: annulus_symbol(1),
+    "annulus": lambda sys: annulus_symbol(1, 6),
     "oscillating": lambda sys: oscillating_symbol(3.0),
     "expression": lambda sys: symbol_from_descriptor(
         {"kind": "custom-expression", "expression": "exp(-xi/8)*cos(x1)"}),
@@ -344,4 +344,4 @@ def test_exact_x_derivatives_match_richardson(sys, kind, dim):
 def test_x_derivative_refuses_a_nu_the_symbol_does_not_supply():
     pts = np.zeros((1, 1))
     with pytest.raises(ValueError, match=r"\(1,\)"):
-        annulus_symbol(1).x_derivative(pts, np.array([1.0]), (1,))
+        annulus_symbol(1, 6).x_derivative(pts, np.array([1.0]), (1,))
