@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface, and the one module that reads or writes a file.
 
 Subcommands: nodes, windows, needlet, analyze, synthesize, norm, apply,
 linearize, verify.  Exit codes: 0 success, 1 precondition or input error,
@@ -6,7 +6,7 @@ linearize, verify.  Exit codes: 0 success, 1 precondition or input error,
 command writes to stdout what it would write to the file.  CSV floats use 17
 significant digits and JSON floats Python's shortest round-trip repr; both
 read back exactly, and identical configurations produce byte-identical
-output.
+output.  Reports write a non-finite float as the string "inf", "-inf" or "nan".
 """
 
 from __future__ import annotations
@@ -27,18 +27,31 @@ class PreconditionError(Exception):
     pass
 
 
-def _fmt(x):
-    return "%.17g" % x
-
-
 def _output(path):
     """The file at path opened for writing, or stdout (left open) when path is None."""
     return open(path, "w") if path else contextlib.nullcontext(_sys.stdout)
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _write_csv(out, header, fmt, count, block):
+    """Write the header and count rows to out, 2048 at a time so memory does not grow
+    with count: block(rows) gives the tuples, for the formats fmt, of the rows numbered
+    by the int array rows."""
+    line = ",".join(fmt) + "\n"
+    with _output(out) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, count, 2048):
+            rows = block(np.arange(start, min(start + 2048, count)))
+            fh.write("".join(line % r for r in rows))
+
+
 def _dump_report(obj, out_path):
     with _output(out_path) as fh:
-        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+        print(json.dumps(estimates.plain(obj), indent=1, sort_keys=True, allow_nan=False), file=fh)
 
 
 def _config(args):
@@ -61,7 +74,7 @@ def _system(args):
 
 def _load_function(args):
     """The spectral function of --in, whose dimension must be --dim."""
-    f = SpectralFunction.load(args.infile)
+    f = SpectralFunction.from_json_dict(_read_json(args.infile))
     if f.dim != args.dim:
         raise PreconditionError(f"function dimension {f.dim} != --dim {args.dim}")
     return f
@@ -80,10 +93,22 @@ def _levels(args, sys, f):
 
 
 def cmd_nodes(args):
-    cfg = _tile_config(args)
-    ts = tiles.build_level(args.level, cfg)
-    with _output(args.out) as out:
-        tiles.write_nodes_csv(ts, out)
+    """The level's nodes in index order, from the per-axis arrays; tau and the measure
+    are products of per-axis factors in axis order, as in weight_array and measure_array."""
+    ts = tiles.build_level(args.level, _tile_config(args))
+    n = ts.dim
+    header = (["level", "node_index"] + [f"x{i + 1}" for i in range(n)] + ["tau", "measure"]
+              + [f"{end}{i + 1}" for i in range(n) for end in ("lo", "hi")])
+
+    def block(flat):
+        idx = np.unravel_index(flat, ts.shape)
+        return zip(*(c.tolist() for c in [np.full(flat.size, ts.level), flat]
+                     + [ts.zeros[i] for i in idx]
+                     + [np.prod([ts.tau1d[i] for i in idx], axis=0),
+                        np.prod([ts.widths[i] for i in idx], axis=0)]
+                     + [e for i in idx for e in (ts.edges[i], ts.edges[i + 1])]))
+
+    _write_csv(args.out, header, ["%d", "%d"] + ["%.17g"] * (3 * n + 2), ts.count, block)
     return 0
 
 
@@ -91,15 +116,16 @@ def cmd_windows(args):
     if args.levels < 0 or args.kmax < 0 or args.dim < 1:
         raise PreconditionError("--levels and --kmax must be >= 0, --dim >= 1")
     sys = _system(args)
-    with _output(args.out) as out:
-        out.write("j,k,lambda,phi,psi\n")
-        for j in range(args.levels + 1):
-            for k in range(args.kmax + 1):
-                lam = 2 * k + args.dim
-                u = math.sqrt(lam)
-                phi = float(np.ravel(sys.window(j, u))[0])
-                psi = float(np.ravel(sys.dual_window(j, u))[0])
-                out.write(f"{j},{k},{lam},{_fmt(phi)},{_fmt(psi)}\n")
+
+    def row(r):
+        j, k = divmod(r, args.kmax + 1)
+        u = math.sqrt(2 * k + args.dim)
+        # one scalar window per row: NumPy's vector exp may differ in the last bit
+        return (j, k, 2 * k + args.dim, float(np.ravel(sys.window(j, u))[0]),
+                float(np.ravel(sys.dual_window(j, u))[0]))
+
+    _write_csv(args.out, ["j", "k", "lambda", "phi", "psi"], ["%d"] * 3 + ["%.17g"] * 2,
+               (args.levels + 1) * (args.kmax + 1), lambda rows: map(row, rows.tolist()))
     return 0
 
 
@@ -111,7 +137,7 @@ def cmd_needlet(args):
     tile = ts.tile(index)
     f = frames.needlet(sys, tile, dual=args.dual)
     with _output(args.out) as out:
-        f.write(out)
+        json.dump(f.to_json_dict(), out, indent=1)
     return 0
 
 
@@ -124,17 +150,17 @@ def cmd_analyze(args):
     f = _load_function(args)
     s = frames.analyze(sys, f, _levels(args, sys, f), cfg)
     with _output(args.out) as out:
-        s.write(out, tol=args.prune)
+        json.dump(s.to_json_dict(args.prune), out)
     return 0
 
 
 def cmd_synthesize(args):
     sys = _system(args)
     cfg = _tile_config(args)
-    s = frames.CoefficientSequence.load(args.infile, cfg)
+    s = frames.CoefficientSequence.from_json_dict(_read_json(args.infile), cfg)
     g = frames.synthesize(sys, s)
     with _output(args.out) as out:
-        g.write(out)
+        json.dump(g.to_json_dict(), out, indent=1)
     return 0
 
 
@@ -160,7 +186,7 @@ def cmd_norm(args):
 def cmd_apply(args):
     sys = _system(args)
     f = _load_function(args)
-    sigma = symbols.load_symbol(args.symbol, sys)
+    sigma = symbols.symbol_from_descriptor(_read_json(args.symbol), sys)
     if sigma.dim != f.dim:
         raise PreconditionError("symbol and function dimensions differ")
     return _apply_on_box(sigma, f, args.out)
@@ -190,8 +216,15 @@ def _apply_on_box(sigma, f, out):
     bad = np.count_nonzero(~np.isfinite(g.samples))
     if bad:
         raise PreconditionError(f"T_sigma f is not finite at {bad} of {g.samples.size} grid points")
-    with _output(out) as fh:
-        g.write_csv(fh)
+    flat = g.samples.ravel()
+
+    def block(rows):
+        idx = np.unravel_index(rows, g.samples.shape)
+        return zip(*(c.tolist() for c in [ax[i] for ax, i in zip(g.axes, idx)]
+                     + [flat[rows].real, flat[rows].imag]))
+
+    _write_csv(out, [f"x{i + 1}" for i in range(g.dim)] + ["re", "im"],
+               ["%.17g"] * (g.dim + 2), flat.size, block)
     return 0
 
 
@@ -260,8 +293,9 @@ def build_parser():
             sp.add_argument("--delta-star", dest="delta_star", type=float,
                             default=tiles.TileConfig.delta_star)
         if system:
-            sp.add_argument("--plateau", type=float, default=0.5)
-            sp.add_argument("--support", type=float, default=0.75)
+            plateau, support = lp.bump_system.__defaults__
+            sp.add_argument("--plateau", type=float, default=plateau)
+            sp.add_argument("--support", type=float, default=support)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("nodes", help="emit a level's node/tile table as CSV")

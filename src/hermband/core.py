@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import json
 import math
 import types
 from dataclasses import dataclass
@@ -323,31 +322,23 @@ def degree_array(w, dim):
 class SpectralFunction:
     """A finite Hermite expansion sum_{|xi| <= K} c_xi h_xi.
 
-    The coefficients live in ``array``, a complex array of shape (K+1,)*dim
-    that is zero where |xi| > K.  ``coeffs`` may be given as such an array or
-    as a {xi: c} dict; the ``coeffs`` attribute is a read-only {xi: c} view of
-    the nonzero entries in lexicographic order.
+    The coefficients live in ``array``, a complex array of shape (K+1,)*dim that is
+    zero where |xi| > K, and everywhere when no array is given; the ``coeffs``
+    attribute is a read-only {xi: c} view of the nonzero entries in lexicographic order.
     """
 
-    def __init__(self, dim, max_degree, coeffs=None):
+    def __init__(self, dim, max_degree, array=None):
         self.dim = int(dim)
         self.max_degree = int(max_degree)
         if self.dim < 1 or self.max_degree < 0:
             raise ValueError("need dim >= 1 and max_degree >= 0")
         shape = (self.max_degree + 1,) * self.dim
-        if isinstance(coeffs, np.ndarray):
-            if coeffs.shape != shape:
-                raise ValueError(f"coefficient array shape {coeffs.shape} != {shape}")
-            arr = np.where(self.degrees <= self.max_degree, coeffs, 0)
-            self.array = arr.astype(complex, copy=False)
+        if array is None:
+            self.array = np.zeros(shape, dtype=complex)
             return
-        self.array = np.zeros(shape, dtype=complex)
-        for xi, c in (coeffs or {}).items():
-            if len(xi) != self.dim or any(v < 0 for v in xi):
-                raise ValueError(f"bad multi-index {xi}")
-            if sum(xi) > self.max_degree:
-                raise ValueError(f"multi-index {xi} exceeds max_degree {self.max_degree}")
-            self.array[tuple(xi)] = c
+        if array.shape != shape:
+            raise ValueError(f"coefficient array shape {array.shape} != {shape}")
+        self.array = np.where(self.degrees <= self.max_degree, array, 0).astype(complex, copy=False)
 
     @property
     def degrees(self):
@@ -488,26 +479,26 @@ class SpectralFunction:
 
     @classmethod
     def from_json_dict(cls, d):
-        coeffs = {}
+        dim = json_int(json_field(d, "dim", "function"), "dim")
+        K = json_int(json_field(d, "max_degree", "function"), "max_degree")
+        if dim > 64 or dim >= 1 and K >= 0 and 16 * (K + 1) ** dim >= 2 ** 63:
+            raise ValueError(f"dim {d['dim']} and max_degree {d['max_degree']}: a (max_degree "
+                             "+ 1)^dim array is past what NumPy can index (64 axes, 2^63 bytes)")
+        f, seen = cls(dim, K), set()
         for e in json_array(d, "coeffs", "function"):
             xi = tuple(json_int(v, "xi") for v in json_array(e, "xi", "coefficient"))
+            if len(xi) != dim or any(v < 0 for v in xi) or sum(xi) > K:
+                raise ValueError(f"bad multi-index {list(xi)}: need {dim} entries >= 0 with "
+                                 f"sum <= max_degree {K}")
             c = complex(json_float(json_field(e, "re", "coefficient"), "re"),
                         json_float(e.get("im", 0.0), "im"))
             if not cmath.isfinite(c):
                 raise ValueError(f"non-finite coefficient at xi = {list(xi)}")
-            if xi in coeffs:
+            if xi in seen:
                 raise ValueError(f"xi = {list(xi)} appears more than once")
-            coeffs[xi] = c
-        return cls(json_int(json_field(d, "dim", "function"), "dim"),
-                   json_int(json_field(d, "max_degree", "function"), "max_degree"), coeffs)
-
-    def write(self, fh):
-        json.dump(self.to_json_dict(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+            seen.add(xi)
+            f.array[xi] = c
+        return f
 
 
 def json_field(d, key, what):
@@ -606,12 +597,3 @@ class GridFunction:
     @property
     def dim(self):
         return len(self.axes)
-
-    def write_csv(self, fh):
-        pts = tensor_points(self.axes)
-        flat = self.samples.ravel()
-        cols = [f"x{i + 1}" for i in range(self.dim)]
-        fh.write(",".join(cols + ["re", "im"]) + "\n")
-        for p, v in zip(pts, flat):
-            coords = ",".join("%.17g" % c for c in p)
-            fh.write(f"{coords},{'%.17g' % np.real(v)},{'%.17g' % np.imag(v)}\n")

@@ -43,21 +43,21 @@ class EstimateReport:
     def to_json_dict(self):
         return {
             "estimate": self.estimate_id,
-            "constant": _plain(self.constant),
+            "constant": plain(self.constant),
             "passed": bool(self.passed),
-            "scan": _plain(self.scan),
-            "per_level": _plain(self.per_level),
-            "details": _plain(self.details),
+            "scan": plain(self.scan),
+            "per_level": plain(self.per_level),
+            "details": plain(self.details),
         }
 
 
-def _plain(obj):
+def plain(obj):
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [plain(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.ndarray)):
-        return _plain(obj.tolist())
+        return plain(obj.tolist())
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)     # "inf", "-inf" or "nan": JSON has no such number
     return obj
@@ -530,14 +530,13 @@ def verify_boundedness(sigma, m, space_list, sys, cfg, K=12, n_funcs=20, *, seed
     rng = np.random.default_rng(seed)
     n = cfg.dim
     family = [random_spectral(n, K, rng) for _ in range(n_funcs)]
+    outputs = [reproject(lambda axes: apply_pseudomultiplier(sigma, f, axes).samples,
+                         n, f.max_degree + 8) for f in family]
+    resid_max = max([0.0] + [resid for _, resid in outputs])
     out = {}
-    resid_max = 0.0
     for params in space_list:
         worst = 0.0
-        for f in family:
-            g, resid = reproject(lambda axes: apply_pseudomultiplier(sigma, f, axes).samples,
-                                 n, f.max_degree + 8)
-            resid_max = max(resid_max, resid)
+        for f, (g, _) in zip(family, outputs):
             src = SpaceParams(params.family, params.alpha + m, params.p, params.q)
             denom = space_norm(sys, f, src)
             num = space_norm(sys, g, params)

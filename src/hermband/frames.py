@@ -17,7 +17,6 @@ coefficient of the flushed s by at most 2^-511 sum_R |s_R|.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 
 import numpy as np
@@ -70,14 +69,6 @@ class CoefficientSequence:
                 arr[node] = v
             out.levels[j] = arr
         return out
-
-    def write(self, fh, tol):
-        json.dump(self.to_json_dict(tol), fh)
-
-    @classmethod
-    def load(cls, path, cfg):
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f), cfg)
 
 
 def needlet(sys, tile, dual=False):

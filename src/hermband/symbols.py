@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ast
 import itertools
-import json
 import math
 import operator
 
@@ -177,7 +176,10 @@ def radial_symbol(dim, profile, table):
 def separable_symbol(dim, x_scale=2.0, xi_scale=8.0):
     """Compactly supported spatial bump times a Schwartz spectral factor:
     G(|x|^2) e^{-xi/xi_scale} with G(r2) = e^{1 - 1/w}, w = 1 - r2/s^2 for
-    r2 < s^2 (s = x_scale), and G = 0 outside."""
+    r2 < s^2 (s = x_scale), and G = 0 outside; both scales positive and finite."""
+    if not all(math.isfinite(v) and v > 0 for v in (x_scale, xi_scale)):
+        raise ValueError("separable scales must be positive and finite, got "
+                         f"x_scale {x_scale} and xi_scale {xi_scale}")
 
     def profile(r2, order):
         r = np.sqrt(r2) / x_scale
@@ -373,16 +375,15 @@ def symbol_from_descriptor(d, sys=None):
     """Build a Symbol from its JSON descriptor dict; ValueError for a malformed one."""
     kind = json_field(d, "kind", "symbol")
     dim = json_int(d.get("dim", 1), "symbol dim")
+
+    def given(*keys):       # the float fields d holds: the symbol holds the defaults
+        return {k: json_float(d[k], k) for k in keys if k in d}
+
     if kind == "multiplier":
         ev = compile_expression(json_field(d, "expression", "multiplier symbol"), dim)
         return hermite_multiplier(lambda xi: ev(np.zeros((1, dim)), xi)[0, 0], dim)
     if kind == "separable":
-        x_scale = json_float(d.get("x_scale", 2.0), "x_scale")
-        xi_scale = json_float(d.get("xi_scale", 8.0), "xi_scale")
-        if not all(math.isfinite(v) and v > 0 for v in (x_scale, xi_scale)):
-            raise ValueError("separable scales must be positive and finite, got "
-                             f"x_scale {x_scale} and xi_scale {xi_scale}")
-        return separable_symbol(dim, x_scale, xi_scale)
+        return separable_symbol(dim, **given("x_scale", "xi_scale"))
     if kind == "annulus":
         j_max = json_int(d.get("j_max", 6), "j_max")
         if not 0 <= j_max <= 1023:      # 2^j overflows past 1023
@@ -390,13 +391,9 @@ def symbol_from_descriptor(d, sys=None):
         return annulus_symbol(dim, j_max)
     if kind == "band-sum":
         sys = bump_system() if sys is None else sys
-        return band_sum_symbol(sys, dim, json_float(d.get("beta", -1.0), "beta"))
+        return band_sum_symbol(sys, dim, **given("beta"))
     if kind == "custom-expression":
         return Symbol(compile_expression(json_field(d, "expression", "expression symbol"), dim),
                       dim)
     raise ValueError(f"unknown symbol kind {kind!r}")
 
-
-def load_symbol(path, sys):
-    with open(path) as f:
-        return symbol_from_descriptor(json.load(f), sys)

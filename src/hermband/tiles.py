@@ -173,35 +173,6 @@ def cubature(ts, f_vals, g_vals):
     return np.sum(ts.weight_array() * f_vals * g_vals)
 
 
-_CSV_ROWS = 2048     # nodes formatted per write
-
-
-def write_nodes_csv(ts, fh):
-    """level,node_index,x1..xn,tau,measure,lo1,hi1,... rows for one level, in
-    node-index order.
-
-    The rows are formatted from the per-axis arrays a block of nodes at a
-    time, so memory does not grow with the level; tau and the measure are the
-    products of the per-axis factors in axis order, as in weight_array and
-    measure_array.
-    """
-    n = ts.dim
-    cols = ["level", "node_index"] + [f"x{i + 1}" for i in range(n)] + ["tau", "measure"]
-    for i in range(n):
-        cols += [f"lo{i + 1}", f"hi{i + 1}"]
-    fh.write(",".join(cols) + "\n")
-    row = ",".join(["%d", "%d"] + ["%.17g"] * (3 * n + 2)) + "\n"
-    for start in range(0, ts.count, _CSV_ROWS):
-        flat = np.arange(start, min(start + _CSV_ROWS, ts.count))
-        idx = np.unravel_index(flat, ts.shape)
-        block = np.column_stack(
-            [np.full(flat.size, ts.level), flat] + [ts.zeros[i] for i in idx]
-            + [np.prod([ts.tau1d[i] for i in idx], axis=0),
-               np.prod([ts.widths[i] for i in idx], axis=0)]
-            + [e for i in idx for e in (ts.edges[i], ts.edges[i + 1])])
-        fh.write("".join(row % r for r in map(tuple, block.tolist())))
-
-
 def tile_geometry_constants(ts):
     """Minimal box constants of the level: central c0 and global (c1, c2).
 

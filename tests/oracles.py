@@ -19,8 +19,28 @@ from hermband.norms import QuadratureBox, _grid_lp
 from hermband.symbols import Symbol
 
 
+def spectral_function(dim, max_degree, coeffs):
+    """The SpectralFunction with the {xi: c} coefficients coeffs."""
+    f = SpectralFunction(dim, max_degree)
+    for xi, c in coeffs.items():
+        f.array[tuple(xi)] = c
+    return f
+
+
 def basis_function(xi):
-    return SpectralFunction(len(xi), sum(xi), {tuple(xi): 1.0})
+    return spectral_function(len(xi), sum(xi), {tuple(xi): 1.0})
+
+
+def grid_csv(g, fh):
+    """The grid CSV of a GridFunction written one point at a time: the reference
+    for the apply and linearize output."""
+    pts = tensor_points(g.axes)
+    flat = g.samples.ravel()
+    cols = [f"x{i + 1}" for i in range(g.dim)]
+    fh.write(",".join(cols + ["re", "im"]) + "\n")
+    for p, v in zip(pts, flat):
+        coords = ",".join("%.17g" % c for c in p)
+        fh.write(f"{coords},{'%.17g' % np.real(v)},{'%.17g' % np.imag(v)}\n")
 
 
 def hermite_inner_products(k_max, q=128):

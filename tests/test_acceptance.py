@@ -6,7 +6,7 @@ its own if the measurement misses the pinned tolerance.
 
 import numpy as np
 
-from hermband.core import SpectralFunction, random_spectral
+from hermband.core import random_spectral
 from hermband.estimates import (
     MoleculeParams,
     check_molecule,
@@ -33,7 +33,7 @@ from hermband.symbols import (
 from hermband.tiles import TileConfig, build_level, cubature, tile_geometry_constants
 
 from oracles import (apply_hermite_operator, basis_function, check_admissible,
-                     hermite_inner_products, roundtrip_residual)
+                     hermite_inner_products, roundtrip_residual, spectral_function)
 
 
 def _line(num, name, ok, detail):
@@ -144,9 +144,9 @@ def test_criterion_10_multiplier_parseval():
     seq = lambda xi: 1.0 / (1.0 + xi)
 
     def act(seq, f):
-        return SpectralFunction(f.dim, f.max_degree,
-                                {xi: c * seq(2.0 * sum(xi) + f.dim)
-                                 for xi, c in f.coeffs.items()})
+        return spectral_function(f.dim, f.max_degree,
+                                 {xi: c * seq(2.0 * sum(xi) + f.dim)
+                                  for xi, c in f.coeffs.items()})
 
     sup = max(abs(seq(2.0 * k + 1)) for k in range(16))
     bound_ok = act(seq, f).norm2() <= sup * f.norm2() * (1.0 + 1e-12)

@@ -1,7 +1,9 @@
 """Command-line interface: file formats, round trips, exit codes."""
 
 import csv
+import io
 import json
+import re
 import time
 from pathlib import Path
 
@@ -12,7 +14,18 @@ from hermband import estimates
 from hermband.cli import _tile_config, build_parser, main
 from hermband.core import SpectralFunction, random_spectral
 from hermband.norms import QuadratureBox
+from hermband.symbols import apply_pseudomultiplier, symbol_from_descriptor
 from hermband.tiles import TileConfig
+
+from oracles import grid_csv
+
+
+def _write_function(path, f):
+    path.write_text(json.dumps(f.to_json_dict(), indent=1))
+
+
+def _read_function(path):
+    return SpectralFunction.from_json_dict(json.loads(path.read_text()))
 
 
 @pytest.fixture()
@@ -20,8 +33,7 @@ def v10_file(tmp_path):
     rng = np.random.default_rng(0)
     f = random_spectral(1, 10, rng, real=True)
     path = tmp_path / "f.json"
-    with open(path, "w") as fh:
-        f.write(fh)
+    _write_function(path, f)
     return path, f
 
 
@@ -68,7 +80,7 @@ def test_analyze_synthesize_roundtrip(tmp_path, v10_file):
     assert main(["analyze", "--in", str(fpath), "--levels", "4",
                  "--out", str(coeffs)]) == 0
     assert main(["synthesize", "--in", str(coeffs), "--out", str(back)]) == 0
-    g = SpectralFunction.load(back)
+    g = _read_function(back)
     assert g.sub(f).norm2() / f.norm2() < 1e-8
 
 
@@ -121,7 +133,7 @@ def test_linearize_square(tmp_path, v10_file):
 def test_needlet_command(tmp_path):
     out = tmp_path / "nd.json"
     assert main(["needlet", "--level", "1", "--index", "11", "--out", str(out)]) == 0
-    f = SpectralFunction.load(out)
+    f = _read_function(out)
     assert f.dim == 1 and f.norm2() > 0
 
 
@@ -134,8 +146,7 @@ def test_dimension_mismatch_exits_1(tmp_path, v10_file, capsys):
     fpath, _ = v10_file
     assert main(["analyze", "--in", str(fpath), "--levels", "2", "--dim", "2"]) == 1
     f2 = tmp_path / "f2.json"
-    with open(f2, "w") as fh:
-        random_spectral(2, 3, np.random.default_rng(1), real=True).write(fh)
+    _write_function(f2, random_spectral(2, 3, np.random.default_rng(1), real=True))
     sym = tmp_path / "sym.json"
     sym.write_text(json.dumps({"kind": "multiplier", "dim": 2, "expression": "1/(1+xi)"}))
     for argv in (["norm", "--in", str(f2)],
@@ -194,6 +205,37 @@ def test_expression_error_on_the_zero_function_names_the_expression(tmp_path, ca
     assert main(["apply", "--symbol", str(sym), "--in", str(f0),
                  "--out", str(tmp_path / "g.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: expression '1/x1': divide by zero")
+
+
+def test_norm_report_holds_no_infinity_token(capsys):
+    # --p inf and --q inf are written as the string "inf", as verify reports do
+    f1 = str(Path(__file__).parent / "golden" / "f1.json")
+    assert main(["norm", "--in", f1, "--space", "B", "--p", "inf", "--q", "inf"]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    rep = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert rep["config"]["p"] == rep["config"]["q"] == "inf"
+
+
+def test_2d_apply_csv_is_the_per_point_csv(tmp_path):
+    # the 241^2 = 58 081 grid rows are written 2048 at a time: 29 blocks, the last partial
+    f2 = Path(__file__).parent / "golden" / "f2.json"
+    sym = {"kind": "multiplier", "dim": 2, "expression": "1/(1+xi)"}
+    sympath, out = tmp_path / "sym.json", tmp_path / "Tf.csv"
+    sympath.write_text(json.dumps(sym))
+    assert main(["apply", "--dim", "2", "--symbol", str(sympath), "--in", str(f2),
+                 "--out", str(out)]) == 0
+    f = _read_function(f2)
+    box = QuadratureBox.for_degree(f.max_degree, 2)
+    g = apply_pseudomultiplier(symbol_from_descriptor(sym), f,
+                               axes=estimates.eval_axes(box.half_width, box.points, 2))
+    ref = io.StringIO()
+    grid_csv(g, ref)
+    lines = out.read_text().split("\n")
+    assert len(lines) == 1 + 58081 + 1
+    assert lines == ref.getvalue().split("\n")
 
 
 def test_verify_suite_exit_codes(tmp_path, monkeypatch):
@@ -277,8 +319,7 @@ def test_verify_3d_grid_past_the_cap_exits_1(capsys, suite):
 def test_3d_box_past_the_cap_exits_1(tmp_path, capsys, command):
     # the quadrature box of a 3-D f has 241^3 points, past tiles.NODES_MAX
     fpath, sym, out = (tmp_path / name for name in ("f.json", "sym.json", "Tf.csv"))
-    with open(fpath, "w") as fh:
-        random_spectral(3, 4, np.random.default_rng(0), real=True).write(fh)
+    _write_function(fpath, random_spectral(3, 4, np.random.default_rng(0), real=True))
     sym.write_text(json.dumps({"kind": "band-sum", "dim": 3}))
     argv = ["apply", "--symbol", str(sym)] if command == "apply" else ["linearize"]
     start = time.perf_counter()
@@ -316,8 +357,7 @@ def test_analyze_writes_no_part_below_the_flush(tmp_path):
     # unflushed, such entries come out as low as 1e-322
     f = random_spectral(1, 31, np.random.default_rng(3), real=True)
     fpath, coeffs, back = (tmp_path / name for name in ("f.json", "c.json", "g.json"))
-    with open(fpath, "w") as fh:
-        f.write(fh)
+    _write_function(fpath, f)
     assert build_parser().parse_args(["analyze", "--in", "f", "--levels", "5"]).prune == 0.0
     assert main(["analyze", "--in", str(fpath), "--levels", "5", "--out", str(coeffs)]) == 0
     parts = [abs(e[p]) for lev in json.loads(coeffs.read_text())["levels"]
@@ -325,7 +365,7 @@ def test_analyze_writes_no_part_below_the_flush(tmp_path):
     assert len(parts) > 1000
     assert not any(0.0 < p < 2.0 ** -511 for p in parts)
     assert main(["synthesize", "--in", str(coeffs), "--out", str(back)]) == 0
-    assert SpectralFunction.load(back).sub(f).norm2() <= 1e-10
+    assert _read_function(back).sub(f).norm2() <= 1e-10
 
 
 # numeric flags outside their domain, each of which used to be accepted and
@@ -378,8 +418,9 @@ _FUNCTION = ('{"dim": 1, "max_degree": 1, "coeffs": '
              '[{"xi": [0], "re": 1.0, "im": 0.0}, {"xi": [1], "re": %s, "im": 0.0}]}')
 
 # (command reading the file, file text): non-finite values, missing keys,
-# documents that are not objects, fractional indices, wrong-typed values and
-# coefficient arrays too large to index or to allocate
+# documents that are not objects, fractional indices, wrong-typed values,
+# coefficient arrays too large to index or to allocate and multi-indices
+# outside the coefficient array
 BAD_FILES = {
     "NaN": ("norm", _FUNCTION % "NaN"),
     "Infinity": ("norm", _FUNCTION % "Infinity"),
@@ -398,7 +439,14 @@ BAD_FILES = {
     "number-coeffs": ("norm", '{"dim": 1, "max_degree": 1, "coeffs": 5}'),
     "number-xi": ("norm", '{"dim": 1, "max_degree": 1, "coeffs": [{"xi": 0, "re": 1.0}]}'),
     "dim-1e300": ("norm", '{"dim": 1e300, "max_degree": 0, "coeffs": []}'),
+    "dim-65": ("norm", '{"dim": 65, "max_degree": 0, "coeffs": []}'),
+    "2^64-coefficients": ("norm", '{"dim": 64, "max_degree": 1, "coeffs": []}'),
     "114-PiB-array": ("norm", '{"dim": 3, "max_degree": 200000, "coeffs": []}'),
+    "xi-of-wrong-length": ("norm",
+                           '{"dim": 1, "max_degree": 2, "coeffs": [{"xi": [1, 0], "re": 1.0}]}'),
+    "negative-xi": ("norm", '{"dim": 1, "max_degree": 2, "coeffs": [{"xi": [-1], "re": 1.0}]}'),
+    "xi-above-max-degree": ("norm",
+                            '{"dim": 1, "max_degree": 2, "coeffs": [{"xi": [3], "re": 1.0}]}'),
     "number-levels": ("synthesize", '{"levels": 5}'),
     "number-entries": ("synthesize", '{"levels": [{"j": 0, "entries": 5}]}'),
     "number-node": ("synthesize", '{"levels": [{"j": 0, "entries": [{"node": 1, "re": 1.0}]}]}'),
@@ -413,6 +461,10 @@ BAD_FILES = {
 }
 
 
+# arrays past NumPy's 64 axes or 2^63 bytes: the error line names both sizes
+NAMES_BOTH_SIZES = {"dim-1e300", "dim-65", "2^64-coefficients"}
+
+
 @pytest.mark.parametrize("bad", list(BAD_FILES))
 def test_non_finite_coefficient_exits_1(tmp_path, capsys, bad):
     command, text = BAD_FILES[bad]
@@ -421,6 +473,8 @@ def test_non_finite_coefficient_exits_1(tmp_path, capsys, bad):
     assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    if bad in NAMES_BOTH_SIZES:
+        assert re.search(r"\bdim\b", err) and "max_degree" in err, err
 
 
 def test_integral_float_indices_load(tmp_path):

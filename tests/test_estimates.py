@@ -58,7 +58,7 @@ def test_molecule_params_validation():
 
 
 def test_check_molecule_zero_function(cfg):
-    mol = Molecule(SpectralFunction(1, 0, {}), 1, [0.0], 0.5)
+    mol = Molecule(SpectralFunction(1, 0), 1, [0.0], 0.5)
     rep = check_molecule(mol, MoleculeParams(), [np.linspace(-8, 8, 101)],
                          np.random.default_rng(0), {})
     assert rep.constant == 0.0

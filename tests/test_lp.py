@@ -147,7 +147,7 @@ def test_apply_lp_partition_reconstructs(sys):
 
 
 def test_apply_lp_zero(sys):
-    z = SpectralFunction(1, 0, {})
+    z = SpectralFunction(1, 0)
     assert apply_lp(sys, 2, z).norm2() == 0.0
 
 

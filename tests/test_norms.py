@@ -36,7 +36,7 @@ def test_l1_norm_of_ground_state():
 
 
 def test_lp_norm_zero():
-    assert lp_norm(SpectralFunction(1, 0, {}), 2.0) == 0.0
+    assert lp_norm(SpectralFunction(1, 0), 2.0) == 0.0
 
 
 def test_sup_norm_of_ground_state():

@@ -13,6 +13,8 @@ from hermband.frames import CoefficientSequence, analyze, synthesize
 from hermband.lp import bump_system
 from hermband.tiles import TileConfig, build_level
 
+from oracles import spectral_function
+
 SETTINGS = settings(max_examples=25, deadline=None)
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -28,7 +30,7 @@ def spectral_functions(draw):
     dim = draw(st.integers(1, 2))
     K = draw(st.integers(0, 8))
     coeffs = draw(st.dictionaries(st.sampled_from(multi_indices(dim, K)), _complex))
-    return SpectralFunction(dim, K, coeffs)
+    return spectral_function(dim, K, coeffs)
 
 
 @SETTINGS

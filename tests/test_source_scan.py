@@ -18,6 +18,10 @@ across modules as above, a class call is a call to its __init__, and a call to
 a function of a class body passes its first argument (self or cls) implicitly.
 A default that only tests leave out is a second copy of a value its callers
 hold; it goes, and the tests pass the value they used.
+
+cli.py is the one module of src/hermband that reads or writes a file: no other
+calls open (or a path's read/write methods) or json's load/dump, or spells the
+CSV float format .17g.
 """
 
 import ast
@@ -177,3 +181,39 @@ def test_default_scan_reports_a_default_every_call_passes():
     source = "def f(a, b=1):\n    return a + b\n\n\nf(1, 2)\n"
     assert unrelied_defaults([("m.py", source)], [source]) == ["m.py:1 f(b)"]
     assert unrelied_defaults([("m.py", source)], [source, "f(**kw)\n"]) == []
+
+
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+JSON_CALLS = {"load", "loads", "dump", "dumps"}
+
+
+def file_format_uses(label, source):
+    """'label:line what' of each file or json call and each .17g format in source,
+    by line."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            owner = getattr(getattr(node.func, "value", None), "id", None)
+            if name in FILE_CALLS or owner == "json" and name in JSON_CALLS:
+                uses.append((node.lineno, f"{owner}.{name}" if owner == "json" else name))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and ".17g" in node.value:
+            uses.append((node.lineno, repr(node.value)))
+    return [f"{label}:{line} {what}" for line, what in sorted(uses)]
+
+
+def test_only_cli_reads_or_writes_files():
+    uses = [use for path in sorted((ROOT / "src" / "hermband").glob("*.py"))
+            if path.name != "cli.py"
+            for use in file_format_uses(str(path.relative_to(ROOT)), path.read_text())]
+    assert not uses, "file formats outside cli.py:\n" + "\n".join(uses)
+
+
+def test_file_format_scan_reports_each_use():
+    source = ('import json\nfh = open("f")\njson.dump({}, fh)\nd = json.loads("1")\n'
+              'a = "%.17g" % 1.0\nb = f"{1.0:.17g}"\nc = path.read_text()\n')
+    assert file_format_uses("m.py", source) == [
+        "m.py:2 open", "m.py:3 json.dump", "m.py:4 json.loads", "m.py:5 '%.17g'",
+        "m.py:6 '.17g'", "m.py:7 read_text"]
+    assert file_format_uses("m.py", "import json\nd = json.JSONDecodeError\nlog('%d')\n") == []

@@ -1,6 +1,5 @@
 """Multiscale tiles: degrees, zeros, weights, cubature, location, geometry."""
 
-import io
 import math
 import os
 import subprocess
@@ -21,7 +20,6 @@ from hermband.tiles import (
     cubature,
     level_degree,
     tile_geometry_constants,
-    write_nodes_csv,
 )
 
 from oracles import basis_function
@@ -237,18 +235,21 @@ def test_geometry_constants_stable():
         assert abs(b - a) / max(a, b) < 0.10
 
 
-def test_nodes_csv_shape():
-    cfg = TileConfig()
-    ts = build_level(0, cfg)
-    buf = io.StringIO()
-    write_nodes_csv(ts, buf)
-    lines = buf.getvalue().strip().split("\n")
+def _nodes_csv(tmp_path, dim, level):
+    """The lines of `hermband nodes` at a level."""
+    out = tmp_path / "nodes.csv"
+    assert main(["nodes", "--dim", str(dim), "--level", str(level), "--out", str(out)]) == 0
+    return out.read_text().split("\n")
+
+
+def test_nodes_csv_shape(tmp_path):
+    lines = _nodes_csv(tmp_path, 1, 0)
     assert lines[0] == "level,node_index,x1,tau,measure,lo1,hi1"
-    assert len(lines) == 1 + ts.count
+    assert len(lines) == 1 + build_level(0, TileConfig()).count + 1 and lines[-1] == ""
 
 
 def _tile_rows(ts):
-    """The node table's rows built one Tile at a time: the reference for write_nodes_csv."""
+    """The node table's rows built one Tile at a time: the reference for `hermband nodes`."""
     rows = []
     for flat, index in enumerate(np.ndindex(ts.shape)):
         t = ts.tile(index)
@@ -261,28 +262,25 @@ def _tile_rows(ts):
 
 
 @pytest.mark.parametrize("dim,level", [(1, 3), (2, 2), (3, 1)])
-def test_nodes_csv_rows_are_the_tiles(dim, level):
+def test_nodes_csv_rows_are_the_tiles(tmp_path, dim, level):
     # 1-D level 3 (270 nodes) is one block of rows; 2-D level 2 (5184) and
     # 3-D level 1 (10 648) span several
     ts = build_level(level, TileConfig(dim=dim))
-    buf = io.StringIO()
-    write_nodes_csv(ts, buf)
-    assert buf.getvalue().split("\n")[1:-1] == _tile_rows(ts)
+    assert _nodes_csv(tmp_path, dim, level)[1:-1] == _tile_rows(ts)
 
 
 def test_nodes_csv_memory_does_not_grow_with_the_level():
     # the rows are formatted a block at a time, so writing 2-D level 3
-    # (72 900 nodes) peaks no higher than level 2 (5184)
+    # (72 900 nodes) peaks no higher than level 2 (5184); the levels are built first
     peaks = []
-    with open(os.devnull, "w") as sink:
-        for level in (2, 3):
-            ts = build_level(level, TileConfig(dim=2))
-            tracemalloc.start()
-            try:
-                write_nodes_csv(ts, sink)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+    for level in (2, 3):
+        build_level(level, TileConfig(dim=2))
+        tracemalloc.start()
+        try:
+            assert main(["nodes", "--dim", "2", "--level", str(level), "--out", os.devnull]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0]
 
 
