@@ -277,6 +277,20 @@ def lifted_gauss_hermite(sample, q, dim, s=1.0, axis_factor=None):
     return T * s ** (dim / 2.0)
 
 
+def distinct_coordinates(col):
+    """The distinct float64 bit patterns of a 1-D array, increasing as floats with -0.0
+    before 0.0, and each entry's index among them: a sort of keys that order the bits as
+    floats (a negative's other bits flipped, an involution), a neighbour test, a search."""
+    low = np.int64(2 ** 63 - 1)
+    bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
+    key = bits ^ ((bits >> 63) & low)
+    ordered = np.sort(key)
+    new = np.ones(key.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    keys = ordered[new]
+    return (keys ^ ((keys >> 63) & low)).view(np.float64), np.searchsorted(keys, key)
+
+
 def axis_tables(k_max, pts):
     """Per-axis tables [h_0..h_{k_max}] at the coordinates of an (m, dim) point array.
 
@@ -284,9 +298,9 @@ def axis_tables(k_max, pts):
     bits, so -0.0 keeps its sign) and taken to the points; C-contiguous."""
     tables = []
     for col in np.asarray(pts, dtype=float).T:
-        _, first, inv = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
-        tables.append(hermite_functions(k_max, col) if first.size == col.size
-                      else np.take(hermite_functions(k_max, col[first]), inv, axis=1))
+        ax, inv = distinct_coordinates(col)
+        tables.append(hermite_functions(k_max, col) if ax.size == col.size
+                      else np.take(hermite_functions(k_max, ax), inv, axis=1))
     return tables
 
 
@@ -396,7 +410,7 @@ class SpectralFunction:
     # -- evaluation --------------------------------------------------------
 
     def eval_grid(self, axes, tables=None):
-        """Evaluate on a tensor grid (list of per-axis sorted 1D arrays).
+        """Evaluate on a tensor grid (list of per-axis 1D arrays).
 
         tables: per-axis Hermite tables on the axes (see grid_tables) of
         degree >= max_degree, when the caller already has them.
@@ -415,10 +429,16 @@ class SpectralFunction:
 
         tables: per-axis C-contiguous Hermite tables at the points (see
         axis_tables) of degree >= max_degree, when the caller already has them.
+        Without them, for dim >= 2, points whose distinct coordinates span a
+        tensor grid of at most m points are read off eval_grid on that grid.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError("point dimension mismatch")
+        if tables is None and self.dim > 1:
+            axes, index = zip(*map(distinct_coordinates, pts.T))
+            if math.prod(ax.size for ax in axes) <= pts.shape[0]:
+                return self.eval_grid(list(axes))[index]
         if tables is None:
             tables = axis_tables(self.max_degree, pts)
         K1 = self.max_degree + 1
@@ -482,13 +502,13 @@ class SpectralFunction:
         dim = json_int(json_field(d, "dim", "function"), "dim")
         K = json_int(json_field(d, "max_degree", "function"), "max_degree")
         if dim > 64 or dim >= 1 and K >= 0 and 16 * (K + 1) ** dim >= 2 ** 63:
-            raise ValueError(f"dim {d['dim']} and max_degree {d['max_degree']}: a (max_degree "
-                             "+ 1)^dim array is past what NumPy can index (64 axes, 2^63 bytes)")
+            raise ValueError(f"dim {shown(d['dim'])} and max_degree {shown(d['max_degree'])}: a "
+                             "(max_degree + 1)^dim array is past what NumPy can index (64 axes, 2^63 bytes)")
         f, seen = cls(dim, K), set()
         for e in json_array(d, "coeffs", "function"):
             xi = tuple(json_int(v, "xi") for v in json_array(e, "xi", "coefficient"))
             if len(xi) != dim or any(v < 0 for v in xi) or sum(xi) > K:
-                raise ValueError(f"bad multi-index {list(xi)}: need {dim} entries >= 0 with "
+                raise ValueError(f"bad multi-index {shown(list(xi))}: need {dim} entries >= 0 with "
                                  f"sum <= max_degree {K}")
             c = complex(json_float(json_field(e, "re", "coefficient"), "re"),
                         json_float(e.get("im", 0.0), "im"))
@@ -499,6 +519,12 @@ class SpectralFunction:
             seen.add(xi)
             f.array[xi] = c
         return f
+
+
+def shown(v):
+    """repr(v) for an error line, cut to its first 40 characters."""
+    r = repr(v)
+    return r if len(r) <= 40 else r[:40] + "..."
 
 
 def json_field(d, key, what):
@@ -514,25 +540,25 @@ def json_int(v, what):
     """A decoded JSON number as an int; ValueError unless it is integral."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) \
             or (isinstance(v, float) and not v.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
+        raise ValueError(f"{what} must be an integer, got {shown(v)}")
     return int(v)
 
 
 def json_float(v, what):
     """A decoded JSON number as a float; ValueError for any other value."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{what} must be a number, got {v!r}")
+        raise ValueError(f"{what} must be a number, got {shown(v)}")
     try:
         return float(v)
     except OverflowError:
-        raise ValueError(f"{what} {v} is out of range") from None
+        raise ValueError(f"{what} {shown(v)} is out of range") from None
 
 
 def json_array(d, key, what):
     """json_field(d, key, what), which must be a JSON array; ValueError otherwise."""
     v = json_field(d, key, what)
     if not isinstance(v, list):
-        raise ValueError(f"{what} field {key!r} must be a JSON array, got {v!r}")
+        raise ValueError(f"{what} field {key!r} must be a JSON array, got {shown(v)}")
     return v
 
 

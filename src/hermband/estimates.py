@@ -262,7 +262,7 @@ def sample_tiles(ts, count, rng):
     while len(idx) < min(count, ts.count) and tries < 50 * count:
         tries += 1
         if rng.random() < 0.7:
-            ix = tuple(int(np.clip(round(npa / 2 + rng.standard_normal() * npa / 6), 0, npa - 1))
+            ix = tuple(min(max(round(npa / 2 + rng.standard_normal() * npa / 6), 0), npa - 1)
                        for _ in range(ts.dim))
         else:
             ix = tuple(int(rng.integers(0, npa)) for _ in range(ts.dim))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, grid_tables
+from .core import GridFunction, grid_tables, tensor_product
 from .lp import apply_lp
 from .tiles import build_level
 
@@ -158,14 +158,19 @@ def seq_tl_norm(s, params, box=None):
     axes = box.axes(n)
 
     def bands():
+        # the box axes increase, so a level's outer box holds a run of each; there |R| is
+        # the widths gathered per axis, multiplied in axis order as in measure_array()
         for j in sorted(s.levels):
             ts = build_level(j, s.cfg)
-            lin = ts.locate_grid(axes).ravel()
-            inside = lin >= 0
-            flat = np.zeros(lin.size)
-            lin = lin[inside]
-            flat[inside] = ts.measure_array()[lin] ** -0.5 * np.abs(s.levels[j].ravel()[lin])
-            yield 2.0 ** (j * params.alpha) * flat.reshape([len(a) for a in axes])
+            run = tuple(slice(np.searchsorted(a, ts.edges[0]),
+                              np.searchsorted(a, ts.edges[-1], "right")) for a in axes)
+            inner = [a[r] for a, r in zip(axes, run)]
+            vals = np.abs(s.levels[j].ravel().take(ts.locate_grid(inner)))
+            meas = tensor_product([ts.widths[ts.axis_index(a)] for a in inner])
+            vals *= meas.reshape(vals.shape) ** -0.5
+            band = np.zeros([len(a) for a in axes])
+            band[run] = 2.0 ** (j * params.alpha) * vals
+            yield band
 
     return _f_sum(bands(), axes, params)
 

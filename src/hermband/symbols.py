@@ -18,7 +18,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .core import (GridFunction, SpectralFunction, axis_tables, grid_tables, hermite_functions,
                    json_field, json_float, json_int, lifted_gauss_hermite, multi_indices,
-                   tensor_points)
+                   shown, tensor_points)
 from .lp import apply_lp, bump_system
 
 
@@ -322,7 +322,7 @@ def _eval_node(node, env):
     if isinstance(node, ast.Name):
         if node.id in env:
             return env[node.id]
-        raise ValueError(f"unknown name {node.id!r}")
+        raise ValueError(f"unknown name {shown(node.id)}")
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         return _BINOPS[type(node.op)](_eval_node(node.left, env), _eval_node(node.right, env))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -346,11 +346,11 @@ def compile_expression(expr, dim):
       func    = "exp" | "sin" | "cos" | "sqrt" | "log" | "abs" ;
     """
     if not isinstance(expr, str):
-        raise ValueError(f"expression must be a string, got {expr!r}")
+        raise ValueError(f"expression must be a string, got {shown(expr)}")
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as e:
-        raise ValueError(f"bad expression {expr!r}: {e.msg}") from None
+        raise ValueError(f"bad expression {shown(expr)}: {e.msg}") from None
 
     def ev(pts, xi):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -365,7 +365,7 @@ def compile_expression(expr, dim):
                 val = _eval_node(tree, env)
         except ArithmeticError as e:
             where = f" for xi in [{xi.min():g}, {xi.max():g}]" if xi.size else ""
-            raise ValueError(f"expression {expr!r}{where}: {e}") from None
+            raise ValueError(f"expression {shown(expr)}{where}: {e}") from None
         return np.broadcast_to(np.asarray(val, dtype=complex), (pts.shape[0], xi.size))
 
     return ev
@@ -395,5 +395,5 @@ def symbol_from_descriptor(d, sys=None):
     if kind == "custom-expression":
         return Symbol(compile_expression(json_field(d, "expression", "expression symbol"), dim),
                       dim)
-    raise ValueError(f"unknown symbol kind {kind!r}")
+    raise ValueError(f"unknown symbol kind {shown(kind)}")
 

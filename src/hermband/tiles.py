@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import gauss_hermite, tensor_points, tensor_product
+from .core import gauss_hermite, shown, tensor_points, tensor_product
 
 AXIS_NODES_MAX = 20_000     # m = 2 N_j nodes per axis; the weights cost O(m^2) flops
 NODES_MAX = 2_000_000       # m^n nodes in all
@@ -99,7 +99,7 @@ class TileSet:
         """index as a tuple of ints; ValueError unless it names a node of this level."""
         index = tuple(index)
         if len(index) != self.dim or not all(0 <= i < self.zeros.size for i in index):
-            raise ValueError(f"{list(index)} is not a node index of level {self.level}: "
+            raise ValueError(f"{shown(list(index))} is not a node index of level {self.level}: "
                              f"need {self.dim} entries in [0, {self.zeros.size})")
         return tuple(int(i) for i in index)
 
@@ -130,24 +130,23 @@ class TileSet:
         flat = int(self.locate_grid(x[:, None]).item())
         return None if flat < 0 else self.tile(np.unravel_index(flat, self.shape))
 
+    def axis_index(self, ax):
+        """Per-axis tile index of each coordinate of ax, by one searchsorted on
+        the edges; -1 outside the outer box, boundary points to the lower tile."""
+        ax = np.asarray(ax, dtype=float)
+        idx = np.searchsorted(self.edges, ax, side="left") - 1
+        idx[ax == self.edges[0]] = 0
+        return np.where(idx < self.zeros.size, idx, -1)
+
     def locate_grid(self, axes):
         """Row-major node index of the tile holding each point of the tensor grid
-        of per-axis arrays, shape (len(a) for a in axes).
-
-        Each axis is located by one searchsorted on the edges.  -1 marks a
-        point outside the outer box; boundary points are assigned to the
-        lower tile.
-        """
+        of per-axis arrays, shape (len(a) for a in axes); -1 outside the outer box."""
         if len(axes) != self.dim:
             raise ValueError("grid dimension mismatch")
-        m = self.zeros.size
         flat, inside = np.zeros((), dtype=np.int64), np.ones((), dtype=bool)
-        for ax in axes:
-            ax = np.asarray(ax, dtype=float)
-            idx = np.searchsorted(self.edges, ax, side="left") - 1
-            idx[ax == self.edges[0]] = 0
-            flat = np.add.outer(m * flat, idx)
-            inside = np.logical_and.outer(inside, (idx >= 0) & (idx < m))
+        for idx in map(self.axis_index, axes):
+            flat = np.add.outer(self.zeros.size * flat, idx)
+            inside = np.logical_and.outer(inside, idx >= 0)
         return np.where(inside, flat, -1)
 
 

@@ -477,6 +477,23 @@ def test_non_finite_coefficient_exits_1(tmp_path, capsys, bad):
         assert re.search(r"\bdim\b", err) and "max_degree" in err, err
 
 
+# values far longer than an error line: the line quotes about 40 characters of them
+LONG_VALUES = {
+    "400-digit-dim": lambda: '{"dim": 1%s, "max_degree": 0, "coeffs": []}' % ("0" * 400),
+    "100000-key-coeffs": lambda: json.dumps(
+        {"dim": 1, "max_degree": 1, "coeffs": {str(i): i for i in range(100_000)}}),
+}
+
+
+@pytest.mark.parametrize("name", list(LONG_VALUES))
+def test_error_line_quotes_a_long_value_in_short(tmp_path, capsys, name):
+    path = tmp_path / "f.json"
+    path.write_text(LONG_VALUES[name]())
+    assert main(["norm", "--in", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200, err[:300]
+
+
 def test_integral_float_indices_load(tmp_path):
     path = tmp_path / "f.json"
     path.write_text('{"dim": 1.0, "max_degree": 2.0, "coeffs": [{"xi": [1.0], "re": 1.0}]}')

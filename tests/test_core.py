@@ -12,6 +12,7 @@ from hermband.core import (
     _hermite_zeros,
     axis_tables,
     christoffel,
+    distinct_coordinates,
     e_function,
     finite_difference,
     gauss_hermite,
@@ -250,11 +251,65 @@ def test_axis_tables_build_on_the_distinct_coordinates(monkeypatch):
 
 
 def test_eval_points_on_a_tensor_grid_match_the_oracle_tables():
-    # the norm box of a 2-D f at K = 24: 241^2 points
-    pts = tensor_points([np.linspace(-12.0, 12.0, 241)] * 2)
+    # the norm box of a 2-D f at K = 24: 241^2 points, read off eval_grid on its axes
+    axes = [np.linspace(-12.0, 12.0, 241)] * 2
+    pts = tensor_points(axes)
     f = random_spectral(2, 24, np.random.default_rng(7), real=False)
-    got = f.eval_points(pts)
+    assert f.eval_points(pts).tobytes() == f.eval_grid(axes).ravel().tobytes()
+    # given tables, the points are contracted one by one
+    got = f.eval_points(pts, axis_tables(24, pts))
     assert got.tobytes() == f.eval_points(pts, axis_tables_oracle(24, pts)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eval_points_at_scattered_points_contract_them_one_by_one(monkeypatch, dim):
+    # distinct coordinates spanning a grid of more than m points: no eval_grid
+    pts = np.random.default_rng(10 + dim).standard_normal((300, dim)) * 3.0
+    f = random_spectral(dim, 9, np.random.default_rng(dim), real=False)
+    want = f.eval_points(pts, axis_tables_oracle(9, pts))
+    monkeypatch.setattr(SpectralFunction, "eval_grid", None)
+    assert f.eval_points(pts).tobytes() == want.tobytes()
+
+
+def test_distinct_coordinates_keep_signed_zeros_apart():
+    col = np.array([1.0, 0.0, -0.0, -2.0, 0.0, 1.0, -0.0])
+    ax, inv = distinct_coordinates(col)
+    assert ax.tolist() == [-2.0, 0.0, 0.0, 1.0] and np.signbit(ax).tolist() == [True, True, False, False]
+    assert _same_bits(ax[inv], col)
+
+
+def test_eval_points_on_a_grid_with_signed_zeros_keep_the_sign_of_odd_h_k(monkeypatch):
+    import hermband.core as core
+    built = []
+    real = core.hermite_functions
+
+    def recorded(k_max, t):
+        built.append(real(k_max, t))
+        return built[-1]
+
+    x = np.array([-1.0, -0.0, 0.0, 1.0])
+    pts = tensor_points([x, np.array([0.5, -0.0])])[::-1]
+    f = basis_function((3, 1)).add(basis_function((1, 0)))
+    monkeypatch.setattr(core, "hermite_functions", recorded)
+    got = f.eval_points(pts)
+    # the grid's x axis keeps both zeros, so its table holds h_1(-0.0) = -0.0 and h_1(0.0) = 0.0
+    assert [t.shape for t in built] == [(5, 4), (5, 2)]
+    assert np.signbit(built[0][1]).tolist() == [True, True, False, False]
+    assert got.tobytes() == f.eval_grid([x, np.array([-0.0, 0.5])])[::-1].ravel().tobytes()
+    assert np.max(np.abs(got - f.eval_points(pts, axis_tables_oracle(4, pts)))) < 1e-15
+
+
+def test_eval_points_on_a_gauss_hermite_grid_allocate_no_per_point_tables():
+    import tracemalloc
+    u, _ = gauss_hermite(40)
+    pts = tensor_points([u] * 3)
+    f = random_spectral(3, 12, np.random.default_rng(12))
+    tracemalloc.start()
+    vals = f.eval_points(pts)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # per point a 13 x 13 complex intermediate would be 86 MB
+    assert vals.shape == (64_000,) and peak < 8e6, peak
 
 
 def test_hermite_functions_on_no_points():
@@ -271,6 +326,12 @@ def test_eval_points_on_no_points():
     vals = f.eval_points(np.zeros((0, 2)))
     assert vals.shape == (0,) and vals.dtype == complex
     assert [t.shape for t in axis_tables(5, np.zeros((0, 2)))] == [(6, 0), (6, 0)]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_eval_points_on_no_points_in_1d_and_3d(dim):
+    vals = random_spectral(dim, 4, np.random.default_rng(dim)).eval_points(np.zeros((0, dim)))
+    assert vals.shape == (0,) and vals.dtype == complex
 
 
 def test_eval_grid_with_an_empty_axis():

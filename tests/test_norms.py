@@ -148,6 +148,41 @@ def test_seq_tl_single_entry(cfg):
     assert seq_tl_norm(s, params, box) == pytest.approx(expect, rel=2e-2)
 
 
+def _bands_from_the_measure_array(s, params, box):
+    """seq_tl_norm's grid bands with |R| read off each level's whole measure_array()."""
+    axes = box.axes(s.cfg.dim)
+    for j in sorted(s.levels):
+        ts = build_level(j, s.cfg)
+        lin = ts.locate_grid(axes).ravel()
+        inside = lin >= 0
+        flat = np.zeros(lin.size)
+        lin = lin[inside]
+        flat[inside] = ts.measure_array()[lin] ** -0.5 * np.abs(s.levels[j].ravel()[lin])
+        yield 2.0 ** (j * params.alpha) * flat.reshape([len(a) for a in axes])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_seq_tl_norm_weights_are_the_measure_array_floats(sys, monkeypatch, dim):
+    from hermband import norms
+    from hermband.frames import analyze
+    from hermband.tiles import TileConfig, TileSet
+    cfg = TileConfig(dim=dim)
+    s = analyze(sys, random_spectral(dim, 12, np.random.default_rng(dim), real=False), 3, cfg)
+    params = SpaceParams("F", 0.5, 1.0, 2.0)
+    # the default box, and one past the boxes of levels 0 and 1 that cuts those of 2 and 3
+    boxes = [QuadratureBox.in_dim(build_level(3, cfg).outer_halfwidth + 0.5, dim),
+             QuadratureBox(8.0, 97)]
+    want = [list(_bands_from_the_measure_array(s, params, box)) for box in boxes]
+    got = []
+    monkeypatch.setattr(TileSet, "measure_array", None)
+    monkeypatch.setattr(norms, "_f_sum", lambda bands, axes, params: got.append(list(bands)))
+    seq_tl_norm(s, params)
+    seq_tl_norm(s, params, boxes[1])
+    for g, w in zip(got, want):
+        assert len(g) == len(w) == 4
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(g, w))
+
+
 def test_seq_norm_zero(cfg):
     s = CoefficientSequence(cfg)
     assert seq_besov_norm(s, SpaceParams("B", 0.0, 2.0, 2.0)) == 0.0
