@@ -94,21 +94,25 @@ def _levels(args, sys, f):
 
 def cmd_nodes(args):
     """The level's nodes in index order, from the per-axis arrays; tau and the measure
-    are products of per-axis factors in axis order, as in weight_array and measure_array."""
+    are products of per-axis factors in axis order, as in weight_array and measure_array.
+    The node and edge columns are formatted once per axis index and joined per row."""
     ts = tiles.build_level(args.level, _tile_config(args))
     n = ts.dim
     header = (["level", "node_index"] + [f"x{i + 1}" for i in range(n)] + ["tau", "measure"]
               + [f"{end}{i + 1}" for i in range(n) for end in ("lo", "hi")])
+    x = np.array(["%.17g" % v for v in ts.zeros.tolist()], dtype=object)
+    edges = ts.edges.tolist()
+    lo_hi = np.array(["%.17g,%.17g" % e for e in zip(edges, edges[1:])], dtype=object)
 
     def block(flat):
         idx = np.unravel_index(flat, ts.shape)
-        return zip(*(c.tolist() for c in [np.full(flat.size, ts.level), flat]
-                     + [ts.zeros[i] for i in idx]
+        return zip(*(c.tolist() for c in [np.full(flat.size, ts.level), flat] + [x[i] for i in idx]
                      + [np.prod([ts.tau1d[i] for i in idx], axis=0),
                         np.prod([ts.widths[i] for i in idx], axis=0)]
-                     + [e for i in idx for e in (ts.edges[i], ts.edges[i + 1])]))
+                     + [lo_hi[i] for i in idx]))
 
-    _write_csv(args.out, header, ["%d", "%d"] + ["%.17g"] * (3 * n + 2), ts.count, block)
+    _write_csv(args.out, header, ["%d", "%d"] + ["%s"] * n + ["%.17g"] * 2 + ["%s"] * n,
+               ts.count, block)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Hermite functions, projector kernels, quadrature and ladder operators.
 
 All functions are orthonormal in L^2(R): h_k(t) = (2^k k! sqrt(pi))^{-1/2}
-H_k(t) exp(-t^2/2).  Evaluation uses the three-term recurrence carried in
-(mantissa, base-2 exponent) form so that values deep in the Gaussian tail
-stay finite instead of underflowing mid-recurrence.
+H_k(t) exp(-t^2/2).  Evaluation uses the three-term recurrence, carried in
+(mantissa, base-2 exponent) form when a point lies past UNSCALED_MAX, so that
+values deep in the Gaussian tail stay finite instead of underflowing
+mid-recurrence.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ import numpy as np
 _LN2 = math.log(2.0)
 _RESCALE = 2.0 ** 500
 _RESCALE_INV = 2.0 ** -500
+# h_0(t) >= 2^-451 for |t| <= 25, so the recurrence there never rescales.  When
+# every point is also 0 or at least 2^-500 in magnitude, no value or product in it
+# is subnormal, the scaled route's power-of-two shifts are exact, and the
+# unscaled route gives the same bits
+UNSCALED_MAX = 25.0
 
 
 # decay rate of the tail envelope e_function; not pinned down analytically, the
@@ -36,14 +42,17 @@ def _clipped_exponent(e):
 def _hermite_rows(k_max, t):
     """Yield h_0(t), ..., h_{k_max}(t), each of shape(t), one row at a time.
 
-    A row is mantissa * 2**e, formed by ldexp with graceful underflow to 0;
-    the integer exponent is recomputed only in the steps that rescale.
+    When every |t| <= UNSCALED_MAX (and none is below 2^-500 but 0) the rows
+    run unscaled from the first row, with the same bits as the scaled route.
+    Otherwise a row is mantissa * 2**e, formed by ldexp with graceful underflow
+    to 0; the integer exponent is recomputed only in the steps that rescale.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("non-finite evaluation point")
+    t_max = np.max(np.abs(t), initial=0.0)
     # |h_k(t)| <= (2|t|)^k e^{-t^2/2} for |t| >= 1, so every row rounds to 0
     # where t^2/2 - k_max ln(1 + 2|t|) > 746 (never for |t| <= 38): run those
     # points at a stand-in beyond the zeros, sign(t) sqrt(2 k_max + 2), with
@@ -51,7 +60,7 @@ def _hermite_rows(k_max, t):
     # The other points are small enough for an exact seed mantissa and a
     # finite t * 2^500.
     gone = False
-    if np.max(np.abs(t), initial=0.0) > 38.0:
+    if t_max > 38.0:
         a = np.minimum(np.abs(t), _RESCALE)
         gone = 0.5 * a * a - k_max * np.log1p(2.0 * a) > 746.0
         t = np.where(gone, np.copysign(math.sqrt(2.0 * k_max + 2.0), t), t)
@@ -61,7 +70,14 @@ def _hermite_rows(k_max, t):
     mant = np.exp(log_h0 - e * _LN2)
     e = np.where(gone, -np.inf, e)
     ei = _clipped_exponent(e)
-    yield np.ldexp(mant, ei)
+    row = np.ldexp(mant, ei)
+    yield row
+    if t_max <= UNSCALED_MAX and not np.any((t != 0.0) & (np.abs(t) < _RESCALE_INV)):
+        prev, cur = np.zeros_like(mant), row
+        for k in range(k_max):
+            prev, cur = cur, t * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
+            yield cur
+        return
     prev, cur = np.zeros_like(mant), mant
     acur = np.abs(cur)
     for k in range(k_max):
@@ -203,8 +219,17 @@ def projector_kernel_sequence(k_max, x, y):
 
 
 def christoffel(N, t):
-    """1 / sum_{k<=N} h_k(t)^2 (one-dimensional), elementwise over t, in O(len t) memory."""
-    return 1.0 / sum(row * row for row in _hermite_rows(N, t))
+    """1 / sum_{k<=N} h_k(t)^2 (one-dimensional), elementwise over t, in O(len t) memory.
+
+    The points within UNSCALED_MAX and those past it are summed apart, so the
+    inner ones take the unscaled route; each point's sum is the same either way."""
+    t = np.asarray(t, dtype=float)
+    inner = np.abs(t) <= UNSCALED_MAX
+    if inner.all() or not inner.any():
+        return 1.0 / sum(row * row for row in _hermite_rows(N, t))
+    out = np.empty(t.shape)
+    out[inner], out[~inner] = christoffel(N, t[inner]), christoffel(N, t[~inner])
+    return out
 
 
 def finite_difference(seq, order):

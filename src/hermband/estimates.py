@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (VARTHETA, GridFunction, axis_tables, christoffel, e_function, grid_tables,
+from .core import (VARTHETA, GridFunction, christoffel, e_function, grid_tables,
                    hermite_functions, kernel_expansion, lifted_gauss_hermite, multi_indices,
                    projector_kernel_sequence, random_spectral, tensor_points)
 from .frames import CoefficientSequence, needlet, synthesize
@@ -102,12 +102,18 @@ def frame_elements(sys, tiles):
             yield tile, phi_R
 
 
+def sup(values):
+    """The largest of the values, NaN when one is NaN (Python's max keeps whichever
+    of a NaN and a number comes first)."""
+    return float(np.max(list(values)))
+
+
 def sup_per_level(levels, values):
     """{j: sup of the values at level j} over (j, value) pairs, each sup
     folded from 0.0 in the order the pairs come."""
     per = dict.fromkeys(levels, 0.0)
     for j, v in values:
-        per[j] = max(per[j], v)
+        per[j] = sup([per[j], v])
     return per
 
 
@@ -185,73 +191,78 @@ def spectral_bump_molecule(weight_fn, level, center, cfg):
     return Molecule(kernel_expansion(w[:k_max + 1], center), level, center, measure)
 
 
-def check_molecule(mol, params, grid_axes, rng, store):
-    """Clause-by-clause constants of the molecule definition.
+def check_molecules(mols, params, grid_axes, seed):
+    """Clause-by-clause constants of the molecule definition, one report per molecule.
 
     (i)  size:   |d^gamma m| against |R|^{-1/2} 2^{j|gamma|}
                  (1+2^j|x-x_R|)^{-mu} (1+|x|/2^j)^{-(N+delta)};
     (ii) Holder: increments of the top derivatives over 8 random
-                 offsets |x-y| <= 2^{-j};
+                 offsets |x-y| <= 2^{-j}, drawn from default_rng(seed);
     (iii) moments of order <= M against
                  |R|^{-1/2} 2^{-j(n+|gamma|)} ((1+|x_R|)/2^j)^{M+theta-|gamma|}.
 
-    Every derivative is evaluated from the Hermite tables of degree
-    max_degree + N at the grid and at each offset grid.  store, a dict that
-    calls on the same grid_axes share, keeps those tables for the next
-    molecule of the same degree; it holds one degree at a time.
+    The molecules must share their level and degree (a level's needlets do), and so
+    the offsets and the Hermite tables of degree max_degree + N on the grid and on each offset grid: each
+    derivative is one contraction of their stacked coefficient arrays with those
+    tables, over blocks of molecules of at most tiles.NODES_MAX values.
     """
-    j = mol.level
-    n = mol.dim
-    two_j = 2.0 ** j
-    rinv = mol.measure ** -0.5
-    pts = tensor_points(grid_axes)
-    degree = mol.f.max_degree + params.N
-    if any(key[0] != degree for key in store):
-        store.clear()
-
-    def deriv_eval(gamma, h=None):
-        key = (degree, None if h is None else h.tobytes())
-        if key not in store:
-            store[key] = axis_tables(degree, pts if h is None else pts + h)
-        return np.real(mol.derivative(gamma).eval_points(pts, store[key]))
-
-    dist = np.sqrt(np.sum((pts - mol.center) ** 2, axis=1))
-    absx = np.sqrt(np.sum(pts ** 2, axis=1))
-    loc = (1.0 + two_j * dist) ** -params.mu
-    tail = (1.0 + absx / two_j) ** -(params.N + params.delta)
-
-    size_const = holder_const = 0.0
-    per_gamma = {}
-    for gamma in multi_indices(n, params.N):
-        a = deriv_eval(gamma)
-        c = float(np.max(np.abs(a) / (rinv * two_j ** sum(gamma) * loc * tail)))
-        per_gamma[str(gamma)] = c
-        size_const = max(size_const, c)
-        if sum(gamma) < params.N:
-            continue
-        for _ in range(8):
+    j, n, K = mols[0].level, mols[0].dim, mols[0].f.max_degree
+    two_j, rng, gammas = 2.0 ** j, np.random.default_rng(seed), multi_indices(n, params.N)
+    tables, offsets = grid_tables(K + params.N, grid_axes), {}
+    for gamma in gammas:
+        for _ in range(8 if sum(gamma) == params.N else 0):
             h = rng.uniform(-1.0, 1.0, size=n)
             h *= rng.uniform(0.05, 1.0) * 2.0 ** -j / max(np.linalg.norm(h), 1e-12)
-            b = deriv_eval(gamma, h)
-            rhs = rinv * two_j ** params.N * (two_j * np.linalg.norm(h)) ** params.delta * loc
-            holder_const = max(holder_const, float(np.max(np.abs(a - b) / rhs)))
+            offsets.setdefault(gamma, []).append(
+                (h, grid_tables(K + params.N, [ax + hd for ax, hd in zip(grid_axes, h)])))
 
-    moment_const, moments = 0.0, {}
-    cen = 1.0 + float(np.linalg.norm(mol.center))
-    for gamma in multi_indices(n, params.M):        # none when M = -1
-        mval = abs(mol.moment(gamma))
-        rhs = rinv * two_j ** -(n + sum(gamma)) * (cen / two_j) ** (params.M + params.theta - sum(gamma))
-        moments[str(gamma)] = mval / rhs
-        moment_const = max(moment_const, mval / rhs)
+    def dist(c):
+        return np.sqrt(sum(np.ix_(*[(ax - cd) ** 2 for ax, cd in zip(grid_axes, c)])))
 
-    constant = max(size_const, holder_const, moment_const)
-    return EstimateReport(
-        "molecule", constant,
-        scan={"level": j, "grid": [len(a) for a in grid_axes]},
-        details={"size": size_const, "size_per_gamma": per_gamma,
-                 "holder": holder_const, "moment": moment_const,
-                 "moment_per_gamma": moments,
-                 "params": dataclasses.asdict(params)})
+    tail = (1.0 + dist(np.zeros(n)) / two_j) ** -(params.N + params.delta)
+    grid, step = tuple(range(1, n + 1)), max(1, NODES_MAX // math.prod(map(len, grid_axes)))
+    consts = []         # per block: the size constant of each gamma, then the Holder one
+    for block in (mols[i:i + step] for i in range(0, len(mols), step)):
+        rinv = np.array([mol.measure ** -0.5 for mol in block]).reshape((-1,) + (1,) * n)
+        loc = np.stack([(1.0 + two_j * dist(mol.center)) ** -params.mu for mol in block])
+        sizes, holder = [], np.zeros(len(block))
+        for gamma in gammas:
+            coeffs = np.stack([mol.derivative(gamma).array for mol in block])
+            a = _grid_sums(coeffs, tables)
+            ratio = rinv * two_j ** sum(gamma) * loc
+            ratio *= tail
+            sizes.append(np.max(np.divide(np.abs(a), ratio, out=ratio), axis=grid))
+            for h, h_tables in offsets.get(gamma, ()):
+                d = _grid_sums(coeffs, h_tables)
+                d = np.abs(np.subtract(a, d, out=d), out=d)
+                d /= rinv * two_j ** params.N * (two_j * np.linalg.norm(h)) ** params.delta * loc
+                holder = np.maximum(holder, np.max(d, axis=grid))
+        consts.append(np.stack(sizes + [holder]))
+
+    reports = []
+    for mol, (*size, holder) in zip(mols, np.hstack(consts).T.tolist()):
+        cen = (1.0 + float(np.linalg.norm(mol.center))) / two_j
+        moments = {str(g): abs(mol.moment(g)) / (mol.measure ** -0.5 * two_j ** -(n + sum(g))
+                                                 * cen ** (params.M + params.theta - sum(g)))
+                   for g in multi_indices(n, params.M)}         # none when M = -1
+        details = {"size": sup(size), "size_per_gamma": dict(zip(map(str, gammas), size)),
+                   "holder": holder, "moment": sup([0.0, *moments.values()]),
+                   "moment_per_gamma": moments, "params": dataclasses.asdict(params)}
+        reports.append(EstimateReport(
+            "molecule", sup([details["size"], holder, details["moment"]]),
+            scan={"level": j, "grid": [len(a) for a in grid_axes]}, details=details))
+    return reports
+
+
+def _grid_sums(coeffs, tables):
+    """Re sum_xi coeffs[b, xi] prod_d H_d[xi_d, x_d] on the grid of the per-axis tables
+    H_d, for each b: shape (B,) + grid.  Each axis is contracted by a matrix product
+    per b, so a row's bits do not depend on the other rows."""
+    K1 = coeffs.shape[1]
+    T = coeffs.real[:, None]
+    for H in tables:
+        T = np.moveaxis(T, 2, -1) @ H[:K1]
+    return T[:, 0]
 
 
 def sample_tiles(ts, count, rng):
@@ -285,15 +296,12 @@ def verify_molecules(sys, cfg, params, levels, tiles_per_level=20, grid_points=8
             for t, phi_R in frame_elements(sys, tiles)]
 
     def scan(axes):
-        # every call draws the same Holder offsets, so one store serves a level
-        store = {}
         return sup_per_level(range(levels + 1), (
-            (mol.level, check_molecule(mol, params, axes, np.random.default_rng(seed),
-                                       store).constant)
-            for mol in mols))
+            (j, rep.constant) for j, level in itertools.groupby(mols, lambda mol: mol.level)
+            for rep in check_molecules(list(level), params, axes, seed)))
 
     per_level, per_fine = scan(grids[0]), scan(grids[1])
-    worst, worst_fine = max(per_level.values()), max(per_fine.values())
+    worst, worst_fine = sup(per_level.values()), sup(per_fine.values())
     stable, change = refinement_stable(worst, worst_fine)
     return EstimateReport("needlets-are-molecules", max(worst, worst_fine),
                           scan={"levels": levels, "tiles_per_level": tiles_per_level,
@@ -439,7 +447,7 @@ def verify_tsmooth(sigma, sys, cfg, m, levels, tiles_per_level=6, grid_points=40
                     yield j, float(np.max(vals.ravel() / rhs))
 
     per_level = sup_per_level(range(levels + 1), ratios())
-    return EstimateReport("tsigma-smoothness", max(per_level.values()),
+    return EstimateReport("tsigma-smoothness", sup(per_level.values()),
                           scan={"levels": levels, "gamma_max": gamma_max, "N_max": N_max,
                                 "grid_points": grid_points},
                           per_level=per_level,
@@ -481,7 +489,7 @@ def verify_tcanc(sigma, sys, cfg, m, levels, tiles_per_level=6, *, seed):
                     yield j, abs(mom2) / rhs
 
     per_level = sup_per_level(range(levels + 1), ratios())
-    return EstimateReport("tsigma-cancellation", max(per_level.values()),
+    return EstimateReport("tsigma-cancellation", sup(per_level.values()),
                           scan={"levels": levels, "M": M, "theta": theta},
                           per_level=per_level,
                           details={"quadrature_residual": resid_flag, "m": m})

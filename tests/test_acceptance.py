@@ -9,7 +9,7 @@ import numpy as np
 from hermband.core import random_spectral
 from hermband.estimates import (
     MoleculeParams,
-    check_molecule,
+    check_molecules,
     refinement_stable,
     spectral_bump_molecule,
     verify_almost_orthogonality,
@@ -182,7 +182,7 @@ def test_criterion_13_negative_controls(sys, cfg):
     good = spectral_bump_molecule(lambda u: u ** 2 * np.exp(-u), 2, [0.0], cfg)
     bad = spectral_bump_molecule(lambda u: np.exp(-u), 2, [0.0], cfg)
     bad_moment, good_moment = (
-        check_molecule(mol, params, axes, np.random.default_rng(0), {}).details["moment"]
+        check_molecules([mol], params, axes, 0)[0].details["moment"]
         for mol in (bad, good))
     mol_fails = bad_moment > 100.0 * max(good_moment, 1e-30)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hermband.core import (
+    UNSCALED_MAX,
     VARTHETA,
     SpectralFunction,
     _hermite_zeros,
@@ -172,6 +173,27 @@ def test_hermite_rows_match_the_per_row_reference(K):
             squares = squares + ref * ref
         with np.errstate(divide="ignore", over="ignore"):
             assert _same_bits(christoffel(K, t), 1.0 / squares)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 24, 300, 1000])
+def test_unscaled_route_gives_the_scaled_route_bits(K):
+    # one point past UNSCALED_MAX appended sends the same points through the scaled
+    # route; a subnormal point keeps a set on the scaled route
+    T, rng = UNSCALED_MAX, np.random.default_rng(K)
+    for t in (np.linspace(-T, T, 1001), rng.uniform(-T, T, 200),
+              np.array([0.0, -0.0, T, -T, 1e-300, 2.0 ** -500]), np.array([5e-324, -1e-310, 1.0]),
+              _hermite_zeros(64), _hermite_zeros(301), 3.7, rng.uniform(-T, T, (6, 7))):
+        unscaled = hermite_functions(K, t)
+        scaled = hermite_functions(K, np.append(t, 2.0 * T))[:, :-1].reshape(unscaled.shape)
+        assert np.array_equal(unscaled.view(np.int64), scaled.view(np.int64))
+
+
+def test_christoffel_split_at_unscaled_max_keeps_the_bits():
+    t = np.concatenate([np.linspace(-60.0, 60.0, 241), _hermite_zeros(64)])
+    for N in (5, 63, 400):
+        with np.errstate(divide="ignore", over="ignore"):
+            unsplit = 1.0 / sum(row * row for row in hermite_functions(N, t))
+            assert np.array_equal(christoffel(N, t).view(np.int64), unsplit.view(np.int64))
 
 
 def test_eval_grid_from_shared_tables_is_byte_equal():

@@ -1,6 +1,7 @@
 """Measurement harness: molecules, cross-scale decay, operator estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hermband.core import SpectralFunction, projector_kernel_sequence
 from hermband.estimates import (
     Molecule,
     MoleculeParams,
-    check_molecule,
+    check_molecules,
     random_sparse_sequence,
     refinement_stable,
     sample_tiles,
     spectral_bump_molecule,
+    sup_per_level,
     tsigma_moment,
     verify_almost_orthogonality,
     verify_ao,
@@ -59,16 +61,15 @@ def test_molecule_params_validation():
 
 def test_check_molecule_zero_function(cfg):
     mol = Molecule(SpectralFunction(1, 0), 1, [0.0], 0.5)
-    rep = check_molecule(mol, MoleculeParams(), [np.linspace(-8, 8, 101)],
-                         np.random.default_rng(0), {})
+    rep = check_molecules([mol], MoleculeParams(), [np.linspace(-8, 8, 101)], 0)[0]
     assert rep.constant == 0.0
 
 
 def test_check_molecule_needlet_finite(sys, cfg):
     ts = build_level(1, cfg)
     mol = needlet_molecule(sys, ts.tile((ts.nodes_per_axis // 2,)))
-    rep = check_molecule(mol, MoleculeParams(1, 0.5, 2, 0.5, 3.0),
-                         [np.linspace(-12, 12, 401)], np.random.default_rng(0), {})
+    rep = check_molecules([mol], MoleculeParams(1, 0.5, 2, 0.5, 3.0),
+                          [np.linspace(-12, 12, 401)], 0)[0]
     assert math.isfinite(rep.constant) and rep.constant > 0
     assert set(rep.details) >= {"size", "holder", "moment"}
 
@@ -86,22 +87,72 @@ def _count_table_builds(monkeypatch):
     return built
 
 
-def test_check_molecule_store_shares_tables_within_a_degree(sys, cfg, monkeypatch):
+def test_check_molecules_builds_one_table_per_level_grid_and_offset(sys, cfg, monkeypatch):
     params = MoleculeParams(1, 0.5, 2, 0.5, 3.0)
     axes = [np.linspace(-12, 12, 201)]
-    mols = [needlet_molecule(sys, build_level(j, cfg).tile((i,)))
-            for j, i in ((2, 10), (2, 11), (3, 30))]
-    alone = [check_molecule(mol, params, axes, np.random.default_rng(0), {}).to_json_dict()
-             for mol in mols]
+    levels = {j: [needlet_molecule(sys, build_level(j, cfg).tile((i,))) for i in idx]
+              for j, idx in ((2, (9, 10, 11)), (3, (30, 31)))}
+    alone = {j: [check_molecules([mol], params, axes, 0)[0].to_json_dict() for mol in mols]
+             for j, mols in levels.items()}
     built = _count_table_builds(monkeypatch)
-    store, shared = {}, []
-    for mol in mols:
-        shared.append(check_molecule(mol, params, axes, np.random.default_rng(0),
-                                     store).to_json_dict())
-        assert {key[0] for key in store} == {mol.f.max_degree + params.N}
-    assert shared == alone
+    for j, mols in levels.items():
+        assert [rep.to_json_dict() for rep in check_molecules(mols, params, axes, 0)] == alone[j]
     # in 1-D with N = 2: the grid and the 8 offsets of gamma = (2,), once per level
     assert built.count((201,)) == 2 * 9
+
+
+def test_check_molecules_in_2d_measures_the_grid_values(cfg, monkeypatch):
+    # each size constant is the sup over the grid of |d^gamma m| / its bound, with the
+    # derivative evaluated point by point
+    ts = build_level(2, TileConfig(dim=2))
+    mid = ts.nodes_per_axis // 2
+    sys2 = bump_system()
+    mols = [needlet_molecule(sys2, ts.tile((mid + d, mid - d))) for d in (-2, 0, 3)]
+    params = MoleculeParams(1, 0.5, 2, 0.5, 4.0)
+    axes = [np.linspace(-10, 10, 61)] * 2
+    pts = core.tensor_points(axes)
+    tail = (1.0 + np.linalg.norm(pts, axis=1) / 4.0) ** -2.5
+    for mol, rep in zip(mols, check_molecules(mols, params, axes, 0)):
+        loc = (1.0 + 4.0 * np.linalg.norm(pts - mol.center, axis=1)) ** -4.0
+        for gamma in ((0, 0), (1, 0), (1, 1), (0, 2)):
+            vals = np.real(mol.derivative(gamma).eval_points(pts))
+            expect = np.max(np.abs(vals) / (mol.measure ** -0.5 * 4.0 ** sum(gamma) * loc * tail))
+            assert rep.details["size_per_gamma"][str(gamma)] == pytest.approx(expect, rel=1e-12)
+        assert rep.constant == max(rep.details[k] for k in ("size", "holder", "moment"))
+
+
+def test_check_molecules_2d_memory_is_bounded(monkeypatch):
+    # six level-2 molecules on a 401^2 grid: per-axis tables and one block of
+    # stacked grid values, where per-point tables took 390 MB
+    ts = build_level(2, TileConfig(dim=2))
+    mid = ts.nodes_per_axis // 2
+    sys2 = bump_system()
+    mols = [needlet_molecule(sys2, ts.tile((mid + d, mid + e)))
+            for d, e in ((0, 0), (1, 0), (0, 2), (-1, 1), (3, -2), (-4, -4))]
+    for mol in mols:
+        for gamma in core.multi_indices(2, 2):
+            mol.derivative(gamma)
+    tracemalloc.start()
+    try:
+        reps = check_molecules(mols, MoleculeParams(1, 0.5, 2, 0.5, 4.0),
+                               [np.linspace(-14, 14, 401)] * 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reps)
+    assert peak <= 64 * 2 ** 20
+
+
+def test_a_nan_value_makes_the_sup_nan_and_the_report_fail(sys, cfg, monkeypatch):
+    per = sup_per_level(range(2), [(0, math.nan), (1, 2.0)])
+    assert math.isnan(per[0]) and per[1] == 2.0
+    assert math.isnan(sup_per_level(range(1), [(0, 1.0), (0, math.nan), (0, 0.5)])[0])
+    mol = Molecule(SpectralFunction(1, 2, np.array([1.0, math.nan, 0.0])), 1, [0.0], 0.5)
+    rep = check_molecules([mol], MoleculeParams(), [np.linspace(-8, 8, 101)], 0)[0]
+    assert math.isnan(rep.constant) and not rep.passed
+    monkeypatch.setattr(estimates, "tsigma_moment", lambda *args, **kwargs: complex(math.nan))
+    rep = verify_tcanc(separable_symbol(1), sys, cfg, m=0, levels=1, tiles_per_level=1, seed=0)
+    assert math.isnan(rep.per_level[1]) and math.isnan(rep.constant) and not rep.passed
 
 
 def test_verify_molecules_computes_each_moment_once(sys, cfg, monkeypatch):
@@ -134,8 +185,8 @@ def test_moment_cancellation_separates_controls(cfg):
     params = MoleculeParams(1, 0.5, 2, 0.5, 3.0)
     good = spectral_bump_molecule(lambda u: u ** 2 * np.exp(-u), 2, [0.0], cfg)
     bad = spectral_bump_molecule(lambda u: np.exp(-u), 2, [0.0], cfg)
-    rep_good = check_molecule(good, params, axes, np.random.default_rng(0), {})
-    rep_bad = check_molecule(bad, params, axes, np.random.default_rng(0), {})
+    rep_good = check_molecules([good], params, axes, 0)[0]
+    rep_bad = check_molecules([bad], params, axes, 0)[0]
     assert rep_bad.details["moment"] > 100.0 * max(rep_good.details["moment"], 1e-30)
 
 
