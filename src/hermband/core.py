@@ -426,12 +426,6 @@ class SpectralFunction:
     def is_real(self, tol):
         return bool(np.all(np.abs(self.array.imag) <= tol))
 
-    def degree_slices(self):
-        """The nonzero degree parts P_k f: dict k -> SpectralFunction, increasing k."""
-        return {k: SpectralFunction(self.dim, self.max_degree,
-                                    np.where(self.degrees == k, self.array, 0))
-                for k in np.unique(self.degrees[self.array != 0]).tolist()}
-
     # -- evaluation --------------------------------------------------------
 
     def eval_grid(self, axes, tables=None):

@@ -104,8 +104,10 @@ def frame_elements(sys, tiles):
 
 def sup(values):
     """The largest of the values, NaN when one is NaN (Python's max keeps whichever
-    of a NaN and a number comes first)."""
-    return float(np.max(list(values)))
+    of a NaN and a number comes first).  Plain Python, since the suites fold one
+    value at a time."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else float(max(values))
 
 
 def sup_per_level(levels, values):
@@ -303,7 +305,7 @@ def verify_molecules(sys, cfg, params, levels, tiles_per_level=20, grid_points=8
     per_level, per_fine = scan(grids[0]), scan(grids[1])
     worst, worst_fine = sup(per_level.values()), sup(per_fine.values())
     stable, change = refinement_stable(worst, worst_fine)
-    return EstimateReport("needlets-are-molecules", max(worst, worst_fine),
+    return EstimateReport("needlets-are-molecules", sup([worst, worst_fine]),
                           scan={"levels": levels, "tiles_per_level": tiles_per_level,
                                 "grid_points": grid_points, "half_width": half_width},
                           per_level=per_fine,
@@ -353,7 +355,7 @@ def verify_almost_orthogonality(sys, molecules, params, j_range, eta, grid_axes)
             decay = 2.0 ** (-a * max(k - j, 0) - b * max(j - k, 0))
             ratio = wsup / decay
             rows.append((k, j, wsup, ratio))
-            constant = max(constant, ratio)
+            constant = sup([constant, ratio])
 
     floor = 1e-15 * max((w for _, _, w, _ in rows), default=1.0)
     slopes = _ao_slopes(rows, floor)
@@ -405,7 +407,7 @@ def verify_ao(sys, cfg, k_levels=(1, 2, 3, 4), tiles_per_level=3, grid_points=80
     rep = verify_almost_orthogonality(sys, mols, MoleculeParams(1, 0.5, 2, 0.5, n + 2), j_range,
                                       n + 1, axes)
     kmax = max(k_levels)
-    shorter = max((r for k, _, _, r in rep.details["rows"] if k < kmax), default=0.0)
+    shorter = sup([0.0, *(r for k, _, _, r in rep.details["rows"] if k < kmax)])
     stable, change = refinement_stable(shorter, rep.constant)
     rep.details["sup_without_last_level"] = shorter
     rep.details["level_extension_change"] = change
@@ -483,7 +485,7 @@ def verify_tcanc(sigma, sys, cfg, m, levels, tiles_per_level=6, *, seed):
                 for gamma in multi_indices(n, M):
                     mom = tsigma_moment(sigma, phi_R, tile.node, gamma)
                     mom2 = tsigma_moment(sigma, phi_R, tile.node, gamma, extra=16)
-                    resid_flag = max(resid_flag, abs(mom - mom2) / max(abs(mom2), 1e-30))
+                    resid_flag = sup([resid_flag, abs(mom - mom2) / max(abs(mom2), 1e-30)])
                     rhs = rinv * 2.0 ** (j * (m - n - sum(gamma))) \
                         * (cen / 2.0 ** j) ** (M + theta - sum(gamma))
                     yield j, abs(mom2) / rhs
@@ -526,7 +528,7 @@ def verify_synthesis(sys, cfg, J=3, n_sequences=100, *, seed, box=None):
             continue
         gn = space_norm(sys, g, params)
         ratios.append(gn / snorm)
-        worst = max(worst, gn / snorm)
+        worst = sup([worst, gn / snorm])
     return EstimateReport("synthesis", worst,
                           scan={"J": J, "sequences": n_sequences},
                           details={"mean_ratio": float(np.mean(ratios)) if ratios else 0.0})
@@ -540,7 +542,7 @@ def verify_boundedness(sigma, m, space_list, sys, cfg, K=12, n_funcs=20, *, seed
     family = [random_spectral(n, K, rng) for _ in range(n_funcs)]
     outputs = [reproject(lambda axes: apply_pseudomultiplier(sigma, f, axes).samples,
                          n, f.max_degree + 8) for f in family]
-    resid_max = max([0.0] + [resid for _, resid in outputs])
+    resid_max = sup([0.0] + [resid for _, resid in outputs])
     out = {}
     for params in space_list:
         worst = 0.0
@@ -548,10 +550,10 @@ def verify_boundedness(sigma, m, space_list, sys, cfg, K=12, n_funcs=20, *, seed
             src = SpaceParams(params.family, params.alpha + m, params.p, params.q)
             denom = space_norm(sys, f, src)
             num = space_norm(sys, g, params)
-            if denom > 0:
-                worst = max(worst, num / denom)
+            if denom != 0.0:
+                worst = sup([worst, num / denom])
         out[(params.family, params.alpha, params.p, params.q)] = worst
-    constant = max(out.values()) if out else 0.0
+    constant = sup(out.values()) if out else 0.0
     return EstimateReport("boundedness", constant,
                           scan={"family_size": len(family), "K": K},
                           details={"per_space": {str(k): v for k, v in out.items()},
@@ -579,7 +581,7 @@ def verify_kernel(sys, cfg, levels):
         for eta in c_eta:
             rhs = 2.0 ** (j * n) * (1.0 + 2.0 ** j * np.abs(xs)) ** -eta \
                 * e_x0 * np.maximum(e_y, 1e-300)
-            c_eta[eta] = max(c_eta[eta], float(np.max(vals / rhs)))
+            c_eta[eta] = sup([c_eta[eta], float(np.max(vals / rhs))])
     details = {f"phiest_A_eta{eta}": c for eta, c in c_eta.items()}
 
     c_mom = 0.0
@@ -592,9 +594,9 @@ def verify_kernel(sys, cfg, levels):
                 rhs = 2.0 ** (-j * sum(gamma)) \
                     * ((1.0 + np.linalg.norm(x)) / 2.0 ** j) ** (2 - sum(gamma)) \
                     * max(e_x, 1e-300)
-                c_mom = max(c_mom, abs(column.moment(x, gamma)) / rhs)
+                c_mom = sup([c_mom, abs(column.moment(x, gamma)) / rhs])
     details["phiest_B"] = c_mom
-    return EstimateReport("kernel-estimates", max(details.values()), scan={"levels": levels},
+    return EstimateReport("kernel-estimates", sup(details.values()), scan={"levels": levels},
                           details=details)
 
 
@@ -608,7 +610,7 @@ def verify_hoppe(sys, n):
             for k in support_set(sys, j, n):
                 r = hoppe_check(sys, ell, ell + 1, j, k, n)
                 rows[f"j{j}_ell{ell}_k{k}"] = r
-                worst = max(worst, r)
+                worst = sup([worst, r])
     return EstimateReport("hoppe", worst, scan={"levels": levels},
                           details={"max_entries": dict(sorted(rows.items(),
                                                               key=lambda kv: -kv[1])[:10])})
@@ -643,7 +645,7 @@ def verify_qq(cfg):
         ev = np.asarray(e_function(eps * 4.0 ** j, xs))
         for beta in (1.0, 3.0):
             rhs = (1.0 + np.abs(xs) / 2.0 ** j) ** -beta
-            c_eb = max(c_eb, float(np.max(ev / rhs)))
+            c_eb = sup([c_eb, float(np.max(ev / rhs))])
     return EstimateReport("qq-growth", c_growth, scan={"N": N},
                           details={"fitted_vartheta": fitted,
                                    "default_vartheta": VARTHETA,
@@ -664,9 +666,9 @@ def verify_tiles(cfg, levels, cubature_pairs=20, *, seed):
         meas = ts.measure_array()
         tau = ts.weight_array()
         env = np.asarray(e_function(eps * 4.0 ** j, ts.node_array()))
-        ctrl = max(ctrl, float(np.max(meas * 2.0 ** (j * ts.dim) * env)))
+        ctrl = sup([ctrl, float(np.max(meas * 2.0 ** (j * ts.dim) * env))])
         ratio_lo = min(ratio_lo, float(np.min(tau / meas)))
-        ratio_hi = max(ratio_hi, float(np.max(tau / meas)))
+        ratio_hi = sup([ratio_hi, float(np.max(tau / meas))])
         if j > 3:
             continue
         # cubature exactness on random band-limited pairs
@@ -682,7 +684,7 @@ def verify_tiles(cfg, levels, cubature_pairs=20, *, seed):
                            np.real(g.eval_grid(axes, tables)))
             exact = np.real(f.inner(g))
             scale = max(f.norm2() * g.norm2(), 1e-30)
-            cub_err = max(cub_err, abs(val - exact) / scale)
+            cub_err = sup([cub_err, abs(val - exact) / scale])
     # covering check at the finest level, the last one built
     cover_err = abs(float(np.sum(ts.widths)) - 2.0 * ts.outer_halfwidth)
     return EstimateReport("tiles", ctrl, per_level=per_level,
@@ -722,9 +724,9 @@ def verify_maximal(cfg, *, seed):
                     d = np.sqrt(np.sum((pts - nodes[t]) ** 2, axis=1))
                     star += a[t] / (1.0 + scale * d) ** eta
                 rhs = 2.0 ** ((n / min(1.0, r)) * (k - j)) * mg
-                c_r = max(c_r, float(np.max(star / rhs)))
+                c_r = sup([c_r, float(np.max(star / rhs))])
         details[f"r={r}"] = c_r
-    return EstimateReport("maximal", max(details.values()), scan={"j_max": j_max, "rs": list(rs)},
+    return EstimateReport("maximal", sup(details.values()), scan={"j_max": j_max, "rs": list(rs)},
                           details=details)
 
 
@@ -742,16 +744,16 @@ def verify_embeddings(sys, cfg, n_funcs=50, *, seed):
     for f in fam:
         lo = space_norm(sys, f, SpaceParams("F", 0.0, 2.0, 2.0))
         hi = space_norm(sys, f, SpaceParams("F", 0.5, 2.0, 2.0))
-        if hi > 0:
-            lift_c = max(lift_c, lo / hi)
+        if hi != 0.0:
+            lift_c = sup([lift_c, lo / hi])
         bmin = space_norm(sys, f, SpaceParams("B", 0.0, p, min(p, q)))
         ff = space_norm(sys, f, SpaceParams("F", 0.0, p, q))
         bmax = space_norm(sys, f, SpaceParams("B", 0.0, p, max(p, q)))
-        if bmin > 0:
-            sand_lo = max(sand_lo, ff / bmin)
-        if ff > 0:
-            sand_hi = max(sand_hi, bmax / ff)
-    worst = max(lift_c, sand_lo, sand_hi)
+        if bmin != 0.0:
+            sand_lo = sup([sand_lo, ff / bmin])
+        if ff != 0.0:
+            sand_hi = sup([sand_hi, bmax / ff])
+    worst = sup([lift_c, sand_lo, sand_hi])
     return EstimateReport("embeddings", worst, scan={"family": n_funcs, "K": K},
                           details={"lifting": lift_c,
                                    "F_over_Bmin": sand_lo, "Bmax_over_F": sand_hi})
@@ -778,12 +780,12 @@ def verify_linearize(sys, cfg, K=10, n_funcs=5, *, seed, grid_points=801):
             sig = linearize_nonlinearity(H, f, sys, J)
             tv = np.real(apply_pseudomultiplier(sig, f, axes).samples.ravel())
             err = float(np.max(np.abs(tv - fv ** p)))
-            worst[p] = max(worst[p], err)
+            worst[p] = sup([worst[p], err])
             if i == 0:
                 sig32 = linearize_nonlinearity(H, f, sys, J, t_points=32)
                 tv32 = np.real(apply_pseudomultiplier(sig32, f, axes).samples.ravel())
                 halving[p] = (err, float(np.max(np.abs(tv32 - fv ** p))))
-    constant = max(worst.values())
+    constant = sup(worst.values())
     return EstimateReport("linearize", constant,
                           scan={"K": K, "J": J, "n_funcs": n_funcs},
                           details={"sup_error_per_power": {str(k): v for k, v in worst.items()},

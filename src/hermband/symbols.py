@@ -1,9 +1,9 @@
 """Pseudo-multipliers T_sigma f = sum_k sigma(x, lambda_k) P_k f.
 
-A Symbol evaluates sigma(x, xi) on a table: m points x down the rows and an
-array of spectral arguments xi >= 0 along the columns, so each consumer
-makes one call for all the xi it needs; the operator passes
-xi = lambda_k = 2k + n for the degrees k present in f.
+Every symbol is a finite sum sigma(x, xi) = sum_t G_t(x) w_t(xi) of
+x-factors times spectral windows, so T_sigma f = sum_t G_t . w_t(sqrt L) f:
+each window acts on the coefficients of f and each x-factor multiplies the
+result on the grid.
 """
 
 from __future__ import annotations
@@ -17,71 +17,53 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import (GridFunction, SpectralFunction, axis_tables, grid_tables, hermite_functions,
-                   json_field, json_float, json_int, lifted_gauss_hermite, multi_indices,
-                   shown, tensor_points)
+                   json_field, json_float, json_int, lifted_gauss_hermite, shown, tensor_points)
 from .lp import apply_lp, bump_system
 
 
 class Symbol:
-    """sigma(x, xi) on a table of points and spectral arguments.
+    """sigma(x, xi) = sum_t G_t(x) w_t(xi).
 
     evaluator(pts, xi) takes an (m, n) point array and a 1-D array xi of
-    non-negative spectral arguments and returns the (m, len(xi)) table;
-    x_derivatives maps a derivative multi-index to an evaluator with the
-    same contract, and so do the symbol itself and x_derivative.
+    non-negative spectral arguments and returns (W, factors): W is an array
+    whose row W[t] is w_t at xi, and factors(nu, live) lists d^nu_x G_t at
+    the points for each t in live, raising ValueError for a nu the symbol
+    does not supply.
     """
 
-    def __init__(self, evaluator, dim, x_derivatives=None):
+    def __init__(self, evaluator, dim):
         self.evaluator = evaluator
         self.dim = int(dim)
-        self.x_derivatives = dict(x_derivatives or {})
-
-    def __call__(self, pts, xi):
-        return self.x_derivative(pts, xi, ())
-
-    def x_derivative(self, pts, xi, nu):
-        """d^nu_x sigma: the evaluator at nu = 0, otherwise the table the symbol
-        supplies; ValueError for a nu it does not supply."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        xi = np.asarray(xi, dtype=float)
-        nu = tuple(int(v) for v in nu)
-        if sum(nu) == 0:
-            return np.asarray(self.evaluator(pts, xi))
-        if nu not in self.x_derivatives:
-            raise ValueError(f"the symbol supplies no x-derivative nu = {nu}")
-        return np.asarray(self.x_derivatives[nu](pts, xi))
 
 
-def window_sum(sys, factors, xi):
-    """sum_j m_j(x) phi_j(sqrt(xi)) as an (m, len(xi)) table, summed in j order;
-    factors[j] holds m_j at the m points."""
-    u = np.sqrt(np.maximum(xi, 0.0))
-    acc = np.zeros((len(factors[0]), len(u)))
-    for j, mj in enumerate(factors):
-        acc += np.multiply.outer(mj, np.asarray(sys.window(j, u), dtype=float))
-    return acc
+def _unsupplied(nu):
+    return ValueError(f"the symbol supplies no x-derivative nu = {tuple(nu)}")
 
 
 def apply_pseudomultiplier(sigma, f, axes, gamma=None):
     """d^gamma_x T_sigma f on the tensor grid of axes, as a GridFunction (gamma = 0 by default).
 
-    By Leibniz, d^gamma T_sigma f = sum_beta C(gamma, beta) sum_k d^beta_x sigma(., lambda_k)
-    d^{gamma - beta} P_k f, summed over beta and then k; sigma is evaluated at the
-    lambda_k of the degrees k present in f, and each degree part P_k f is
-    differentiated exactly on its coefficients.
+    By Leibniz, d^gamma T_sigma f = sum_beta C(gamma, beta) sum_t d^beta G_t
+    d^{gamma - beta} w_t(sqrt L) f, summed over beta and then t; the windows are
+    evaluated at the lambda_k of the degrees k present in f, a term whose window
+    vanishes there is skipped, and each w_t(sqrt L) f is differentiated exactly
+    on its coefficients.
     """
     gamma = (0,) * f.dim if gamma is None else tuple(gamma)
     pts = tensor_points(axes)
-    parts = f.degree_slices()
-    lams = 2.0 * np.array(list(parts), dtype=float) + f.dim
+    ks = np.unique(f.degrees[f.array != 0])
+    W, factors = sigma.evaluator(pts, 2.0 * ks + f.dim)
+    live = [t for t, w in enumerate(W) if np.any(w != 0)]
+    wk = np.zeros((len(W), f.dim * f.max_degree + 1), dtype=W.dtype)    # w_t at each degree
+    wk[:, ks] = W
+    parts = [SpectralFunction(f.dim, f.max_degree, wk[t][f.degrees] * f.array) for t in live]
     tables = grid_tables(f.max_degree + sum(gamma), axes)
     out = np.zeros(pts.shape[0], dtype=complex)
     for beta in itertools.product(*(range(g + 1) for g in gamma)):
         rest = tuple(g - b for g, b in zip(gamma, beta))
         coef = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
-        ds = sigma.x_derivative(pts, lams, beta)
-        for i, part in enumerate(parts.values()):
-            out += coef * ds[:, i] * part.derivative_multi(rest).eval_grid(axes, tables).ravel()
+        for g, part in zip(factors(beta, live), parts):
+            out += coef * g * part.derivative_multi(rest).eval_grid(axes, tables).ravel()
     return GridFunction(axes, out.reshape([len(a) for a in axes]))
 
 
@@ -118,16 +100,31 @@ def reproject(evalfn, dim, K_prime):
 
 def hermite_multiplier(seq, dim):
     """x-independent symbol from a spectral sequence xi -> complex, called once
-    per xi; the table is a read-only broadcast of that row, not a copy per point."""
+    per xi: one term with G = 1, so every d^nu G with nu != 0 is 0."""
 
     def ev(pts, xi):
-        row = np.array([complex(seq(v)) for v in xi.tolist()], dtype=complex)
-        return np.broadcast_to(row, (len(pts), len(row)))
+        def factors(nu, live):
+            g = np.zeros(len(pts)) if sum(nu) else np.ones(len(pts))
+            return [g for _ in live]
+        return np.array([[complex(seq(v)) for v in xi.tolist()]], dtype=complex), factors
 
-    def zero(pts, xi):
-        return np.broadcast_to(0j, (len(pts), len(xi)))
+    return Symbol(ev, dim)
 
-    return Symbol(ev, dim, {nu: zero for nu in multi_indices(dim, 4) if sum(nu) > 0})
+
+def pointwise_symbol(ev, dim):
+    """The Symbol of an evaluator ev(pts, xi) -> (m, len(xi)) table: one term per xi,
+    w_t the indicator of xi_t and G_t the table's column t, evaluated once for the
+    live columns (also when there are none); no x-derivative is supplied."""
+
+    def evaluator(pts, xi):
+        def factors(nu, live):
+            if sum(nu):
+                raise _unsupplied(nu)
+            vals = ev(pts, xi[live])
+            return [vals[:, i] for i in range(len(live))]
+        return np.eye(len(xi)), factors
+
+    return Symbol(evaluator, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -144,33 +141,34 @@ def _radial_bump(r):
     return out
 
 
-def radial_symbol(dim, profile, table):
+def radial_symbol(dim, profile, windows):
     """The Symbol sum_t G_t(|x|^2) w_t(xi) with its exact x-derivatives for |nu| <= 2.
 
-    profile(r2, order) lists the order-th derivatives G_t^(order) at r2 = |x|^2,
-    order 0, 1 or 2; table(factors, xi) sums factors[t] w_t(xi) into the
-    (m, len(xi)) table.  By the chain rule d_i = 2 x_i G' and
-    d_i d_k = 4 x_i x_k G'' + 2 delta_ik G'.
+    profile(t, r2, order) is the order-th derivative G_t^(order) at r2 = |x|^2,
+    order 0, 1 or 2; windows(xi) is the array W with W[t] = w_t(xi).  By the
+    chain rule d_i = 2 x_i G' and d_i d_k = 4 x_i x_k G'' + 2 delta_ik G'.
     """
 
     def ev(pts, xi):
-        return table(profile(np.sum(pts ** 2, axis=1), 0), xi)
+        r2 = np.sum(pts ** 2, axis=1)
 
-    def derivative(axes):
-        # the axis of each order of nu: (i,) or (i, k)
-        def dev(pts, xi):
-            r2 = np.sum(pts ** 2, axis=1)
+        def factors(nu, live):
+            axes = [i for i, v in enumerate(nu) for _ in range(v)]    # (), (i,) or (i, k)
+            if len(axes) > 2:
+                raise _unsupplied(nu)
+            if not axes:
+                return [profile(t, r2, 0) for t in live]
             x = pts[:, axes[0]]
             if len(axes) == 1:
-                return table([2.0 * x * g1 for g1 in profile(r2, 1)], xi)
-            factors = [4.0 * x * pts[:, axes[1]] * g2 for g2 in profile(r2, 2)]
+                return [2.0 * x * profile(t, r2, 1) for t in live]
+            out = [4.0 * x * pts[:, axes[1]] * profile(t, r2, 2) for t in live]
             if axes[0] == axes[1]:
-                factors = [f + 2.0 * g1 for f, g1 in zip(factors, profile(r2, 1))]
-            return table(factors, xi)
-        return dev
+                out = [g + 2.0 * profile(t, r2, 1) for g, t in zip(out, live)]
+            return out
 
-    return Symbol(ev, dim, {nu: derivative([i for i, v in enumerate(nu) for _ in range(v)])
-                            for nu in multi_indices(dim, 2) if sum(nu) > 0})
+        return windows(xi), factors
+
+    return Symbol(ev, dim)
 
 
 def separable_symbol(dim, x_scale=2.0, xi_scale=8.0):
@@ -181,21 +179,21 @@ def separable_symbol(dim, x_scale=2.0, xi_scale=8.0):
         raise ValueError("separable scales must be positive and finite, got "
                          f"x_scale {x_scale} and xi_scale {xi_scale}")
 
-    def profile(r2, order):
+    def profile(t, r2, order):
         r = np.sqrt(r2) / x_scale
         g = _radial_bump(r)
         if order == 0:
-            return [g]
+            return g
         w = np.where(r < 1.0, 1.0 - r ** 2, 1.0)
         q = (x_scale * w) ** 2
         # G' = -G / (s w)^2, G'' = G (1 - 2w) / (s w)^4
-        return [-g / q if order == 1 else g * (1.0 - 2.0 * w) / q ** 2]
+        return -g / q if order == 1 else g * (1.0 - 2.0 * w) / q ** 2
 
-    def table(factors, xi):
+    def windows(xi):
         # libm's exp, one per xi: NumPy's vector exp may differ in the last bit
-        return np.multiply.outer(factors[0], [math.exp(-v / xi_scale) for v in xi.tolist()])
+        return np.array([[math.exp(-v / xi_scale) for v in xi.tolist()]])
 
-    return radial_symbol(dim, profile, table)
+    return radial_symbol(dim, profile, windows)
 
 
 def band_sum_symbol(sys, dim, beta=-1.0):
@@ -203,25 +201,34 @@ def band_sum_symbol(sys, dim, beta=-1.0):
     sigma_j(x) = G_j(|x|^2) = (1 + |x|^2/4^j)^{beta/2} (smooth, dyadically scaled)."""
     b = beta / 2.0
 
-    def profile(r2, order):
+    def profile(j, r2, order):
         # d^order/d(r2)^order of (1 + r2/4^j)^b
         coef = math.prod(b - i for i in range(order))
-        return [coef * 4.0 ** (-j * order) * (1.0 + r2 / 4.0 ** j) ** (b - order)
-                for j in range(9)]
+        return coef * 4.0 ** (-j * order) * (1.0 + r2 / 4.0 ** j) ** (b - order)
 
-    return radial_symbol(dim, profile, lambda factors, xi: window_sum(sys, factors, xi))
+    return radial_symbol(dim, profile, lambda xi: _windows(sys, 8, xi))
+
+
+def _windows(sys, J, xi):
+    """phi_j(sqrt(xi)) for j <= J, one row per j."""
+    u = np.sqrt(np.maximum(xi, 0.0))
+    return np.array([np.asarray(sys.window(j, u), dtype=float) for j in range(J + 1)])
 
 
 def annulus_symbol(dim, j_max):
     """sigma_j supported in the dyadic annulus 2^j <= |x| < 2^{j+1}, summed."""
 
     def ev(pts, xi):
-        r = np.sqrt(np.sum(pts ** 2, axis=1))
-        acc = _radial_bump(r)          # central piece
-        for j in range(j_max + 1):
-            c = 1.5 * 2.0 ** j
-            acc = acc + _radial_bump(np.abs(r - c) / (0.5 * 2.0 ** j))
-        return np.broadcast_to(acc[:, None], (len(acc), len(xi)))
+        def factors(nu, live):
+            if sum(nu):
+                raise _unsupplied(nu)
+            r = np.sqrt(np.sum(pts ** 2, axis=1))
+            acc = _radial_bump(r)          # central piece
+            for j in range(j_max + 1):
+                c = 1.5 * 2.0 ** j
+                acc = acc + _radial_bump(np.abs(r - c) / (0.5 * 2.0 ** j))
+            return [acc for _ in live]
+        return np.ones((1, len(xi))), factors      # one term, w = 1
 
     return Symbol(ev, dim)
 
@@ -258,6 +265,8 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
     T_{sigma_f} f = H(f) up to the t-quadrature error alone.  The first
     x-derivatives are analytic:
     d_i m_j = int_0^1 H''(f_{j-1} + t b_j) (d_i f_{j-1} + t d_i b_j) dt.
+    The bands are evaluated at the points once per evaluator call, from one
+    Hermite table of degree K + 1 (a derivative raises the degree by one).
     """
     if not f.is_real(1e-10):
         raise ValueError("linearization requires a real function")
@@ -270,34 +279,27 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
     t, wt = 0.5 * (t + 1.0), 0.5 * wt
     bands = [apply_lp(sys, j, f) for j in range(J + 1)]
 
-    def factors(pts, axis=None):
-        """m_j on the points, all j <= J, or their axis-derivatives, from one
-        Hermite table of degree K + 1 (a derivative raises the degree by one)."""
+    def ev(pts, xi):
         tables = axis_tables(f.max_degree + 1, pts)
         vals = [np.real(b.eval_points(pts, tables)) for b in bands]
-        dvals = vals if axis is None else \
-            [np.real(b.derivative(axis).eval_points(pts, tables)) for b in bands]
-        out = []
-        prev = np.zeros(pts.shape[0])
-        dprev = np.zeros(pts.shape[0])
-        for bj, dbj in zip(vals, dvals):
-            mj = np.zeros(pts.shape[0])
-            for ti, wi in zip(t, wt):
-                if axis is None:
-                    mj += wi * np.asarray(H.dh(prev + ti * bj), dtype=float)
-                else:
-                    mj += wi * np.asarray(H.d2h(prev + ti * bj), dtype=float) \
-                        * (dprev + ti * dbj)
-            out.append(mj)
-            prev = prev + bj
-            dprev = dprev + dbj
-        return out
 
-    first = {}
-    for axis in range(f.dim):
-        nu = tuple(int(i == axis) for i in range(f.dim))
-        first[nu] = lambda pts, xi, axis=axis: window_sum(sys, factors(pts, axis), xi)
-    return Symbol(lambda pts, xi: window_sum(sys, factors(pts), xi), f.dim, first)
+        def factors(nu, live):
+            if sum(nu) > 1:
+                raise _unsupplied(nu)
+            dvals = vals if sum(nu) == 0 else \
+                [np.real(b.derivative(nu.index(1)).eval_points(pts, tables)) for b in bands]
+            out, prev, dprev = [], 0.0, 0.0
+            for j, (bj, dbj) in enumerate(zip(vals, dvals)):
+                if j in live:
+                    out.append(sum(wi * H.dh(prev + ti * bj) if sum(nu) == 0 else
+                                   wi * H.d2h(prev + ti * bj) * (dprev + ti * dbj)
+                                   for ti, wi in zip(t, wt)))
+                prev, dprev = prev + bj, dprev + dbj
+            return out
+
+        return _windows(sys, J, xi), factors
+
+    return Symbol(ev, f.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,7 @@ def symbol_from_descriptor(d, sys=None):
         sys = bump_system() if sys is None else sys
         return band_sum_symbol(sys, dim, **given("beta"))
     if kind == "custom-expression":
-        return Symbol(compile_expression(json_field(d, "expression", "expression symbol"), dim),
-                      dim)
+        return pointwise_symbol(
+            compile_expression(json_field(d, "expression", "expression symbol"), dim), dim)
     raise ValueError(f"unknown symbol kind {shown(kind)}")
 

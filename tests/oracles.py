@@ -5,18 +5,19 @@ term by term, the band kernel as a sum of projector kernels, a grid L^p
 norm, the admissibility and symbol-class checks, and the frame round trip.
 """
 
+import itertools
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from hermband.core import (GridFunction, SpectralFunction, finite_difference, gauss_hermite,
-                           hermite_functions, lifted_gauss_hermite, multi_indices,
+                           grid_tables, hermite_functions, lifted_gauss_hermite, multi_indices,
                            projector_kernel_sequence, tensor_points, tensor_product)
 from hermband.frames import analyze, synthesize
 from hermband.lp import _FD_STEPS, support_set
 from hermband.norms import QuadratureBox, _grid_lp
-from hermband.symbols import Symbol
+from hermband.symbols import pointwise_symbol
 
 
 def spectral_function(dim, max_degree, coeffs):
@@ -212,15 +213,51 @@ def rho(x):
     return 1.0 / (1.0 + r)
 
 
+def symbol_table(sigma, pts, xi, nu):
+    """d^nu_x sigma as an (m, len(xi)) table: sum_t d^nu G_t(x) w_t(xi) over every
+    term, summed in t order; ValueError for a nu the symbol does not supply."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    W, factors = sigma.evaluator(pts, xi)
+    acc = np.zeros((len(pts), len(xi)))
+    for g, w in zip(factors(tuple(int(v) for v in nu), list(range(len(W)))), W):
+        acc = acc + np.multiply.outer(g, w)
+    return acc
+
+
 def x_derivative(sigma, pts, xi, nu):
-    """d^nu_x sigma: the symbol's own table when nu = 0 or the symbol supplies nu,
+    """d^nu_x sigma: the symbol's own table (symbol_table) when it supplies nu,
     otherwise richardson_x_derivative."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    xi = np.asarray(xi, dtype=float)
-    nu = tuple(int(v) for v in nu)
-    if sum(nu) == 0 or nu in sigma.x_derivatives:
-        return sigma.x_derivative(pts, xi, nu)
-    return richardson_x_derivative(sigma, pts, xi, nu)
+    try:
+        return symbol_table(sigma, pts, xi, nu)
+    except ValueError:
+        if sum(nu) == 0:
+            raise
+        return richardson_x_derivative(sigma, pts, xi, nu)
+
+
+def apply_by_degree(table, f, axes, gamma):
+    """d^gamma_x T_sigma f on the tensor grid of axes, one degree part P_k f at a time.
+
+    table(pts, xi, nu) is the (m, len(xi)) table of d^nu_x sigma (symbol_table);
+    by Leibniz, d^gamma T_sigma f = sum_beta C(gamma, beta) sum_k d^beta_x
+    sigma(., lambda_k) d^{gamma - beta} P_k f, summed over beta and then k.
+    """
+    gamma = tuple(gamma)
+    pts = tensor_points(axes)
+    parts = {k: SpectralFunction(f.dim, f.max_degree, np.where(f.degrees == k, f.array, 0))
+             for k in np.unique(f.degrees[f.array != 0]).tolist()}
+    lams = 2.0 * np.array(list(parts), dtype=float) + f.dim
+    tables = grid_tables(f.max_degree + sum(gamma), axes)
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for beta in itertools.product(*(range(g + 1) for g in gamma)):
+        rest = tuple(g - b for g, b in zip(gamma, beta))
+        coef = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
+        ds = table(pts, lams, beta)
+        for i, part in enumerate(parts.values()):
+            out += coef * ds[:, i] * part.derivative_multi(rest).eval_grid(axes, tables).ravel()
+    return GridFunction(axes, out.reshape([len(a) for a in axes]))
 
 
 def richardson_x_derivative(sigma, pts, xi, nu):
@@ -246,9 +283,9 @@ def check_symbol_class(sigma, m, rho_par, delta, K_fd, N_der, x_grid, growth=Non
     """Constants sup |d^nu_x Delta^kappa_xi sigma| / [g (1+sqrt(xi))^{m-2 rho kappa+delta|nu|}].
 
     Scans xi <= 64 with unit steps in the differences.  Returns
-    {(|nu| pattern, kappa): constant}.  g is growth(pts, xi), a function with
-    the contract of a Symbol evaluator, or 1 (the no-growth variant of the
-    class) when it is None.
+    {(|nu| pattern, kappa): constant}.  g is growth(pts, xi), an
+    (m, len(xi)) table like symbol_table's, or 1 (the no-growth variant of
+    the class) when it is None.
     """
     pts = np.atleast_2d(np.asarray(x_grid, dtype=float))
     xis = np.unique(np.concatenate([np.arange(0, 16), np.geomspace(16, 64, 12).astype(int)]))
@@ -305,4 +342,4 @@ def oscillating_symbol(v):
     def ev(pts, xi):
         return np.broadcast_to(np.exp(1j * pts @ v)[:, None], (len(pts), len(xi)))
 
-    return Symbol(ev, v.size)
+    return pointwise_symbol(ev, v.size)

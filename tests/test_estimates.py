@@ -20,6 +20,7 @@ from hermband.estimates import (
     tsigma_moment,
     verify_almost_orthogonality,
     verify_ao,
+    verify_boundedness,
     verify_hoppe,
     verify_maximal,
     verify_molecules,
@@ -31,6 +32,7 @@ from hermband.estimates import (
 )
 from hermband.frames import needlet
 from hermband.lp import SmoothProfile, bump_system
+from hermband.norms import SpaceParams
 from hermband.symbols import (apply_pseudomultiplier, band_sum_symbol, hermite_multiplier,
                               separable_symbol)
 from hermband.tiles import TileConfig, build_level, level_degree
@@ -153,6 +155,27 @@ def test_a_nan_value_makes_the_sup_nan_and_the_report_fail(sys, cfg, monkeypatch
     monkeypatch.setattr(estimates, "tsigma_moment", lambda *args, **kwargs: complex(math.nan))
     rep = verify_tcanc(separable_symbol(1), sys, cfg, m=0, levels=1, tiles_per_level=1, seed=0)
     assert math.isnan(rep.per_level[1]) and math.isnan(rep.constant) and not rep.passed
+
+
+@pytest.mark.parametrize("suite", ["synthesis", "boundedness"])
+def test_a_nan_norm_makes_the_constant_nan_and_the_report_fail(sys, cfg, monkeypatch, suite):
+    # the first norm a suite takes is NaN: its fold keeps the NaN, whichever
+    # finite ratios follow
+    norm, calls = estimates.space_norm, []
+
+    def first_nan(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 1 else norm(*args)
+
+    monkeypatch.setattr(estimates, "space_norm", first_nan)
+    if suite == "synthesis":
+        rep = verify_synthesis(sys, cfg, J=1, n_sequences=3, seed=0)
+    else:
+        rep = verify_boundedness(hermite_multiplier(lambda xi: 1.0, 1), 0.0,
+                                 [SpaceParams("F", 0.0, 2.0, 2.0)], sys, cfg, K=4, n_funcs=3,
+                                 seed=0)
+    assert len(calls) > 2
+    assert math.isnan(rep.constant) and not rep.passed
 
 
 def test_verify_molecules_computes_each_moment_once(sys, cfg, monkeypatch):

@@ -2,14 +2,16 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from hermband import symbols
 from hermband.core import SpectralFunction, multi_indices, random_spectral
+from hermband.frames import needlet
 from hermband.lp import apply_lp
 from hermband.symbols import (
-    Symbol,
     annulus_symbol,
     apply_pseudomultiplier,
     band_sum_symbol,
@@ -17,13 +19,17 @@ from hermband.symbols import (
     hermite_multiplier,
     linearize_nonlinearity,
     nonlinearity_power,
+    pointwise_symbol,
     reproject,
     separable_symbol,
     symbol_from_descriptor,
 )
 
-from oracles import (basis_function, check_cancellation_class, check_symbol_class,
-                     oscillating_symbol, richardson_x_derivative, spectral_function, x_derivative)
+from hermband.tiles import build_level
+
+from oracles import (apply_by_degree, basis_function, check_cancellation_class,
+                     check_symbol_class, oscillating_symbol, richardson_x_derivative,
+                     spectral_function, symbol_table, x_derivative)
 
 
 def test_identity_symbol_is_identity():
@@ -255,14 +261,15 @@ def test_symbol_descriptor_roundtrip(sys):
     sig = symbol_from_descriptor(json.loads(json.dumps(d)), sys)
     pts = np.array([[0.5]])
     direct = math.exp(-2.0 / 8.0) * math.cos(0.5)
-    assert complex(sig(pts, np.array([2.0]))[0, 0]) == pytest.approx(direct, rel=1e-14)
+    assert complex(symbol_table(sig, pts, np.array([2.0]), (0,))[0, 0]) \
+        == pytest.approx(direct, rel=1e-14)
 
 
 def test_symbol_descriptor_kinds(sys):
     for d in ({"kind": "separable"}, {"kind": "annulus"},
               {"kind": "band-sum"}, {"kind": "multiplier", "expression": "1/(1+xi)"}):
         sig = symbol_from_descriptor(d, sys)
-        val = sig(np.zeros((1, 1)), np.array([3.0]))
+        val = symbol_table(sig, np.zeros((1, 1)), np.array([3.0]), (0,))
         assert np.all(np.isfinite(np.abs(val)))
     with pytest.raises(ValueError):
         symbol_from_descriptor({"kind": "nope"})
@@ -270,7 +277,7 @@ def test_symbol_descriptor_kinds(sys):
 
 def test_numeric_x_derivative_matches_analytic():
     # sin(x) e^{-xi}: compare the oracle's Richardson FD against the exact derivative
-    sig = Symbol(lambda pts, xi: np.sin(pts) * np.exp(-xi), 1)
+    sig = pointwise_symbol(lambda pts, xi: np.sin(pts) * np.exp(-xi), 1)
     pts = np.array([[0.3], [1.1]])
     xi = np.array([0.0, 2.0, 5.0])
     got = np.real(x_derivative(sig, pts, xi, (1,)))
@@ -306,9 +313,9 @@ def test_symbol_table_columns_match_scalar_calls(sys, kind):
         assert table.shape == (7, 12)
         for i in range(lams.size):
             assert np.array_equal(table[:, i:i + 1], x_derivative(sig, pts, lams[i:i + 1], nu))
-    table = sig(pts, lams)
+    table = symbol_table(sig, pts, lams, (0,))
     for i in range(lams.size):
-        assert np.array_equal(table[:, i:i + 1], sig(pts, lams[i:i + 1]))
+        assert np.array_equal(table[:, i:i + 1], symbol_table(sig, pts, lams[i:i + 1], (0,)))
 
 
 RADIAL_SYMBOLS = {
@@ -321,8 +328,9 @@ RADIAL_SYMBOLS = {
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(RADIAL_SYMBOLS))
 def test_exact_x_derivatives_match_richardson(sys, kind, dim):
-    # every nu with 0 < |nu| <= 2 is supplied, and each table is the oracle's
-    # Richardson difference of the exact table one order lower
+    # every nu with 0 < |nu| <= 2 is supplied (symbol_table raises no ValueError),
+    # and each table is the oracle's Richardson difference of the exact table one
+    # order lower
     sig = RADIAL_SYMBOLS[kind](sys, dim)
     rng = np.random.default_rng(dim)
     # inside and around the separable bump's support |x| < 2, and far out
@@ -331,8 +339,7 @@ def test_exact_x_derivatives_match_richardson(sys, kind, dim):
     for nu in multi_indices(dim, 2):
         if sum(nu) == 0:
             continue
-        assert nu in sig.x_derivatives
-        exact = np.real(sig.x_derivative(pts, lams, nu))
+        exact = np.real(symbol_table(sig, pts, lams, nu))
         fd = np.real(richardson_x_derivative(sig, pts, lams, nu))
         assert np.max(np.abs(exact)) > 0.0
         assert np.max(np.abs(exact - fd)) <= 1e-9 * np.max(np.abs(exact)), nu
@@ -341,4 +348,62 @@ def test_exact_x_derivatives_match_richardson(sys, kind, dim):
 def test_x_derivative_refuses_a_nu_the_symbol_does_not_supply():
     pts = np.zeros((1, 1))
     with pytest.raises(ValueError, match=r"\(1,\)"):
-        annulus_symbol(1, 6).x_derivative(pts, np.array([1.0]), (1,))
+        symbol_table(annulus_symbol(1, 6), pts, np.array([1.0]), (1,))
+
+
+@pytest.mark.parametrize("kind", list(SYMBOL_KINDS))
+def test_apply_matches_the_per_degree_reference_1d(sys, kind):
+    # the one apply path against the per-degree loop on the symbol's table, for
+    # each gamma <= 2 whose d^beta the symbol supplies; a pointwise symbol's
+    # terms are the degree parts themselves, so it agrees bit for bit
+    sig = SYMBOL_KINDS[kind](sys)
+    f = random_spectral(1, 10, np.random.default_rng(8), real=False)
+    axes = [np.linspace(-4.0, 4.0, 33)]
+    for gamma in ((0,), (1,), (2,)):
+        try:
+            got = apply_pseudomultiplier(sig, f, axes, gamma).samples
+        except ValueError:
+            with pytest.raises(ValueError):
+                apply_by_degree(partial(symbol_table, sig), f, axes, gamma)
+            continue
+        ref = apply_by_degree(partial(symbol_table, sig), f, axes, gamma).samples
+        if kind in ("expression", "oscillating"):
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), gamma
+
+
+@pytest.mark.parametrize("kind", ["band-sum", "separable", "multiplier"])
+def test_apply_matches_the_per_degree_reference_2d(sys, kind):
+    sig = {"band-sum": band_sum_symbol(sys, 2), "separable": separable_symbol(2),
+           "multiplier": symbol_from_descriptor(
+               {"kind": "multiplier", "dim": 2, "expression": "1/(1+xi)"})}[kind]
+    f = random_spectral(2, 6, np.random.default_rng(9), real=False)
+    axes = [np.linspace(-3.0, 3.0, 13), np.linspace(-2.5, 3.5, 11)]
+    for gamma in multi_indices(2, 2):
+        got = apply_pseudomultiplier(sig, f, axes, gamma).samples
+        ref = apply_by_degree(partial(symbol_table, sig), f, axes, gamma).samples
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), gamma
+
+
+def test_apply_skips_the_terms_whose_window_vanishes(sys, cfg, monkeypatch):
+    # a level-2 needlet's degrees meet only the windows phi_j with j near 2: the
+    # band-sum profile is evaluated for those j alone, not for all nine
+    radial = symbols.radial_symbol
+    called = set()
+
+    def spied(dim, profile, windows):
+        def spy(t, r2, order):
+            called.add(t)
+            return profile(t, r2, order)
+        return radial(dim, spy, windows)
+
+    monkeypatch.setattr(symbols, "radial_symbol", spied)
+    ts = build_level(2, cfg)
+    phi_R = needlet(sys, ts.tile((ts.nodes_per_axis // 2,)))
+    ks = np.unique(phi_R.degrees[phi_R.array != 0])
+    u = np.sqrt(2.0 * ks + 1.0)
+    nonzero = {j for j in range(9) if np.any(sys.window(j, u) != 0)}
+    assert 0 < len(nonzero) < 9
+    apply_pseudomultiplier(band_sum_symbol(sys, 1), phi_R, [np.linspace(-4.0, 4.0, 9)], (1,))
+    assert called == nonzero
