@@ -316,19 +316,6 @@ def distinct_coordinates(col):
     return (keys ^ ((keys >> 63) & low)).view(np.float64), np.searchsorted(keys, key)
 
 
-def axis_tables(k_max, pts):
-    """Per-axis tables [h_0..h_{k_max}] at the coordinates of an (m, dim) point array.
-
-    Each is built on the distinct coordinates of its column (distinct float64
-    bits, so -0.0 keeps its sign) and taken to the points; C-contiguous."""
-    tables = []
-    for col in np.asarray(pts, dtype=float).T:
-        ax, inv = distinct_coordinates(col)
-        tables.append(hermite_functions(k_max, col) if ax.size == col.size
-                      else np.take(hermite_functions(k_max, ax), inv, axis=1))
-    return tables
-
-
 def grid_tables(k_max, axes):
     """Per-axis tables [h_0..h_{k_max}] on the axes of a tensor grid, one built per
     distinct axis object, so [ax] * dim costs one table."""
@@ -443,29 +430,26 @@ class SpectralFunction:
             T = np.tensordot(T, H[:self.max_degree + 1], axes=([0], [0]))
         return T
 
-    def eval_points(self, pts, tables=None):
+    def eval_points(self, pts):
         """Evaluate at scattered points, array of shape (m, dim).
 
-        tables: per-axis C-contiguous Hermite tables at the points (see
-        axis_tables) of degree >= max_degree, when the caller already has them.
-        Without them, for dim >= 2, points whose distinct coordinates span a
-        tensor grid of at most m points are read off eval_grid on that grid.
+        For dim >= 2, points whose distinct coordinates span a tensor grid of at
+        most m points are read off eval_grid on that grid; other points are
+        contracted one by one with the Hermite table of each column.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError("point dimension mismatch")
-        if tables is None and self.dim > 1:
+        if self.dim > 1:
             axes, index = zip(*map(distinct_coordinates, pts.T))
             if math.prod(ax.size for ax in axes) <= pts.shape[0]:
                 return self.eval_grid(list(axes))[index]
-        if tables is None:
-            tables = axis_tables(self.max_degree, pts)
-        K1 = self.max_degree + 1
+        tables = [hermite_functions(self.max_degree, col) for col in pts.T]
 
         def contract(a):
-            T = a @ tables[-1][:K1]
+            T = a @ tables[-1]
             for H in tables[-2::-1]:
-                T = np.einsum("...am,am->...m", T, H[:K1])
+                T = np.einsum("...am,am->...m", T, H)
             return T
 
         val = contract(self.array.real).astype(complex)

@@ -572,12 +572,12 @@ def verify_kernel(sys, cfg, levels):
     eps = _envelope_epsilon(cfg)
     xs = np.linspace(-10.0, 10.0, 201)
     x0 = np.zeros(n)
-    pts = np.stack([xs] + [np.zeros_like(xs)] * (n - 1), axis=-1)
+    line = [xs] + [np.zeros(1)] * (n - 1)         # the x_1-axis, a 201 x 1 x ... grid
     c_eta = {2: 0.0, 4: 0.0}
     for j in range(levels + 1):
-        vals = np.abs(np.real(lp_delta(sys, j, x0, n).eval_points(pts)))
+        vals = np.abs(np.real(lp_delta(sys, j, x0, n).eval_grid(line).ravel()))
         e_x0 = float(e_function(eps * 4.0 ** j, x0[None, :])[0])
-        e_y = np.asarray(e_function(eps * 4.0 ** j, pts))
+        e_y = np.asarray(e_function(eps * 4.0 ** j, xs))
         for eta in c_eta:
             rhs = 2.0 ** (j * n) * (1.0 + 2.0 ** j * np.abs(xs)) ** -eta \
                 * e_x0 * np.maximum(e_y, 1e-300)
@@ -768,22 +768,21 @@ def verify_linearize(sys, cfg, K=10, n_funcs=5, *, seed, grid_points=801):
     J = sys.coverage_level(2.0 * K + n)
     half_width = QuadratureBox.for_degree(K, n).half_width
     axes = eval_axes(half_width, grid_points, n)
-    pts = tensor_points(axes)
     worst = {p: 0.0 for p in powers}
     halving = {}
     for i in range(n_funcs):
         f = random_spectral(n, K, rng)
         f = f.scaled(1.0 / max(f.norm2(), 1e-12))
-        fv = np.real(f.eval_points(pts))
+        fv = np.real(f.eval_grid(axes))
         for p in powers:
             H = nonlinearity_power(p)
             sig = linearize_nonlinearity(H, f, sys, J)
-            tv = np.real(apply_pseudomultiplier(sig, f, axes).samples.ravel())
+            tv = np.real(apply_pseudomultiplier(sig, f, axes).samples)
             err = float(np.max(np.abs(tv - fv ** p)))
             worst[p] = sup([worst[p], err])
             if i == 0:
                 sig32 = linearize_nonlinearity(H, f, sys, J, t_points=32)
-                tv32 = np.real(apply_pseudomultiplier(sig32, f, axes).samples.ravel())
+                tv32 = np.real(apply_pseudomultiplier(sig32, f, axes).samples)
                 halving[p] = (err, float(np.max(np.abs(tv32 - fv ** p))))
     constant = sup(worst.values())
     return EstimateReport("linearize", constant,

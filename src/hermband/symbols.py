@@ -16,19 +16,19 @@ import operator
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import (GridFunction, SpectralFunction, axis_tables, grid_tables, hermite_functions,
-                   json_field, json_float, json_int, lifted_gauss_hermite, shown, tensor_points)
+from .core import (GridFunction, SpectralFunction, grid_tables, hermite_functions, json_field,
+                   json_float, json_int, lifted_gauss_hermite, shown, tensor_points)
 from .lp import apply_lp, bump_system
 
 
 class Symbol:
     """sigma(x, xi) = sum_t G_t(x) w_t(xi).
 
-    evaluator(pts, xi) takes an (m, n) point array and a 1-D array xi of
-    non-negative spectral arguments and returns (W, factors): W is an array
-    whose row W[t] is w_t at xi, and factors(nu, live) lists d^nu_x G_t at
-    the points for each t in live, raising ValueError for a nu the symbol
-    does not supply.
+    evaluator(axes, xi) takes the per-axis arrays of a tensor grid and a 1-D
+    array xi of non-negative spectral arguments and returns (W, factors): W is
+    an array whose row W[t] is w_t at xi, and factors(nu, live) lists d^nu_x G_t
+    on the grid for each t in live, as arrays that broadcast to the grid's
+    shape, raising ValueError for a nu the symbol does not supply.
     """
 
     def __init__(self, evaluator, dim):
@@ -38,6 +38,14 @@ class Symbol:
 
 def _unsupplied(nu):
     return ValueError(f"the symbol supplies no x-derivative nu = {tuple(nu)}")
+
+
+def _coordinates(axes):
+    """x_1..x_n on the tensor grid of axes, each axis reshaped to broadcast along its
+    own grid axis, and |x|^2 on the grid, summed in axis order as np.sum(pts ** 2,
+    axis=1) sums the rows of the grid's point list."""
+    xs = np.ix_(*(np.asarray(a, dtype=float) for a in axes))
+    return xs, sum((x ** 2 for x in xs), np.zeros(()))     # 0 + a = a for each square a >= 0
 
 
 def apply_pseudomultiplier(sigma, f, axes, gamma=None):
@@ -50,21 +58,20 @@ def apply_pseudomultiplier(sigma, f, axes, gamma=None):
     on its coefficients.
     """
     gamma = (0,) * f.dim if gamma is None else tuple(gamma)
-    pts = tensor_points(axes)
     ks = np.unique(f.degrees[f.array != 0])
-    W, factors = sigma.evaluator(pts, 2.0 * ks + f.dim)
+    W, factors = sigma.evaluator(axes, 2.0 * ks + f.dim)
     live = [t for t, w in enumerate(W) if np.any(w != 0)]
     wk = np.zeros((len(W), f.dim * f.max_degree + 1), dtype=W.dtype)    # w_t at each degree
     wk[:, ks] = W
     parts = [SpectralFunction(f.dim, f.max_degree, wk[t][f.degrees] * f.array) for t in live]
     tables = grid_tables(f.max_degree + sum(gamma), axes)
-    out = np.zeros(pts.shape[0], dtype=complex)
+    out = np.zeros([len(a) for a in axes], dtype=complex)
     for beta in itertools.product(*(range(g + 1) for g in gamma)):
         rest = tuple(g - b for g, b in zip(gamma, beta))
         coef = math.prod(math.comb(g, b) for g, b in zip(gamma, beta))
         for g, part in zip(factors(beta, live), parts):
-            out += coef * g * part.derivative_multi(rest).eval_grid(axes, tables).ravel()
-    return GridFunction(axes, out.reshape([len(a) for a in axes]))
+            out += coef * g * part.derivative_multi(rest).eval_grid(axes, tables)
+    return GridFunction(axes, out)
 
 
 def reproject(evalfn, dim, K_prime):
@@ -100,11 +107,12 @@ def reproject(evalfn, dim, K_prime):
 
 def hermite_multiplier(seq, dim):
     """x-independent symbol from a spectral sequence xi -> complex, called once
-    per xi: one term with G = 1, so every d^nu G with nu != 0 is 0."""
+    per xi: one term with G = 1, so every d^nu G with nu != 0 is 0 (scalars, which
+    broadcast to any grid)."""
 
-    def ev(pts, xi):
+    def ev(axes, xi):
         def factors(nu, live):
-            g = np.zeros(len(pts)) if sum(nu) else np.ones(len(pts))
+            g = 0.0 if sum(nu) else 1.0
             return [g for _ in live]
         return np.array([[complex(seq(v)) for v in xi.tolist()]], dtype=complex), factors
 
@@ -112,16 +120,16 @@ def hermite_multiplier(seq, dim):
 
 
 def pointwise_symbol(ev, dim):
-    """The Symbol of an evaluator ev(pts, xi) -> (m, len(xi)) table: one term per xi,
-    w_t the indicator of xi_t and G_t the table's column t, evaluated once for the
-    live columns (also when there are none); no x-derivative is supplied."""
+    """The Symbol of an evaluator ev(axes, xi) -> table of the grid's shape + (len(xi),):
+    one term per xi, w_t the indicator of xi_t and G_t the table's slice t, evaluated
+    once for the live columns (also when there are none); no x-derivative is supplied."""
 
-    def evaluator(pts, xi):
+    def evaluator(axes, xi):
         def factors(nu, live):
             if sum(nu):
                 raise _unsupplied(nu)
-            vals = ev(pts, xi[live])
-            return [vals[:, i] for i in range(len(live))]
+            vals = ev(axes, xi[live])
+            return [vals[..., i] for i in range(len(live))]
         return np.eye(len(xi)), factors
 
     return Symbol(evaluator, dim)
@@ -149,20 +157,20 @@ def radial_symbol(dim, profile, windows):
     chain rule d_i = 2 x_i G' and d_i d_k = 4 x_i x_k G'' + 2 delta_ik G'.
     """
 
-    def ev(pts, xi):
-        r2 = np.sum(pts ** 2, axis=1)
+    def ev(axes, xi):
+        xs, r2 = _coordinates(axes)
 
         def factors(nu, live):
-            axes = [i for i, v in enumerate(nu) for _ in range(v)]    # (), (i,) or (i, k)
-            if len(axes) > 2:
+            ik = [i for i, v in enumerate(nu) for _ in range(v)]    # (), (i,) or (i, k)
+            if len(ik) > 2:
                 raise _unsupplied(nu)
-            if not axes:
+            if not ik:
                 return [profile(t, r2, 0) for t in live]
-            x = pts[:, axes[0]]
-            if len(axes) == 1:
+            x = xs[ik[0]]
+            if len(ik) == 1:
                 return [2.0 * x * profile(t, r2, 1) for t in live]
-            out = [4.0 * x * pts[:, axes[1]] * profile(t, r2, 2) for t in live]
-            if axes[0] == axes[1]:
+            out = [4.0 * x * xs[ik[1]] * profile(t, r2, 2) for t in live]
+            if ik[0] == ik[1]:
                 out = [g + 2.0 * profile(t, r2, 1) for g, t in zip(out, live)]
             return out
 
@@ -218,11 +226,11 @@ def _windows(sys, J, xi):
 def annulus_symbol(dim, j_max):
     """sigma_j supported in the dyadic annulus 2^j <= |x| < 2^{j+1}, summed."""
 
-    def ev(pts, xi):
+    def ev(axes, xi):
         def factors(nu, live):
             if sum(nu):
                 raise _unsupplied(nu)
-            r = np.sqrt(np.sum(pts ** 2, axis=1))
+            r = np.sqrt(_coordinates(axes)[1])
             acc = _radial_bump(r)          # central piece
             for j in range(j_max + 1):
                 c = 1.5 * 2.0 ** j
@@ -265,8 +273,8 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
     T_{sigma_f} f = H(f) up to the t-quadrature error alone.  The first
     x-derivatives are analytic:
     d_i m_j = int_0^1 H''(f_{j-1} + t b_j) (d_i f_{j-1} + t d_i b_j) dt.
-    The bands are evaluated at the points once per evaluator call, from one
-    Hermite table of degree K + 1 (a derivative raises the degree by one).
+    The bands are evaluated on the grid once per evaluator call, from one
+    Hermite table per axis of degree K + 1 (a derivative raises the degree by one).
     """
     if not f.is_real(1e-10):
         raise ValueError("linearization requires a real function")
@@ -279,15 +287,15 @@ def linearize_nonlinearity(H, f, sys, J, t_points=16):
     t, wt = 0.5 * (t + 1.0), 0.5 * wt
     bands = [apply_lp(sys, j, f) for j in range(J + 1)]
 
-    def ev(pts, xi):
-        tables = axis_tables(f.max_degree + 1, pts)
-        vals = [np.real(b.eval_points(pts, tables)) for b in bands]
+    def ev(axes, xi):
+        tables = grid_tables(f.max_degree + 1, axes)
+        vals = [np.real(b.eval_grid(axes, tables)) for b in bands]
 
         def factors(nu, live):
             if sum(nu) > 1:
                 raise _unsupplied(nu)
             dvals = vals if sum(nu) == 0 else \
-                [np.real(b.derivative(nu.index(1)).eval_points(pts, tables)) for b in bands]
+                [np.real(b.derivative(nu.index(1)).eval_grid(axes, tables)) for b in bands]
             out, prev, dprev = [], 0.0, 0.0
             for j, (bj, dbj) in enumerate(zip(vals, dvals)):
                 if j in live:
@@ -337,7 +345,8 @@ def _eval_node(node, env):
 
 
 def compile_expression(expr, dim):
-    """Compile an arithmetic expression over x1..xn, absx, xi to an evaluator.
+    """Compile an arithmetic expression over x1..xn, absx, xi to an evaluator ev(axes, xi),
+    whose values fill an array of the tensor grid's shape + (len(xi),).
 
     Grammar (EBNF):
       expr    = term { ("+" | "-") term } ;
@@ -354,12 +363,12 @@ def compile_expression(expr, dim):
     except SyntaxError as e:
         raise ValueError(f"bad expression {shown(expr)}: {e.msg}") from None
 
-    def ev(pts, xi):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def ev(axes, xi):
+        xs, r2 = _coordinates(axes)
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        # points down the rows, xi along the columns
-        env = {f"x{i + 1}": pts[:, i:i + 1] for i in range(dim)}
-        env["absx"] = np.sqrt(np.sum(pts ** 2, axis=1, keepdims=True))
+        # the grid's axes first, xi along a trailing axis
+        env = {f"x{i + 1}": xs[i][..., None] for i in range(dim)}
+        env["absx"] = np.sqrt(r2)[..., None]
         env["xi"] = xi
         try:
             # an inf or NaN from the arrays is an error, as Python floats raise
@@ -368,7 +377,7 @@ def compile_expression(expr, dim):
         except ArithmeticError as e:
             where = f" for xi in [{xi.min():g}, {xi.max():g}]" if xi.size else ""
             raise ValueError(f"expression {shown(expr)}{where}: {e}") from None
-        return np.broadcast_to(np.asarray(val, dtype=complex), (pts.shape[0], xi.size))
+        return np.broadcast_to(np.asarray(val, dtype=complex), r2.shape + (xi.size,))
 
     return ev
 
@@ -382,8 +391,14 @@ def symbol_from_descriptor(d, sys=None):
         return {k: json_float(d[k], k) for k in keys if k in d}
 
     if kind == "multiplier":
-        ev = compile_expression(json_field(d, "expression", "multiplier symbol"), dim)
-        return hermite_multiplier(lambda xi: ev(np.zeros((1, dim)), xi)[0, 0], dim)
+        expr = json_field(d, "expression", "multiplier symbol")
+        ev = compile_expression(expr, dim)
+        names = {v.id for v in ast.walk(ast.parse(expr, mode="eval")) if isinstance(v, ast.Name)}
+        other = sorted(names - {"xi"} - _ALLOWED_FUNCS.keys())
+        if other:
+            raise ValueError(f"a multiplier depends on xi alone, but its expression "
+                             f"{shown(expr)} names {shown(other[0])}")
+        return hermite_multiplier(lambda xi: ev([np.zeros(1)] * dim, xi).flat[0], dim)
     if kind == "separable":
         return separable_symbol(dim, **given("x_scale", "xi_scale"))
     if kind == "annulus":

@@ -213,16 +213,25 @@ def rho(x):
     return 1.0 / (1.0 + r)
 
 
+def one_point_grids(pts):
+    """Each row of an (m, n) point array as the axes of a one-point tensor grid."""
+    return [[p[d:d + 1] for d in range(p.size)] for p in np.atleast_2d(np.asarray(pts, dtype=float))]
+
+
 def symbol_table(sigma, pts, xi, nu):
     """d^nu_x sigma as an (m, len(xi)) table: sum_t d^nu G_t(x) w_t(xi) over every
-    term, summed in t order; ValueError for a nu the symbol does not supply."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    term, summed in t order, each point evaluated as a one-point grid; ValueError
+    for a nu the symbol does not supply."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    W, factors = sigma.evaluator(pts, xi)
-    acc = np.zeros((len(pts), len(xi)))
-    for g, w in zip(factors(tuple(int(v) for v in nu), list(range(len(W)))), W):
-        acc = acc + np.multiply.outer(g, w)
-    return acc
+    nu = tuple(int(v) for v in nu)
+    rows = []
+    for axes in one_point_grids(pts):
+        W, factors = sigma.evaluator(axes, xi)
+        row = np.zeros(len(xi))
+        for g, w in zip(factors(nu, list(range(len(W)))), W):
+            row = row + np.ravel(g)[0] * w
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), len(xi))
 
 
 def x_derivative(sigma, pts, xi, nu):
@@ -262,7 +271,8 @@ def apply_by_degree(table, f, axes, gamma):
 
 def richardson_x_derivative(sigma, pts, xi, nu):
     """d^nu_x sigma by Richardson central differences with step 1e-4*(1+|x|),
-    on the first axis of nu, of the table one order lower (x_derivative)."""
+    on the first axis of nu, of the table one order lower (x_derivative), each
+    shifted point evaluated as a one-point grid."""
     axis = next(i for i, v in enumerate(nu) if v > 0)
     lower = nu[:axis] + (nu[axis] - 1,) + nu[axis + 1:]
     h = 1e-4 * (1.0 + np.sqrt(np.sum(pts ** 2, axis=1)))
@@ -339,7 +349,8 @@ def oscillating_symbol(v):
     """e^{i x . v} on R^len(v): rapid oscillation, negative control for cancellation."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
 
-    def ev(pts, xi):
-        return np.broadcast_to(np.exp(1j * pts @ v)[:, None], (len(pts), len(xi)))
+    def ev(axes, xi):
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return np.broadcast_to(np.exp(1j * grid @ v)[..., None], grid.shape[:-1] + (len(xi),))
 
     return pointwise_symbol(ev, v.size)

@@ -207,6 +207,21 @@ def test_expression_error_on_the_zero_function_names_the_expression(tmp_path, ca
     assert capsys.readouterr().err.startswith("error: expression '1/x1': divide by zero")
 
 
+@pytest.mark.parametrize("dim,name", [(1, "x1"), (2, "x2"), (1, "absx")])
+def test_multiplier_naming_an_x_variable_exits_1_and_names_it(tmp_path, capsys, dim, name):
+    # a multiplier depends on xi alone; an x in its expression is refused, not read as 0
+    fpath = tmp_path / "f.json"
+    _write_function(fpath, random_spectral(dim, 4, np.random.default_rng(dim), real=True))
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"kind": "multiplier", "dim": dim,
+                               "expression": f"(1+{name})/(1+xi)"}))
+    assert main(["apply", "--dim", str(dim), "--symbol", str(sym), "--in", str(fpath),
+                 "--out", str(tmp_path / "g.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{name}'" in err and err.count("\n") == 1
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_norm_report_holds_no_infinity_token(capsys):
     # --p inf and --q inf are written as the string "inf", as verify reports do
     f1 = str(Path(__file__).parent / "golden" / "f1.json")

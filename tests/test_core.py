@@ -11,7 +11,6 @@ from hermband.core import (
     VARTHETA,
     SpectralFunction,
     _hermite_zeros,
-    axis_tables,
     christoffel,
     distinct_coordinates,
     e_function,
@@ -223,9 +222,33 @@ def test_grid_tables_build_one_table_per_axis_object(monkeypatch):
     assert len(built) == 3
 
 
-def axis_tables_oracle(k_max, pts):
-    """Oracle for axis_tables: the Hermite table on every point of each column."""
+def per_point_tables(k_max, pts):
+    """The Hermite table on every point of each column of an (m, dim) point array."""
     return [hermite_functions(k_max, pts[:, d]) for d in range(pts.shape[1])]
+
+
+def per_point_values(f, pts):
+    """f at each point, sum_xi c_xi prod_d h_{xi_d}(x_d), from the per-point tables."""
+    idx = "abcdefgh"[:f.dim]
+    spec = idx + "," + ",".join(i + "m" for i in idx) + "->m"
+    return np.einsum(spec, f.array, *per_point_tables(f.max_degree, pts))
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def _recording_tables(monkeypatch):
+    """Record (t, table) for each Hermite table built in core while the patch holds."""
+    import hermband.core as core
+    built, real = [], core.hermite_functions
+
+    def recorded(k_max, t):
+        built.append((np.array(t, dtype=float), real(k_max, t)))
+        return built[-1][1]
+
+    monkeypatch.setattr(core, "hermite_functions", recorded)
+    return built
 
 
 # (m, dim) point sets: repeats in a column, unsorted columns, 0.0 next to -0.0,
@@ -242,34 +265,19 @@ AXIS_TABLE_POINTS = {
 
 @pytest.mark.parametrize("name", list(AXIS_TABLE_POINTS))
 @pytest.mark.parametrize("K", [0, 24])
-def test_axis_tables_are_the_per_point_tables_bit_for_bit(name, K):
+def test_axis_tables_are_the_per_point_tables_bit_for_bit(monkeypatch, name, K):
+    # the per-axis tables eval_points contracts, built on a column's distinct
+    # coordinates (a grid) or on the column itself, hold each point's own table
     pts = AXIS_TABLE_POINTS[name]
-    got = axis_tables(K, pts)
-    want = axis_tables_oracle(K, pts)
-    assert len(got) == len(want) == pts.shape[1]
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and _same_bits(g, w)
-        assert g.flags.c_contiguous
-
-
-def test_axis_tables_build_on_the_distinct_coordinates(monkeypatch):
-    import hermband.core as core
-    built = []
-    real = core.hermite_functions
-
-    def counted(k_max, t):
-        built.append(np.shape(t))
-        return real(k_max, t)
-
-    monkeypatch.setattr(core, "hermite_functions", counted)
-    axis_tables(6, AXIS_TABLE_POINTS["tensor"])
-    assert built == [(17,), (9,)]
-    built.clear()
-    axis_tables(6, AXIS_TABLE_POINTS["signed-zeros"])   # 0.0 and -0.0 stay apart
-    assert built == [(3,), (3,)]
-    built.clear()
-    axis_tables(6, AXIS_TABLE_POINTS["mixed"])          # no repeats: the column itself
-    assert built == [(30,), (3,)]
+    f = random_spectral(pts.shape[1], K, np.random.default_rng(K), real=False)
+    built = _recording_tables(monkeypatch)
+    got = f.eval_points(pts)
+    assert len(built) == pts.shape[1]
+    for (t, table), want, col in zip(built, per_point_tables(K, pts), pts.T):
+        where = {b: i for i, b in enumerate(t.view(np.int64).tolist())}
+        at = [where[b] for b in np.ascontiguousarray(col).view(np.int64).tolist()]
+        assert _same_bits(table[:, at], want) and table.flags.c_contiguous
+    assert _close(got, per_point_values(f, pts))
 
 
 def test_eval_points_on_a_tensor_grid_match_the_oracle_tables():
@@ -277,10 +285,9 @@ def test_eval_points_on_a_tensor_grid_match_the_oracle_tables():
     axes = [np.linspace(-12.0, 12.0, 241)] * 2
     pts = tensor_points(axes)
     f = random_spectral(2, 24, np.random.default_rng(7), real=False)
-    assert f.eval_points(pts).tobytes() == f.eval_grid(axes).ravel().tobytes()
-    # given tables, the points are contracted one by one
-    got = f.eval_points(pts, axis_tables(24, pts))
-    assert got.tobytes() == f.eval_points(pts, axis_tables_oracle(24, pts)).tobytes()
+    got = f.eval_points(pts)
+    assert got.tobytes() == f.eval_grid(axes).ravel().tobytes()
+    assert _close(got, per_point_values(f, pts))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -288,9 +295,8 @@ def test_eval_points_at_scattered_points_contract_them_one_by_one(monkeypatch, d
     # distinct coordinates spanning a grid of more than m points: no eval_grid
     pts = np.random.default_rng(10 + dim).standard_normal((300, dim)) * 3.0
     f = random_spectral(dim, 9, np.random.default_rng(dim), real=False)
-    want = f.eval_points(pts, axis_tables_oracle(9, pts))
     monkeypatch.setattr(SpectralFunction, "eval_grid", None)
-    assert f.eval_points(pts).tobytes() == want.tobytes()
+    assert _close(f.eval_points(pts), per_point_values(f, pts))
 
 
 def test_distinct_coordinates_keep_signed_zeros_apart():
@@ -318,7 +324,7 @@ def test_eval_points_on_a_grid_with_signed_zeros_keep_the_sign_of_odd_h_k(monkey
     assert [t.shape for t in built] == [(5, 4), (5, 2)]
     assert np.signbit(built[0][1]).tolist() == [True, True, False, False]
     assert got.tobytes() == f.eval_grid([x, np.array([-0.0, 0.5])])[::-1].ravel().tobytes()
-    assert np.max(np.abs(got - f.eval_points(pts, axis_tables_oracle(4, pts)))) < 1e-15
+    assert np.max(np.abs(got - per_point_values(f, pts))) < 1e-15
 
 
 def test_eval_points_on_a_gauss_hermite_grid_allocate_no_per_point_tables():
@@ -343,11 +349,12 @@ def test_christoffel_on_no_points():
     assert christoffel(3, np.array([])).shape == (0,)
 
 
-def test_eval_points_on_no_points():
+def test_eval_points_on_no_points(monkeypatch):
     f = random_spectral(2, 5, np.random.default_rng(8), real=False)
+    built = _recording_tables(monkeypatch)
     vals = f.eval_points(np.zeros((0, 2)))
     assert vals.shape == (0,) and vals.dtype == complex
-    assert [t.shape for t in axis_tables(5, np.zeros((0, 2)))] == [(6, 0), (6, 0)]
+    assert [table.shape for _, table in built] == [(6, 0), (6, 0)]
 
 
 @pytest.mark.parametrize("dim", [1, 3])

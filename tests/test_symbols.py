@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hermband import symbols
-from hermband.core import SpectralFunction, multi_indices, random_spectral
+from hermband.core import SpectralFunction, multi_indices, random_spectral, tensor_points
 from hermband.frames import needlet
 from hermband.lp import apply_lp
 from hermband.symbols import (
@@ -28,8 +28,8 @@ from hermband.symbols import (
 from hermband.tiles import build_level
 
 from oracles import (apply_by_degree, basis_function, check_cancellation_class,
-                     check_symbol_class, oscillating_symbol, richardson_x_derivative,
-                     spectral_function, symbol_table, x_derivative)
+                     check_symbol_class, one_point_grids, oscillating_symbol,
+                     richardson_x_derivative, spectral_function, symbol_table, x_derivative)
 
 
 def test_identity_symbol_is_identity():
@@ -245,15 +245,17 @@ def test_compile_expression_basic():
     pts = np.array([[2.0], [0.0]])
     xi = np.array([1.0, 3.0])
     expect = np.outer([5.0, 1.0], np.exp(-xi))
-    assert ev(pts, xi).shape == (2, 2)
-    assert np.allclose(ev(pts, xi), expect, rtol=1e-14, atol=0.0)
+    table = np.concatenate([ev(axes, xi) for axes in one_point_grids(pts)])
+    assert table.shape == (2, 2)
+    assert np.allclose(table, expect, rtol=1e-14, atol=0.0)
 
 
 def test_compile_expression_rejects_calls():
+    [origin] = one_point_grids(np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        compile_expression("__import__('os')", 1)(np.zeros((1, 1)), 0.0)
+        compile_expression("__import__('os')", 1)(origin, 0.0)
     with pytest.raises(ValueError):
-        compile_expression("open('x')", 1)(np.zeros((1, 1)), 0.0)
+        compile_expression("open('x')", 1)(origin, 0.0)
 
 
 def test_symbol_descriptor_roundtrip(sys):
@@ -277,7 +279,7 @@ def test_symbol_descriptor_kinds(sys):
 
 def test_numeric_x_derivative_matches_analytic():
     # sin(x) e^{-xi}: compare the oracle's Richardson FD against the exact derivative
-    sig = pointwise_symbol(lambda pts, xi: np.sin(pts) * np.exp(-xi), 1)
+    sig = pointwise_symbol(lambda axes, xi: np.sin(axes[0])[:, None] * np.exp(-xi), 1)
     pts = np.array([[0.3], [1.1]])
     xi = np.array([0.0, 2.0, 5.0])
     got = np.real(x_derivative(sig, pts, xi, (1,)))
@@ -373,17 +375,70 @@ def test_apply_matches_the_per_degree_reference_1d(sys, kind):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), gamma
 
 
-@pytest.mark.parametrize("kind", ["band-sum", "separable", "multiplier"])
+SYMBOL_KINDS_2D = {
+    "band-sum": lambda sys: band_sum_symbol(sys, 2),
+    "separable": lambda sys: separable_symbol(2),
+    "multiplier": lambda sys: symbol_from_descriptor(
+        {"kind": "multiplier", "dim": 2, "expression": "1/(1+xi)"}),
+    "annulus": lambda sys: annulus_symbol(2, 6),
+    "expression": lambda sys: symbol_from_descriptor(
+        {"kind": "custom-expression", "dim": 2, "expression": "exp(-xi/8)*cos(x1-absx*x2)"}),
+    "linearized": lambda sys: linearize_nonlinearity(
+        nonlinearity_power(2), random_spectral(2, 4, np.random.default_rng(10), real=True), sys,
+        sys.coverage_level(10.0)),
+}
+
+
+@pytest.mark.parametrize("kind", list(SYMBOL_KINDS_2D))
 def test_apply_matches_the_per_degree_reference_2d(sys, kind):
-    sig = {"band-sum": band_sum_symbol(sys, 2), "separable": separable_symbol(2),
-           "multiplier": symbol_from_descriptor(
-               {"kind": "multiplier", "dim": 2, "expression": "1/(1+xi)"})}[kind]
+    # as in 1-D: every |gamma| <= 2 whose d^beta the symbol supplies, both paths
+    # raising ValueError otherwise
+    sig = SYMBOL_KINDS_2D[kind](sys)
     f = random_spectral(2, 6, np.random.default_rng(9), real=False)
     axes = [np.linspace(-3.0, 3.0, 13), np.linspace(-2.5, 3.5, 11)]
     for gamma in multi_indices(2, 2):
-        got = apply_pseudomultiplier(sig, f, axes, gamma).samples
+        try:
+            got = apply_pseudomultiplier(sig, f, axes, gamma).samples
+        except ValueError:
+            with pytest.raises(ValueError):
+                apply_by_degree(partial(symbol_table, sig), f, axes, gamma)
+            continue
         ref = apply_by_degree(partial(symbol_table, sig), f, axes, gamma).samples
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), gamma
+        if kind == "expression":
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), gamma
+
+
+GRID_FACTOR_CASES = [("kinds", kind, 1) for kind in SYMBOL_KINDS] \
+    + [("radial", kind, dim) for kind in RADIAL_SYMBOLS for dim in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("family,kind,dim", GRID_FACTOR_CASES,
+                         ids=["-".join(map(str, c)) for c in GRID_FACTOR_CASES])
+def test_grid_factors_are_the_one_point_factors_bit_for_bit(sys, family, kind, dim):
+    # each x-factor on a grid, read at a grid point, is the factor of that point
+    # as a one-point grid, for every nu with |nu| <= 2 the symbol supplies; the
+    # windows do not depend on the points
+    sig = SYMBOL_KINDS[kind](sys) if family == "kinds" else RADIAL_SYMBOLS[kind](sys, dim)
+    axes = [np.array([-20.0, -1.5, -0.0, 0.7, 1.9, 3.0])[d:] for d in range(dim)]
+    shape = tuple(a.size for a in axes)
+    lams = 2.0 * np.arange(12) + dim
+    W, factors = sig.evaluator(axes, lams)
+    live = list(range(len(W)))
+    supplied = {}
+    for nu in multi_indices(dim, 2):
+        try:
+            supplied[nu] = [np.broadcast_to(g, shape).ravel() for g in factors(nu, live)]
+        except ValueError:
+            pass
+    assert (0,) * dim in supplied
+    for i, point in enumerate(one_point_grids(tensor_points(axes))):
+        W1, factors1 = sig.evaluator(point, lams)
+        assert np.array_equal(W1, W)
+        for nu, grid in supplied.items():
+            one = [np.ravel(g)[0] for g in factors1(nu, live)]
+            assert np.array_equal([g[i] for g in grid], one), (nu, i)
 
 
 def test_apply_skips_the_terms_whose_window_vanishes(sys, cfg, monkeypatch):
